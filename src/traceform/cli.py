@@ -131,14 +131,11 @@ def _checks_traces(terms: int) -> list[Report]:
 
 
 def _residue_report_to_check(rep: elliptic.ResidueReport, name: str) -> Report:
-    start = time.perf_counter()
+    ms = int(rep.runtime_s * 1000)
     if rep.passed:
-        out = Report(name, "pass", "exact identity", f"{rep.checked} coefficients equal")
-    else:
-        label, got, want = rep.mismatches[0]
-        out = Report(name, "fail", f"{label} = {want}", f"{label} = {got}")
-    out.runtime_ms = int((time.perf_counter() - start) * 1000)
-    return out
+        return Report(name, "pass", "exact identity", f"{rep.checked} coefficients equal", runtime_ms=ms)
+    label, got, want = rep.mismatches[0]
+    return Report(name, "fail", f"{label} = {want}", f"{label} = {got}", runtime_ms=ms)
 
 
 def _checks_elliptic(terms: int) -> list[Report]:
@@ -358,8 +355,20 @@ def _emit_data(payload: dict, args, text_lines: list[str]) -> int:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+class _UsageError(Exception):
+    """Bad flag value caught after parsing; run() turns it into exit 2."""
+
+
+def _require_level(value: int, flag: str) -> None:
+    if value < 0:
+        raise _UsageError(f"{flag} must be >= 0, got {value}")
+
+
 def _cmd_eisenstein(args) -> int:
-    series = qseries.eisenstein(args.weight, args.terms)
+    try:
+        series = qseries.eisenstein(args.weight, args.terms)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     cached = _maybe_cache(series, args, f"eisenstein_w{args.weight}_n{args.terms}")
     payload = {"series": _series_payload(series)}
     lines = [f"E{args.weight} to {args.terms} terms:", str(series)]
@@ -370,7 +379,10 @@ def _cmd_eisenstein(args) -> int:
 
 
 def _cmd_eta(args) -> int:
-    series = qseries.eta_power(args.power, args.terms)
+    try:
+        series = qseries.eta_power(args.power, args.terms)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     stem = f"eta_p{args.power.numerator}_{args.power.denominator}_n{args.terms}"
     cached = _maybe_cache(series, args, stem)
     payload = {"series": _series_payload(series)}
@@ -387,6 +399,7 @@ def _cmd_elliptic(args) -> int:
 
 
 def _cmd_gram(args) -> int:
+    _require_level(args.level, "--level")
     vacuum = args.vacuum if args.vacuum is not None else args.h == 0
     g = virasoro.gram_matrix(args.c, args.h, args.level, vacuum=vacuum)
     payload = {
@@ -402,6 +415,7 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_singular(args) -> int:
+    _require_level(args.level, "--level")
     vacuum = args.vacuum if args.vacuum is not None else args.h == 0
     found = virasoro.singular_vectors(args.c, args.h, args.level, vacuum=vacuum)
     payload = {"singular_vectors": [
@@ -415,6 +429,7 @@ def _cmd_singular(args) -> int:
 
 
 def _cmd_dims(args) -> int:
+    _require_level(args.max_level, "--max-level")
     vacuum = args.vacuum if args.vacuum is not None else args.h == 0
     dims = virasoro.graded_dims(args.c, args.h, args.max_level, vacuum=vacuum)
     payload = {"graded_dims": dims}
@@ -424,6 +439,7 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_cofinite(args) -> int:
+    _require_level(args.max_level, "--max-level")
     fn = virasoro.c20_quotient_dim if args.zero_modes else virasoro.c2_quotient_dim
     dims = fn(args.c, args.h, args.max_level)
     kind = "c20" if args.zero_modes else "c2"
@@ -434,7 +450,10 @@ def _cmd_cofinite(args) -> int:
 
 
 def _cmd_zhu(args) -> int:
-    zp = zhu.zhu_poly(args.m, args.trunc)
+    try:
+        zp = zhu.zhu_poly(args.m, args.trunc)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     payload = {
         "m": zp.m,
         "c": _rat(zp.c),
@@ -449,10 +468,6 @@ def _cmd_zhu(args) -> int:
              "  roots: " + ", ".join(f"{_rat(r)} (x{mult})" for r, mult in zp.roots),
              f"  complete: {zp.complete}  stabilized: {zp.stabilized}"]
     return _emit_data(payload, args, lines)
-
-
-class _UsageError(Exception):
-    """Bad flag combination caught after parsing; run() turns it into exit 2."""
 
 
 def _resolve_ch(args) -> tuple[Fraction, Fraction]:

@@ -46,6 +46,7 @@ against the bracket coefficient tables and the z^n entries of P_{m+1}.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -268,12 +269,16 @@ def p_series_at_exp(k: int, terms: int, z_max: int = 8) -> BivariateLaurent:
 
 @dataclass(frozen=True, eq=False)
 class ResidueReport:
-    """Outcome of one exact identity check, with per-coefficient mismatches."""
+    """Outcome of one exact identity check, with per-coefficient mismatches.
+
+    runtime_s is the wall time of this check's own computation.
+    """
 
     identity: str
     params: dict
     checked: int
     mismatches: tuple[tuple[str, str, str], ...]
+    runtime_s: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -302,6 +307,7 @@ def verify_p_wp_relations(k_max: int = 5, terms: int = 9, z_max: int = 8) -> lis
     """
     reports = []
     for k in range(1, k_max + 1):
+        start = time.perf_counter()
         lhs = p_series_at_exp(k, terms, z_max)
         wp = wp_expansion(k, terms, z_max)
         if k == 1:
@@ -314,7 +320,7 @@ def verify_p_wp_relations(k_max: int = 5, terms: int = 9, z_max: int = 8) -> lis
         bad = lhs.mismatches(rhs)
         checked = (z_max + k + 1) * terms
         reports.append(ResidueReport("p-series-weierstrass", {"k": k, "terms": terms, "z_max": z_max},
-                                     checked, tuple(bad)))
+                                     checked, tuple(bad), time.perf_counter() - start))
     return reports
 
 
@@ -327,6 +333,7 @@ def verify_wp_structure(k_max: int = 5, terms: int = 9, z_max: int = 8) -> list[
     same on the q-series side.
     """
     reports = []
+    start = time.perf_counter()
     parity_bad: list[tuple[str, str, str]] = []
     parity_checked = 0
     for k in range(1, k_max + 1):
@@ -336,18 +343,22 @@ def verify_wp_structure(k_max: int = 5, terms: int = 9, z_max: int = 8) -> list[
             if (e - k) % 2:
                 parity_bad.append((f"k={k} z^{e}", "nonzero entry", "parity forbids it"))
     reports.append(ResidueReport("wp-parity", {"k_max": k_max, "z_max": z_max},
-                                 parity_checked, tuple(parity_bad)))
+                                 parity_checked, tuple(parity_bad), time.perf_counter() - start))
     for k in range(1, k_max):
+        start = time.perf_counter()
         lhs = wp_expansion(k + 1, terms, z_max)
         rhs = wp_expansion(k, terms, z_max + 1).d_dz() * Fraction(-1, k)
         reports.append(ResidueReport("wp-derivative-recursion",
                                      {"k": k, "terms": terms, "z_max": z_max},
-                                     (z_max + k + 2) * terms, tuple(lhs.mismatches(rhs))))
+                                     (z_max + k + 2) * terms, tuple(lhs.mismatches(rhs)),
+                                     time.perf_counter() - start))
+        start = time.perf_counter()
         plhs = p_series(k, terms, -z_max, z_max).z_d_dz()
         prhs = p_series(k + 1, terms, -z_max, z_max) * k
         reports.append(ResidueReport("p-z-derivative",
                                      {"k": k, "terms": terms, "z_max": z_max},
-                                     2 * z_max * terms, tuple(plhs.mismatches(prhs))))
+                                     2 * z_max * terms, tuple(plhs.mismatches(prhs)),
+                                     time.perf_counter() - start))
     return reports
 
 
@@ -453,11 +464,14 @@ def verify_residue_identities(w: int, terms: int = 6,
     if w < 1:
         raise ValueError("w must be a positive integer")
     reports = []
+    start = time.perf_counter()
     got = _residue_identity_value(w, None, terms)
     want = _const_series(Fraction(1), terms)
     reports.append(ResidueReport("residue-unit", {"w": w, "terms": terms},
-                                 terms, tuple(_series_mismatches("", got, want))))
+                                 terms, tuple(_series_mismatches("", got, want)),
+                                 time.perf_counter() - start))
     for m in ms:
+        start = time.perf_counter()
         got = _residue_identity_value(w, m, terms)
         if m == 1:
             want = _const_series(Fraction(-1, 2), terms)
@@ -466,7 +480,8 @@ def verify_residue_identities(w: int, terms: int = 6,
         else:
             want = _zero_series(terms)
         reports.append(ResidueReport(f"residue-p{m}", {"w": w, "terms": terms},
-                                     terms, tuple(_series_mismatches("", got, want))))
+                                     terms, tuple(_series_mismatches("", got, want)),
+                                     time.perf_counter() - start))
     return reports
 
 
@@ -485,6 +500,7 @@ def verify_expansion_identity(w: int, terms: int = 6, i_max: int = 8,
     """
     if w < 1:
         raise ValueError("w must be a positive integer")
+    start = time.perf_counter()
     bad: list[tuple[str, str, str]] = []
     checked = 0
     pseries = [p_series(m + 1, terms, -n_max, n_max) for m in range(0, i_max + 1)]
@@ -498,4 +514,4 @@ def verify_expansion_identity(w: int, terms: int = 6, i_max: int = 8,
             checked += terms
             bad.extend(_series_mismatches(f"i={i} n={n}", lhs, rhs))
     return ResidueReport("binomial-mode-expansion", {"w": w, "terms": terms},
-                         checked, tuple(bad))
+                         checked, tuple(bad), time.perf_counter() - start)

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package that needs a rank, kernel, or solve goes through
-these helpers.  Matrices are small (a few hundred rows, worst case ~1600
-columns for the deepest vacuum singular vector search), so the dense routines
+these helpers.  Matrices are small (a few hundred rows, worst case 1039
+columns for the m = 4 vacuum singular vector), so the dense routines
 are plain Gauss-Jordan over fractions.Fraction.  The sparse nullspace keeps
 integer rows normalized by their gcd, which is what makes the deeper Virasoro
 computations affordable: action matrices of single modes are very sparse.
@@ -11,6 +11,7 @@ computations affordable: action matrices of single modes are very sparse.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -52,25 +53,6 @@ def rank_dense(rows: Iterable[Sequence[Fraction | int]]) -> int:
     return len(rref_dense(rows)[1])
 
 
-def nullspace_dense(rows: Iterable[Sequence[Fraction | int]], ncols: int | None = None) -> list[Vector]:
-    """Basis of the right kernel {x : A x = 0}, one vector per free column."""
-    mat = _as_fraction_matrix(rows)
-    if ncols is None:
-        if not mat:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(mat[0])
-    red, pivots = rref_dense(mat)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[Vector] = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            vec[p] = -row[f]
-        basis.append(vec)
-    return basis
-
-
 def solve_dense(rows: Iterable[Sequence[Fraction | int]],
                 rhs: Sequence[Fraction | int]) -> Vector | None:
     """One solution of A x = b, or None if inconsistent. Free variables are set to 0."""
@@ -95,9 +77,7 @@ def solve_dense(rows: Iterable[Sequence[Fraction | int]],
 def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     if not row:
         return row
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
+    g = gcd(*row.values())
     if g > 1:
         return {c: v // g for c, v in row.items()}
     return row
@@ -107,9 +87,17 @@ def sparse_nullspace(rows: Iterable[Mapping[int, Fraction | int]],
                      ncols: int) -> list[dict[int, Fraction]]:
     """Right kernel basis of a sparse matrix given as {column: entry} rows.
 
-    Gauss-Jordan with a minimum-degree pivot heuristic on integer-cleared rows.
+    Elimination with a minimum-degree pivot heuristic on integer-cleared rows.
     Returns kernel vectors as sparse {column: Fraction} dicts, one per free
     column, with the free coordinate set to 1.
+
+    The pivot is the column with the fewest active rows, then the shortest
+    such row, then the column seen first in the input; within the column the
+    row is the shortest, then the lowest index. Each column indexes its
+    active rows, and its (count, shortest length) key sits in a heap that is
+    refreshed only for the columns whose active rows changed. A pivot row is
+    frozen once chosen: only active rows are eliminated, and the kernel
+    vectors come from back substitution through the pivot rows in reverse.
     """
     work: list[dict[int, int]] = []
     for row in rows:
@@ -125,70 +113,76 @@ def sparse_nullspace(rows: Iterable[Mapping[int, Fraction | int]],
         if cleared:
             work.append(_normalize_int_row(cleared))
 
-    col_rows: dict[int, set[int]] = {}
-    active: set[int] = set(range(len(work)))
-    for i in active:
-        for c in work[i]:
-            col_rows.setdefault(c, set()).add(i)
-
-    def _discard(i: int, row: dict[int, int]) -> None:
+    active_at: dict[int, set[int]] = {}   # column -> active rows holding it
+    for i, row in enumerate(work):
         for c in row:
-            s = col_rows.get(c)
-            if s is not None:
-                s.discard(i)
+            active_at.setdefault(c, set()).add(i)
+    order = {c: t for t, c in enumerate(active_at)}
+    stride = len(work) + 1
+    row_key = [len(row) * stride + i for i, row in enumerate(work)]  # orders (length, index)
 
-    def _register(i: int, row: dict[int, int]) -> None:
-        for c in row:
-            col_rows.setdefault(c, set()).add(i)
-
-    pivot_of: dict[int, int] = {}  # column -> row index (done rows)
-    done: set[int] = set()
+    heap: list[tuple[int, int, int, int]] = []   # (count, shortest, order, column)
+    choice: dict[int, tuple[int, int, int]] = {}  # column -> (count, shortest, row)
+    dirty: set[int] = set(active_at)
+    pivot_of: dict[int, int] = {}  # column -> its frozen pivot row
     while True:
-        best: tuple[int, int, int] | None = None  # (count, col, row)
-        for c, rows_here in col_rows.items():
-            live = rows_here & active
-            if not live:
-                continue
-            cnt = len(live)
-            row_idx = min(live, key=lambda i: (len(work[i]), i))
-            if best is None or (cnt, len(work[row_idx])) < (best[0], len(work[best[2]])):
-                best = (cnt, c, row_idx)
-        if best is None:
+        for c in dirty:
+            live = active_at[c]
+            if live:
+                ri = min(live, key=row_key.__getitem__)
+                key = (len(live), len(work[ri]))
+                choice[c] = key + (ri,)
+                heappush(heap, key + (order[c], c))
+            else:
+                choice.pop(c, None)
+        dirty.clear()
+        while heap:
+            cnt, short, _, col = heap[0]
+            cur = choice.get(col)
+            if cur is not None and cur[0] == cnt and cur[1] == short:
+                break
+            heappop(heap)
+        if not heap:
             break
-        _, col, pr = best
-        active.discard(pr)
+        pr = choice[col][2]
         prow = work[pr]
+        for c in prow:
+            active_at[c].discard(pr)
+        dirty.update(prow)
         pval = prow[col]
-        targets = [i for i in (col_rows.get(col, set()) - {pr}) if i in active or i in done]
-        for i in targets:
+        for i in list(active_at[col]):
             row = work[i]
-            f = row[col]
-            _discard(i, row)
-            new: dict[int, int] = {}
-            for c2, v in row.items():
-                new[c2] = pval * v
+            for c in row:
+                active_at[c].discard(i)
+            g = gcd(pval, row[col])
+            a, b = pval // g, row[col] // g
+            new = {c2: a * v for c2, v in row.items()} if a != 1 else dict(row)
             for c2, v in prow.items():
-                new[c2] = new.get(c2, 0) - f * v
-            new = {c2: v for c2, v in new.items() if v != 0}
+                w = new.get(c2, 0) - b * v
+                if w:
+                    new[c2] = w
+                else:
+                    del new[c2]
             new = _normalize_int_row(new)
             work[i] = new
-            _register(i, new)
-            if i in active and not new:
-                active.discard(i)
+            row_key[i] = len(new) * stride + i
+            for c in new:
+                active_at[c].add(i)
+            dirty.update(row)
+            dirty.update(new)
         pivot_of[col] = pr
-        done.add(pr)
 
-    free_cols = [c for c in range(ncols) if c not in pivot_of]
+    # a pivot row holds only its own column, later pivots and free columns
+    backward = list(pivot_of.items())[::-1]
     basis: list[dict[int, Fraction]] = []
-    for f in free_cols:
-        vec: dict[int, Fraction] = {f: Fraction(1)}
-        for col, ri in pivot_of.items():
+    for f in (c for c in range(ncols) if c not in pivot_of):
+        x: dict[int, Fraction] = {f: Fraction(1)}
+        for col, ri in backward:
             row = work[ri]
-            if f in row:
-                val = -Fraction(row[f], row[col])
-                if val != 0:
-                    vec[col] = val
-        basis.append(vec)
+            acc = sum(v * x[c] for c, v in row.items() if c in x)
+            if acc:
+                x[col] = -acc / row[col]
+        basis.append({f: x[f], **{col: x[col] for col in pivot_of if col in x}})
     return basis
 
 

@@ -346,11 +346,6 @@ class GramMatrix:
     def rank(self) -> int:
         return linalg.rank_dense(self.entries) if self.basis else 0
 
-    def kernel(self) -> list[list[Fraction]]:
-        if not self.basis:
-            return []
-        return linalg.nullspace_dense(self.entries, len(self.basis))
-
 
 def _basis_at(level: int, vacuum: bool) -> tuple[Partition, ...]:
     return partitions_of(level, min_part=2 if vacuum else 1)

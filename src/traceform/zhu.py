@@ -18,22 +18,24 @@ which class_polynomial implements. In particular [L(-1)b] = -wt(b) [b] and
 [L(-2)b] = (x + wt b)[b]; o_space exposes the direct truncated span so those
 reduction relations can be checked against it rather than assumed.
 
-zhu_poly(m) finds the first vacuum singular vector of the (m+2, m+3) minimal
-model central charge by kernel search level by level, reduces its class to a
-monic polynomial g, and reports the minimal monic polynomial of the truncated
-ideal span of its descendant classes at two truncations; the roots of g
-recover the Kac weight table.
+zhu_poly(m) reads the level of the first vacuum singular vector of the
+(p, q) = (m+2, m+3) minimal model off the Kac determinant, (p-1)(q-1), and
+solves for that vector at that one level. Its class reduces to a monic
+polynomial g whose roots recover the Kac weight table. The truncated ideal
+span of its descendant classes [L(-mu) alpha] is built in closed form: each
+is [alpha] times one linear factor per part of mu, by the same reduction rule.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
 from . import virasoro
 from .linalg import RowSpan
-from .virasoro import VermaVector, l_action, mode_action, minimal_model
+from .virasoro import Partition, VermaVector, l_action, mode_action, minimal_model
 
 _RationalLike = Fraction | int
 
@@ -98,20 +100,29 @@ def _poly_trim(a: list[Fraction]) -> list[Fraction]:
     return a
 
 
+def _descend(poly: list[Fraction], mu: tuple[int, ...], wt: int) -> list[Fraction]:
+    """[L(-mu) b] from [b] = poly and wt b, one reduction factor per part.
+
+    Parts act from the right, so the factor of each part sees wt b plus the
+    parts to its right.
+    """
+    for m_part in reversed(mu):
+        sign = -1 if m_part % 2 else 1
+        poly = _poly_mul(poly, [sign * Fraction(wt), sign * Fraction(m_part - 1)])
+        wt += m_part
+    return poly
+
+
 def class_polynomial(vec: VermaVector) -> list[Fraction]:
     """[vec] in A(V) = Q[x], coefficients ascending in x.
 
-    Applies [L(-M) b] = (-1)^M ((M-1)x + wt b)[b] factor by factor from the
-    left of each PBW monomial.
+    Applies [L(-M) b] = (-1)^M ((M-1)x + wt b)[b] factor by factor to each
+    PBW monomial of vec.
     """
     _require_vacuum(vec)
     acc = [Fraction(0)]
     for mu, co in vec.entries.items():
-        poly = [co]
-        for idx, m_part in enumerate(mu):
-            wt_b = sum(mu[idx + 1:])
-            sign = -1 if m_part % 2 else 1
-            poly = _poly_mul(poly, [sign * Fraction(wt_b), sign * Fraction(m_part - 1)])
+        poly = _descend([co], mu, 0)
         width = max(len(acc), len(poly))
         acc = [(acc[i] if i < len(acc) else Fraction(0)) + (poly[i] if i < len(poly) else Fraction(0))
                for i in range(width)]
@@ -296,14 +307,21 @@ def rational_roots(poly: tuple[Fraction, ...]) -> tuple[list[tuple[Fraction, int
 
 @dataclass(frozen=True)
 class ZhuPoly:
-    """Monic image of the first vacuum singular vector in A(V) = Q[x]."""
+    """Monic image of the first vacuum singular vector in A(V) = Q[x].
+
+    stabilization maps each truncation to the minimal monic polynomial of
+    the ideal span there. Every descendant class is [alpha] times a
+    polynomial and [alpha] itself is in the span, so that polynomial is
+    coeffs at every truncation and stabilized holds by construction; the
+    field stays as the cross-check of the closed-form ideal against g.
+    """
 
     m: int
     c: Fraction
     singular_level: int
     trunc: int
     coeffs: tuple[Fraction, ...]                 # ascending, monic
-    stabilization: dict[int, tuple[Fraction, ...]]
+    stabilization: dict[int, tuple[Fraction, ...]]  # trunc -> ideal generator
     roots: tuple[tuple[Fraction, int], ...]
     complete: bool                               # True if the polynomial split over Q
 
@@ -320,32 +338,32 @@ class ZhuPoly:
         return tuple(r for r, _ in self.roots)
 
 
-def _find_vacuum_singular(c: Fraction, max_level: int = 40) -> tuple[int, VermaVector]:
-    """First level >= 2 carrying a highest-weight vector in L(c,0)-to-be."""
-    for level in range(2, max_level + 1):
-        found = virasoro.singular_vectors(c, 0, level, vacuum=True)
-        if found:
-            if len(found) != 1:
-                raise AssertionError(f"expected one singular vector at level {level}")
-            return level, found[0]
-    raise ValueError(f"no vacuum singular vector up to level {max_level}")
+def _singular_level(m: int) -> int:
+    """(p-1)(q-1) for (p, q) = (m+2, m+3): the first vacuum null level."""
+    return (m + 1) * (m + 2)
 
 
-def _ideal_min_poly(alpha: VermaVector, level: int, trunc: int) -> tuple[Fraction, ...]:
-    """Minimal monic polynomial in the span of descendant classes of alpha.
+def _find_vacuum_singular(m: int) -> VermaVector:
+    """The singular vector of L(c,0)-to-be at the level the Kac table predicts.
 
-    Spans [L(-mu) alpha] over all partitions mu with level + |mu| <= trunc;
-    every such class is a polynomial multiple of [alpha], so the minimum
-    degree element of the span is the stabilized generator.
+    For the (p, q) minimal model the vacuum Verma module, with L(-1)1 already
+    divided out, first degenerates at level (p-1)(q-1) (the Kac determinant;
+    Feigin-Fuchs), so one kernel solve there replaces a level-by-level scan.
+    The solve must find exactly one vector, and singular_vectors checks that
+    L(1) and L(2) annihilate it.
     """
+    level = _singular_level(m)
+    found = virasoro.singular_vectors(minimal_model(m).c, 0, level, vacuum=True)
+    if len(found) != 1:
+        raise AssertionError(f"expected one singular vector at level {level}, found {len(found)}")
+    return found[0]
+
+
+def _span_generator(polys: Iterable[list[Fraction]]) -> tuple[Fraction, ...]:
+    """Minimal monic polynomial in the span of polys (ascending coefficients)."""
     span = RowSpan()
-    for extra in range(0, trunc - level + 1):
-        for mu in virasoro.partitions_of(extra):
-            vec = alpha
-            for part in reversed(mu):
-                vec = l_action(-part, vec)
-            poly = class_polynomial(vec)
-            span.add({i: co for i, co in enumerate(poly) if co != 0})
+    for poly in polys:
+        span.add({i: co for i, co in enumerate(poly) if co != 0})
     if span.rank == 0:
         raise AssertionError("descendant classes span nothing")
     best_pivot = min(span.pivot_keys)
@@ -356,23 +374,55 @@ def _ideal_min_poly(alpha: VermaVector, level: int, trunc: int) -> tuple[Fractio
     return tuple(out)
 
 
+def _ideal_min_poly(alpha_class: list[Fraction], level: int, trunc: int) -> tuple[Fraction, ...]:
+    """Minimal monic polynomial in the span of descendant classes of alpha.
+
+    alpha_class is [alpha], for alpha of weight level. Spans [L(-mu) alpha]
+    over all partitions mu with level + |mu| <= trunc, each built in closed
+    form as [alpha] times the reduction factors of the parts of mu; every
+    such class is a polynomial multiple of [alpha], so the minimum degree
+    element of the span is the stabilized generator.
+    """
+    return _span_generator(_descend(alpha_class, mu, level)
+                           for extra in range(trunc - level + 1)
+                           for mu in virasoro.partitions_of(extra))
+
+
+def _ideal_min_poly_by_l_action(alpha: VermaVector, level: int, trunc: int) -> tuple[Fraction, ...]:
+    """Reference route for _ideal_min_poly: each L(-mu) alpha built by l_action.
+
+    Far slower (at m = 3 it takes seconds where the closed form takes
+    milliseconds); the tests keep it to check the closed form against.
+    """
+    def descendant_class(mu: Partition) -> list[Fraction]:
+        vec = alpha
+        for part in reversed(mu):
+            vec = l_action(-part, vec)
+        return class_polynomial(vec)
+
+    return _span_generator(descendant_class(mu)
+                           for extra in range(trunc - level + 1)
+                           for mu in virasoro.partitions_of(extra))
+
+
 def zhu_poly(m: int, trunc: int | None = None) -> ZhuPoly:
     """Zhu polynomial of the (m+2, m+3) minimal model central charge.
 
-    Finds the first vacuum singular vector by exact kernel search, reduces
-    its class to a monic polynomial, and reports the minimal polynomial of
-    the truncated ideal span at trunc and trunc+2 so stabilization is
-    checkable. The sorted distinct roots reproduce the Kac weight table.
+    Checks the truncation against the predicted singular level before any
+    solve, finds the singular vector there, reduces its class to a monic
+    polynomial, and reports the minimal polynomial of the truncated ideal
+    span at trunc and trunc+2. The sorted distinct roots reproduce the Kac
+    weight table.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    c = minimal_model(m).c
-    level, alpha = _find_vacuum_singular(c)
+    level = _singular_level(m)
     if trunc is None:
         trunc = level + 4
     if trunc < level:
         raise ValueError(f"truncation {trunc} is below the singular level {level}")
-    g = _monic(class_polynomial(alpha))
-    stab = {t: _ideal_min_poly(alpha, level, t) for t in (trunc, trunc + 2)}
+    alpha_class = class_polynomial(_find_vacuum_singular(m))
+    g = _monic(alpha_class)
+    stab = {t: _ideal_min_poly(alpha_class, level, t) for t in (trunc, trunc + 2)}
     roots, rest = rational_roots(g)
-    return ZhuPoly(m, c, level, trunc, g, stab, tuple(roots), rest == 0)
+    return ZhuPoly(m, minimal_model(m).c, level, trunc, g, stab, tuple(roots), rest == 0)

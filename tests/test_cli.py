@@ -160,3 +160,30 @@ def test_solving_at_a_non_root_reports_an_error(capsys):
     assert code == 1
     assert payload["reports"][0]["status"] == "error"
     assert "not an indicial root" in payload["reports"][0]["actual"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["zhu", "--m", "0"], "m must be a positive integer"),
+    (["zhu", "--m", "1", "--trunc", "3"], "truncation 3 is below the singular level 6"),
+    (["eta", "--terms", "0"], "terms must be positive"),
+    (["eisenstein", "--weight", "3"], "even integer >= 2, got 3"),
+    (["cofinite", "--c", "1/2", "--h", "0", "--max-level", "-2"], "--max-level must be >= 0"),
+    (["dims", "--c", "1/2", "--h", "0", "--max-level", "-2"], "--max-level must be >= 0"),
+    (["gram", "--c", "1/2", "--h", "0", "--level", "-1"], "--level must be >= 0"),
+    (["singular", "--c", "1/2", "--h", "0", "--level", "-3"], "--level must be >= 0"),
+])
+def test_bad_values_exit_two_with_one_line(capsys, argv, message):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_elliptic_reports_time_their_own_work(capsys):
+    code = cli.run(["--json", "elliptic-identities"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["summary"]["total"] == 55
+    assert sum(r["runtime_ms"] for r in payload["reports"]) > 0

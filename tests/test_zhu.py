@@ -4,7 +4,10 @@ The two routes to the same answer are kept deliberately separate: the
 closed-form reduction of PBW strings to polynomials in the conformal class
 x, and the concrete span of o(a, u) elements inside the irreducible vacuum
 algebra. The minimal model spectrum test checks both against the Kac
-weight table.
+weight table. zhu_poly itself takes the fast routes (the predicted
+singular level, closed-form descendant classes); the slow routes they
+replace, a level-by-level scan and the l_action construction of the
+descendant classes (zhu._ideal_min_poly_by_l_action), are kept as oracles.
 """
 
 import os
@@ -19,10 +22,13 @@ from traceform.virasoro import (
     l_action,
     minimal_model,
     mode_action,
+    singular_vectors,
     verma_monomial,
 )
 from traceform.zhu import (
     ZhuPoly,
+    _find_vacuum_singular,
+    _ideal_min_poly_by_l_action,
     a_dot_u,
     class_polynomial,
     o_elem,
@@ -184,10 +190,51 @@ def test_second_model_zhu_polynomial():
     assert sorted(zp.root_set()) == list(minimal_model(2).distinct_weights())
 
 
+# ---------------------------------------------------------------------------
+# the slow routes, kept as oracles for the closed forms
+# ---------------------------------------------------------------------------
+
+def _assert_ideal_matches_l_action(zp):
+    """The closed-form ideal generators equal the l_action route's, and g itself."""
+    alpha = _find_vacuum_singular(zp.m)
+    assert sorted(zp.stabilization) == [zp.trunc, zp.trunc + 2]
+    for trunc, generator in zp.stabilization.items():
+        assert generator == zp.coeffs
+        assert _ideal_min_poly_by_l_action(alpha, zp.singular_level, trunc) == generator
+
+
+def _assert_no_vacuum_singular_vector_below(m, level):
+    c = minimal_model(m).c
+    for lower in range(2, level):
+        assert singular_vectors(c, 0, lower, vacuum=True) == [], f"m={m} level {lower}"
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_closed_form_ideal_matches_the_l_action_route(m):
+    _assert_ideal_matches_l_action(zhu_poly(m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_no_vacuum_singular_vector_below_the_predicted_level(m):
+    level = (m + 1) * (m + 2)
+    _assert_no_vacuum_singular_vector_below(m, level)
+    assert len(singular_vectors(minimal_model(m).c, 0, level, vacuum=True)) == 1
+
+
+def test_truncation_below_the_singular_level_is_refused():
+    with pytest.raises(ValueError, match="below the singular level 6"):
+        zhu_poly(1, trunc=5)
+    with pytest.raises(ValueError, match="positive"):
+        zhu_poly(0)
+
+
 @pytest.mark.skipif(not os.environ.get("TRACEFORM_SLOW"),
                     reason="set TRACEFORM_SLOW=1 to run the minute-scale spectrum checks")
 def test_fourth_model_zhu_polynomial_slow():
-    zp = zhu_poly(4)
+    for m in (3, 4):
+        zp = zhu_poly(m)
+        _assert_no_vacuum_singular_vector_below(m, zp.singular_level)
+        _assert_ideal_matches_l_action(zp)
     assert zp.singular_level == 30
     assert zp.degree == 15
     assert zp.complete and zp.stabilized
