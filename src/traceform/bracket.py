@@ -10,12 +10,6 @@ expansion (1+z)^(w-1) gives the binomial coefficients C(w-1, i), and m may be
 any integer: negative rows use the inverse powers of log(1+z)/z, still with
 rational entries. The Virasoro shift is L[n] = omega~[n+1], so the L[0] row
 is bracket_coeffs(2, 1) = (1, 1/2, -1/6, 1/12, ...).
-
-square_bracket_l_action is the L[n] action on the abstract square-bracket
-highest-weight module. The square-bracket Virasoro (with the shifted
-conformal vector) generates a vertex algebra isomorphic to the round one with
-the same central charge, so on identically labeled PBW bases the structure
-constants coincide and the action delegates to the one engine in virasoro.
 """
 
 from __future__ import annotations
@@ -25,31 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import virasoro
-from .virasoro import VermaVector
-
-
-def _mul_trunc(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a[:n]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[: n - i]):
-            if y != 0:
-                out[i + j] += x * y
-    return out
-
-
-def _unit_pow(u: list[Fraction], r: Fraction, n: int) -> list[Fraction]:
-    """u^r for a unit series u (u[0] = 1) via the power recurrence."""
-    out = [Fraction(0)] * n
-    out[0] = Fraction(1)
-    for m in range(1, n):
-        acc = Fraction(0)
-        for k in range(1, m + 1):
-            if k < len(u) and u[k] != 0:
-                acc += ((r + 1) * k - m) * u[k] * out[m - k]
-        out[m] = acc / m
-    return out
+from .qseries import PuiseuxSeries
+from .virasoro import VermaVector, _sum_scaled
 
 
 @lru_cache(maxsize=None)
@@ -91,10 +62,8 @@ def bracket_coeffs(w: int, m: int, depth: int = 12) -> BracketCoeffTable:
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    u = list(_log1p_over_z(depth))
-    upow = _unit_pow(u, Fraction(m), depth)
-    row = _mul_trunc(upow, list(_binom_row(w - 1, depth)), depth)
-    return BracketCoeffTable(w, m, tuple(row))
+    unit_pow = PuiseuxSeries(0, _log1p_over_z(depth)).pow_rational(m)
+    return BracketCoeffTable(w, m, (unit_pow * PuiseuxSeries(0, _binom_row(w - 1, depth))).coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -116,17 +85,6 @@ def inverse_bracket_coeffs(w: int, n: int, depth: int = 12) -> BracketCoeffTable
     return BracketCoeffTable(w, n, tuple(b))
 
 
-def square_bracket_l_action(n: int, vec: VermaVector) -> VermaVector:
-    """L[n] acting on a square-bracket PBW vector.
-
-    The square-bracket module is an abstract copy of the round-bracket
-    highest-weight module with the same central charge and highest weight, so
-    the structure constants agree monomial by monomial and the round-bracket
-    engine does the work.
-    """
-    return virasoro.l_action(n, vec)
-
-
 def square_mode_action(v: VermaVector, m: int, u: VermaVector) -> VermaVector:
     """v[m]u expanded in round modes, v[m] = sum_i a_i v(m+i).
 
@@ -136,17 +94,15 @@ def square_mode_action(v: VermaVector, m: int, u: VermaVector) -> VermaVector:
     """
     if not v.vacuum or v.h != 0:
         raise ValueError("square modes need a vacuum vertex algebra vector")
-    out = VermaVector(u.c, u.h, {}, u.vacuum)
     lev_u = max(u.level_components(), default=0)
+    terms = []
     for w, piece in v.level_components().items():
         top = lev_u + w - 1 - m
-        if top < 0:
-            continue
-        row = bracket_coeffs(w, m, top + 1)
-        for i in range(top + 1):
-            if row[i] != 0:
-                out = out + row[i] * virasoro.mode_action(piece, m + i, u)
-    return out
+        if top >= 0:
+            row = bracket_coeffs(w, m, top + 1)
+            terms += [(a, virasoro.mode_action(piece, m + i, u))
+                      for i, a in enumerate(row.coeffs) if a != 0]
+    return _sum_scaled(u, terms)
 
 
 def square_virasoro_action(n: int, u: VermaVector) -> VermaVector:
@@ -156,14 +112,12 @@ def square_virasoro_action(n: int, u: VermaVector) -> VermaVector:
     L[n] = sum_i a_i L(n+i) with the (2, n+1) coefficient row, plus -c/24
     times the identity when n = -2.
     """
-    out = VermaVector(u.c, u.h, {}, u.vacuum)
     lev_u = max(u.level_components(), default=0)
     top = lev_u - n
+    terms = []
     if top >= 0:
         row = bracket_coeffs(2, n + 1, top + 1)
-        for i in range(top + 1):
-            if row[i] != 0:
-                out = out + row[i] * virasoro.l_action(n + i, u)
+        terms = [(a, virasoro.l_action(n + i, u)) for i, a in enumerate(row.coeffs) if a != 0]
     if n == -2:
-        out = out + (-u.c / 24) * u
-    return out
+        terms.append((-u.c / 24, u))
+    return _sum_scaled(u, terms)

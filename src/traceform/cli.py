@@ -359,9 +359,9 @@ class _UsageError(Exception):
     """Bad flag value caught after parsing; run() turns it into exit 2."""
 
 
-def _require_level(value: int, flag: str) -> None:
-    if value < 0:
-        raise _UsageError(f"{flag} must be >= 0, got {value}")
+def _require_at_least(value: int, flag: str, minimum: int) -> None:
+    if value < minimum:
+        raise _UsageError(f"{flag} must be >= {minimum}, got {value}")
 
 
 def _cmd_eisenstein(args) -> int:
@@ -395,11 +395,12 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_elliptic(args) -> int:
+    _require_at_least(args.terms, "--terms", 1)
     return _emit_reports(_checks_elliptic(args.terms), args)
 
 
 def _cmd_gram(args) -> int:
-    _require_level(args.level, "--level")
+    _require_at_least(args.level, "--level", 0)
     vacuum = args.vacuum if args.vacuum is not None else args.h == 0
     g = virasoro.gram_matrix(args.c, args.h, args.level, vacuum=vacuum)
     payload = {
@@ -415,7 +416,7 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_singular(args) -> int:
-    _require_level(args.level, "--level")
+    _require_at_least(args.level, "--level", 0)
     vacuum = args.vacuum if args.vacuum is not None else args.h == 0
     found = virasoro.singular_vectors(args.c, args.h, args.level, vacuum=vacuum)
     payload = {"singular_vectors": [
@@ -429,7 +430,7 @@ def _cmd_singular(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    _require_level(args.max_level, "--max-level")
+    _require_at_least(args.max_level, "--max-level", 0)
     vacuum = args.vacuum if args.vacuum is not None else args.h == 0
     dims = virasoro.graded_dims(args.c, args.h, args.max_level, vacuum=vacuum)
     payload = {"graded_dims": dims}
@@ -439,7 +440,7 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_cofinite(args) -> int:
-    _require_level(args.max_level, "--max-level")
+    _require_at_least(args.max_level, "--max-level", 0)
     fn = virasoro.c20_quotient_dim if args.zero_modes else virasoro.c2_quotient_dim
     dims = fn(args.c, args.h, args.max_level)
     kind = "c20" if args.zero_modes else "c2"
@@ -484,6 +485,7 @@ def _resolve_ch(args) -> tuple[Fraction, Fraction]:
 
 
 def _cmd_mde_derive(args) -> int:
+    _require_at_least(args.max_order, "--max-order", 1)
     c, h = _resolve_ch(args)
 
     def derive_fn():
@@ -500,6 +502,8 @@ def _cmd_mde_derive(args) -> int:
 
 
 def _cmd_mde_solve(args) -> int:
+    _require_at_least(args.max_order, "--max-order", 1)
+    _require_at_least(args.terms, "--terms", 1)
     c, h = _resolve_ch(args)
     try:
         rec = mde.derive_recursion(c, h, args.weight_bound, args.max_order)
@@ -534,11 +538,13 @@ def _cmd_mde_solve(args) -> int:
 
 
 def _cmd_modular_check(args) -> int:
+    _require_at_least(args.terms, "--terms", 1)
     taus = tuple(args.tau) if args.tau else mde.TAU_SAMPLES
     return _emit_reports(_checks_modular(args.terms, taus), args)
 
 
 def _cmd_verify(args) -> int:
+    _require_at_least(args.terms, "--terms", 1)
     reports = _checks_traces(args.terms)
     if args.suite == "all":
         reports += _checks_elliptic(9)

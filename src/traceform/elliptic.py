@@ -52,20 +52,9 @@ from fractions import Fraction
 from math import factorial
 
 from .bracket import bracket_coeffs
+from .linalg import _RationalLike, _frac
 from .qseries import PuiseuxSeries, bernoulli, eisenstein
-
-_RationalLike = Fraction | int
-
-
-def _frac(x: _RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _gbinom(m: int, i: int) -> Fraction:
-    num = 1
-    for t in range(i):
-        num *= m - t
-    return Fraction(num, factorial(i))
+from .virasoro import _gbinom
 
 
 def _zero_series(terms: int) -> PuiseuxSeries:

@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Everything in this package that needs a rank, kernel, or solve goes through
-these helpers.  Matrices are small (a few hundred rows, worst case 1039
-columns for the m = 4 vacuum singular vector), so the dense routines
-are plain Gauss-Jordan over fractions.Fraction.  The sparse nullspace keeps
-integer rows normalized by their gcd, which is what makes the deeper Virasoro
-computations affordable: action matrices of single modes are very sparse.
+Two elimination engines serve the package. RowSpan is an incremental row
+space over Q with sparse Gauss-Jordan pivots on {key: Fraction} rows; every
+rank, solve and inverse goes through it. sparse_nullspace is the batch
+kernel of the Virasoro singular vector solves (worst case 1039 columns, for
+the m = 4 vacuum vector): it keeps integer rows normalized by their gcd and
+picks pivots by a minimum-degree rule, which is what makes those solves
+affordable, since action matrices of single modes are very sparse.
+
+_frac and _RationalLike are the rational coercion every layer shares.
 """
 
 from __future__ import annotations
@@ -15,62 +18,35 @@ from heapq import heappop, heappush
 from math import gcd
 from typing import Hashable, Iterable, Mapping, Sequence
 
-Vector = list[Fraction]
-Matrix = list[list[Fraction]]
+_RationalLike = Fraction | int
 
 
-def _as_fraction_matrix(rows: Iterable[Sequence[Fraction | int]]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rref_dense(rows: Iterable[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form. Returns (nonzero rows, pivot column indices)."""
-    mat = _as_fraction_matrix(rows)
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def rank_dense(rows: Iterable[Sequence[Fraction | int]]) -> int:
-    return len(rref_dense(rows)[1])
+def _frac(x: _RationalLike) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def solve_dense(rows: Iterable[Sequence[Fraction | int]],
-                rhs: Sequence[Fraction | int]) -> Vector | None:
-    """One solution of A x = b, or None if inconsistent. Free variables are set to 0."""
-    mat = _as_fraction_matrix(rows)
-    b = [Fraction(x) for x in rhs]
-    if len(mat) != len(b):
+                rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
+    """One solution of A x = b, or None if inconsistent. Free variables are set to 0.
+
+    One RowSpan pass over [A | b]. Column j is key ncols - j and b is key 0,
+    so pivots fall on the leftmost columns and the span ends up holding the
+    reduced row echelon form of [A | b].
+    """
+    mat = [list(row) for row in rows]
+    if len(mat) != len(rhs):
         raise ValueError("dimension mismatch")
     if not mat:
         return []
     ncols = len(mat[0])
-    aug = [row + [bb] for row, bb in zip(mat, b)]
-    red, pivots = rref_dense(aug)
-    for row, p in zip(red, pivots):
-        if p == ncols:
-            return None
+    span = RowSpan()
+    for row, b in zip(mat, rhs):
+        span.add({ncols - j: v for j, v in enumerate(row)} | {0: b})
+    if 0 in span._pivots:
+        return None
     x = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = row[ncols]
+    for key, row in span._pivots.items():
+        x[ncols - key] = row.get(0, Fraction(0))
     return x
 
 

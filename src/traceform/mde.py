@@ -33,16 +33,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import bracket, virasoro
-from .linalg import RowSpan, solve_dense
+from .linalg import RowSpan, _RationalLike, _frac, solve_dense
 from .qseries import PuiseuxSeries, eisenstein, eta_power
 from .virasoro import VermaVector, verma_monomial
 from .zhu import rational_roots
-
-_RationalLike = Fraction | int
-
-
-def _frac(x: _RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +585,6 @@ class FrobeniusSolution:
 
     exponent: Fraction
     coeffs: tuple[Fraction, ...]
-    log_degree: int
 
     def to_puiseux(self, weight: Fraction | None = None) -> PuiseuxSeries:
         return PuiseuxSeries(self.exponent, self.coeffs, weight)
@@ -635,7 +628,7 @@ def frobenius_solve(ode: ModularODE, exponent: _RationalLike, terms: int = 30) -
         if lead == 0:
             raise ResonantExponentError(lam, n)
         coeffs.append(-acc / lead)
-    return FrobeniusSolution(lam, tuple(coeffs), 0)
+    return FrobeniusSolution(lam, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -27,16 +27,7 @@ from functools import lru_cache
 from math import comb, factorial
 from os import PathLike
 
-# Arbitrary-precision rational scalar used for every exponent and coefficient.
-BigRational = Fraction
-
-_RationalLike = Fraction | int
-
-
-def _frac(x: _RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+from .linalg import _RationalLike, _frac
 
 
 def _fmt_frac(x: Fraction) -> str:
@@ -253,32 +244,6 @@ class PuiseuxSeries:
         return f"{body} + O(q^({self.end_exponent}))"
 
 
-# -- module-level helpers mirroring the series methods ----------------------
-
-def add(f: PuiseuxSeries, g: PuiseuxSeries) -> PuiseuxSeries:
-    return f + g
-
-
-def mul(f: PuiseuxSeries, g: PuiseuxSeries) -> PuiseuxSeries:
-    return f * g
-
-
-def scale(f: PuiseuxSeries, c: _RationalLike) -> PuiseuxSeries:
-    return f * _frac(c)
-
-
-def pow_rational(f: PuiseuxSeries, r: _RationalLike) -> PuiseuxSeries:
-    return f.pow_rational(r)
-
-
-def theta(f: PuiseuxSeries) -> PuiseuxSeries:
-    return f.theta()
-
-
-def eval_numeric(f: PuiseuxSeries, tau: complex) -> tuple[complex, float]:
-    return f.eval_numeric(tau)
-
-
 # -- standard number-theoretic ingredients ----------------------------------
 
 @lru_cache(maxsize=None)
@@ -403,8 +368,8 @@ def read_series(path: str | PathLike) -> PuiseuxSeries:
         raw = [ln.strip() for ln in fh if ln.strip()]
     if not raw:
         raise ValueError(f"{path}: empty series file")
-    fields = dict(item.split("=", 1) for item in raw[0].split())
     try:
+        fields = dict(item.split("=", 1) for item in raw[0].split())
         lam = Fraction(fields["lambda"])
         terms = int(fields["terms"])
         weight = None if fields["weight"] == "none" else Fraction(fields["weight"])

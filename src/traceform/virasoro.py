@@ -29,20 +29,16 @@ every sum is finite.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from . import linalg
+from .linalg import _RationalLike, _frac
 
 Partition = tuple[int, ...]
-
-_RationalLike = Fraction | int
-
-
-def _frac(x: _RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @lru_cache(maxsize=None)
@@ -124,11 +120,7 @@ class VermaVector:
         self._check(other)
         out = dict(self.entries)
         for mu, co in other.entries.items():
-            new = out.get(mu, Fraction(0)) + co
-            if new == 0:
-                out.pop(mu, None)
-            else:
-                out[mu] = new
+            _acc(out, mu, co)
         return VermaVector(self.c, self.h, out, self.vacuum)
 
     def __neg__(self):
@@ -207,6 +199,15 @@ def _acc(out: dict[Partition, Fraction], mu: Partition, co: Fraction) -> None:
         out.pop(mu, None)
     else:
         out[mu] = new
+
+
+def _sum_scaled(u: VermaVector, terms: Iterable[tuple[_RationalLike, VermaVector]]) -> VermaVector:
+    """sum of k * vec over the (k, vec) terms, in the module of u, built once."""
+    out: dict[Partition, Fraction] = {}
+    for k, vec in terms:
+        for mu, co in vec.entries.items():
+            _acc(out, mu, co * k)
+    return VermaVector(u.c, u.h, out, u.vacuum)
 
 
 @lru_cache(maxsize=None)
@@ -344,7 +345,10 @@ class GramMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def rank(self) -> int:
-        return linalg.rank_dense(self.entries) if self.basis else 0
+        span = linalg.RowSpan()
+        for row in self.entries:
+            span.add(dict(enumerate(row)))
+        return span.rank
 
 
 def _basis_at(level: int, vacuum: bool) -> tuple[Partition, ...]:
@@ -443,7 +447,9 @@ class LevelCoordinates:
     The class of a vector v is determined by the list of pairings
     <L(-mu) v_h, v> over the full PBW basis, i.e. by G v. basis holds the
     partitions whose classes were kept as a basis (greedy reverse-lex choice,
-    Gram columns of increasing rank); coords solves G v = sum beta_j G b_j.
+    Gram columns of increasing rank), at the indices _rows of full_basis;
+    coords solves G v = sum beta_j G b_j on those rows, with _inverse the
+    inverse of the kept principal minor of G.
     """
 
     c: Fraction
@@ -465,13 +471,9 @@ class LevelCoordinates:
             raise ValueError(f"vector has level {vec.level()}, coordinates are for level {self.level}")
         gram = gram_matrix(vec.c, vec.h, self.level, self.vacuum)
         idx = {mu: i for i, mu in enumerate(self.full_basis)}
-        gv = [Fraction(0)] * len(self.full_basis)
-        for mu, co in vec.entries.items():
-            col = idx[mu]
-            for i in range(len(self.full_basis)):
-                gv[i] += gram.entries[i][col] * co
-        return [sum((row[t] * gv[self._rows[t]] for t in range(self.dim)), Fraction(0))
-                for row in self._inverse]
+        gv = [sum((gram.entries[i][idx[mu]] * co for mu, co in vec.entries.items()), Fraction(0))
+              for i in self._rows]
+        return [sum((a * b for a, b in zip(row, gv)), Fraction(0)) for row in self._inverse]
 
 
 @lru_cache(maxsize=None)
@@ -486,20 +488,19 @@ def level_coordinates(c: _RationalLike, h: _RationalLike, level: int,
         col = {i: gram.entries[i][j] for i in range(len(full)) if gram.entries[i][j] != 0}
         if span.add(col):
             kept.append(j)
-    if not kept:
-        return LevelCoordinates(c, h, level, vacuum, full, (), (), ())
-    m_cols = [[gram.entries[i][j] for j in kept] for i in range(len(full))]
-    transpose = [[m_cols[i][t] for i in range(len(full))] for t in range(len(kept))]
-    _, pivot_rows = linalg.rref_dense(transpose)
-    square = [m_cols[i] for i in pivot_rows]
+    # G is symmetric, so its kept rows are independent too: invert the kept
+    # principal minor through [M | I], column s of M keyed 2k-1-s and column
+    # t of I keyed k-1-t, so that the span reduces to [I | M^-1]
     k = len(kept)
-    aug = [row + [Fraction(1 if i == j else 0) for j in range(k)] for i, row in enumerate(square)]
-    red, pivots = linalg.rref_dense(aug)
-    if pivots[:k] != list(range(k)):
+    minor = linalg.RowSpan()
+    for t, i in enumerate(kept):
+        minor.add({2 * k - 1 - s: gram.entries[i][j] for s, j in enumerate(kept)} | {k - 1 - t: 1})
+    if minor.pivot_keys != set(range(k, 2 * k)):
         raise AssertionError("selected square minor is singular")
-    inverse = tuple(tuple(red[i][k:]) for i in range(k))
+    rows = (minor.pivot_row(2 * k - 1 - s) for s in range(k))
+    inverse = tuple(tuple(row.get(k - 1 - t, Fraction(0)) for t in range(k)) for row in rows)
     return LevelCoordinates(c, h, level, vacuum, full,
-                            tuple(full[j] for j in kept), tuple(pivot_rows), inverse)
+                            tuple(full[j] for j in kept), tuple(kept), inverse)
 
 
 def irreducible_basis(c: _RationalLike, h: _RationalLike, max_level: int,

@@ -34,14 +34,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 from . import virasoro
-from .linalg import RowSpan
-from .virasoro import Partition, VermaVector, l_action, mode_action, minimal_model
-
-_RationalLike = Fraction | int
-
-
-def _frac(x: _RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .linalg import RowSpan, _RationalLike, _frac
+from .virasoro import Partition, VermaVector, _sum_scaled, l_action, mode_action, minimal_model
 
 
 def _require_vacuum(a: VermaVector) -> None:
@@ -52,31 +46,22 @@ def _require_vacuum(a: VermaVector) -> None:
 def a_dot_u(a: VermaVector, u: VermaVector) -> VermaVector:
     """Zhu product a . u, linear in both arguments."""
     _require_vacuum(a)
-    out = VermaVector(u.c, u.h, {}, u.vacuum)
-    for w, piece in a.level_components().items():
-        for i in range(w + 1):
-            out = out + comb(w, i) * mode_action(piece, i - 1, u)
-    return out
+    return _sum_scaled(u, ((comb(w, i), mode_action(piece, i - 1, u))
+                           for w, piece in a.level_components().items() for i in range(w + 1)))
 
 
 def u_star_a(u: VermaVector, a: VermaVector) -> VermaVector:
     """Opposite-side product u * a; a . u - u * a = a(0)u modulo nothing."""
     _require_vacuum(a)
-    out = VermaVector(u.c, u.h, {}, u.vacuum)
-    for w, piece in a.level_components().items():
-        for i in range(max(w, 1)):
-            out = out + comb(w - 1, i) * mode_action(piece, i - 1, u)
-    return out
+    return _sum_scaled(u, ((comb(w - 1, i), mode_action(piece, i - 1, u))
+                           for w, piece in a.level_components().items() for i in range(max(w, 1))))
 
 
 def o_elem(a: VermaVector, u: VermaVector) -> VermaVector:
     """A single spanning element of O(V): sum_i C(w,i) a(i-2)u."""
     _require_vacuum(a)
-    out = VermaVector(u.c, u.h, {}, u.vacuum)
-    for w, piece in a.level_components().items():
-        for i in range(w + 1):
-            out = out + comb(w, i) * mode_action(piece, i - 2, u)
-    return out
+    return _sum_scaled(u, ((comb(w, i), mode_action(piece, i - 2, u))
+                           for w, piece in a.level_components().items() for i in range(w + 1)))
 
 
 # ---------------------------------------------------------------------------

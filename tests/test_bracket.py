@@ -14,12 +14,11 @@ import pytest
 from traceform.bracket import (
     bracket_coeffs,
     inverse_bracket_coeffs,
-    square_bracket_l_action,
     square_mode_action,
     square_virasoro_action,
 )
 from traceform.qseries import PuiseuxSeries
-from traceform.virasoro import highest_weight_vector, l_action, verma_monomial
+from traceform.virasoro import highest_weight_vector, verma_monomial
 
 
 def oracle_row(w, m, depth):
@@ -37,6 +36,34 @@ def test_rows_match_the_generating_function_definition():
         for m in (-3, -2, -1, 0, 1, 2, 4):
             got = bracket_coeffs(w, m, 8).coeffs
             assert got == oracle_row(w, m, 8), f"row (w={w}, m={m})"
+
+
+def _reference_mul_trunc(a, b, n):
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(b[: n - i]):
+            out[i + j] += x * y
+    return out
+
+
+def _reference_unit_pow(u, r, n):
+    out = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for m in range(1, n):
+        out[m] = sum((((r + 1) * k - m) * u[k] * out[m - k] for k in range(1, m + 1)), Fraction(0)) / m
+    return out
+
+
+def test_rows_match_the_plain_list_route():
+    """The rows built from PuiseuxSeries equal the earlier list-based helpers'."""
+    depth = 12
+    unit = [Fraction((-1) ** k, k + 1) for k in range(depth)]
+    for w in range(7):
+        binom = [Fraction(1)]
+        for i in range(1, depth):
+            binom.append(binom[-1] * Fraction(w - i, i))
+        for m in range(-6, 7):
+            want = _reference_mul_trunc(_reference_unit_pow(unit, Fraction(m), depth), binom, depth)
+            assert bracket_coeffs(w, m, depth).coeffs == tuple(want), f"row (w={w}, m={m})"
 
 
 def test_zeroth_row_is_binomial():
@@ -127,9 +154,3 @@ def test_square_mode_action_requires_a_vacuum_left_factor():
     u = highest_weight_vector(C, H)
     with pytest.raises(ValueError):
         square_mode_action(u, 0, u)
-
-
-def test_abstract_square_module_mirrors_the_round_action():
-    v = verma_monomial(C, H, (2,))
-    assert square_bracket_l_action(-1, v) == l_action(-1, v)
-    assert square_bracket_l_action(2, v) == l_action(2, v)

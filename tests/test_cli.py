@@ -171,6 +171,13 @@ def test_solving_at_a_non_root_reports_an_error(capsys):
     (["dims", "--c", "1/2", "--h", "0", "--max-level", "-2"], "--max-level must be >= 0"),
     (["gram", "--c", "1/2", "--h", "0", "--level", "-1"], "--level must be >= 0"),
     (["singular", "--c", "1/2", "--h", "0", "--level", "-3"], "--level must be >= 0"),
+    (["modular-check", "--terms", "0"], "--terms must be >= 1, got 0"),
+    (["modular-check", "--terms", "-3"], "--terms must be >= 1, got -3"),
+    (["verify", "traces", "--terms", "0"], "--terms must be >= 1, got 0"),
+    (["elliptic-identities", "--terms", "0"], "--terms must be >= 1, got 0"),
+    (["mde", "solve", "--m", "1", "--h", "1/2", "--terms", "0"], "--terms must be >= 1, got 0"),
+    (["mde", "derive", "--m", "1", "--h", "1/2", "--max-order", "0"], "--max-order must be >= 1, got 0"),
+    (["mde", "solve", "--m", "1", "--h", "1/2", "--max-order", "0"], "--max-order must be >= 1, got 0"),
 ])
 def test_bad_values_exit_two_with_one_line(capsys, argv, message):
     code = cli.run(argv)

@@ -1,10 +1,15 @@
-"""Exact sparse kernels: the indexed pivot search against its reference.
+"""Exact linear algebra against the earlier implementations it replaced.
 
 sparse_nullspace keeps, per column, its active and its done rows apart and
 refreshes pivot keys only where rows changed. _reference_sparse_nullspace
 below is the earlier implementation, which rescans every column on every
 pivot step; the pivot rule is the same, so both must return the same
 kernel vectors, dict for dict and in the same order.
+
+solve_dense and level_coordinates now eliminate through RowSpan.
+_reference_rref_dense is the dense Gauss-Jordan engine they used before;
+the reduced row echelon form is unique, so solutions (free variables set to
+0) and inverses must come out equal.
 """
 
 import random
@@ -13,8 +18,8 @@ from math import gcd
 
 import pytest
 
-from traceform.linalg import sparse_nullspace
-from traceform.virasoro import _action_rows, _basis_at, minimal_model
+from traceform.linalg import RowSpan, solve_dense, sparse_nullspace
+from traceform.virasoro import _action_rows, _basis_at, gram_matrix, level_coordinates, minimal_model
 
 
 def _normalize(row):
@@ -146,3 +151,123 @@ def test_raising_mode_matrices_match_the_reference(m, h, levels):
         got = sparse_nullspace(rows, ncols)
         assert _same(got, _reference_sparse_nullspace(rows, ncols)), level
         assert all(_annihilated(rows, v) for v in got)
+
+
+# ---------------------------------------------------------------------------
+# solves and inverses against dense Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+def _reference_rref_dense(rows):
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(mat[0])):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _reference_solve_dense(rows, rhs):
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = _reference_rref_dense([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(red, pivots):
+        x[p] = row[ncols]
+    return x
+
+
+def _random_system(rng):
+    nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
+    density = rng.uniform(0.2, 1.0)
+
+    def entry():
+        if rng.random() > density:
+            return 0
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if rows and rng.random() < 0.4:
+        # a dependent row lowers the rank
+        a, b = rng.choice(rows), rng.choice(rows)
+        k = rng.randint(-2, 2)
+        rows.append([x + k * y for x, y in zip(a, b)])
+    if rng.random() < 0.5:
+        # b in the column space: consistent
+        x = [entry() for _ in range(ncols)]
+        rhs = [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in rows]
+    else:
+        rhs = [entry() for _ in rows]
+    return rows, rhs
+
+
+def test_solve_dense_matches_dense_gauss_jordan():
+    rng = random.Random(20261018)
+    kinds = {"empty": 0, "underdetermined": 0, "inconsistent": 0, "solved": 0}
+    for _ in range(3000):
+        rows, rhs = _random_system(rng)
+        got = solve_dense(rows, rhs)
+        assert got == _reference_solve_dense(rows, rhs), (rows, rhs)
+        if got is None:
+            kinds["inconsistent"] += 1
+            continue
+        assert all(sum((a * x for a, x in zip(row, got)), Fraction(0)) == b for row, b in zip(rows, rhs))
+        kinds["solved"] += 1
+        if not rows:
+            kinds["empty"] += 1
+        elif len(rows) < len(rows[0]):
+            kinds["underdetermined"] += 1
+    assert all(n >= 100 for n in kinds.values()), kinds
+
+
+def test_solve_dense_edge_cases():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_dense([[1, 2]], [1, 2])
+    assert solve_dense([[0, 0]], [1]) is None
+    assert solve_dense([[0, 2, 4]], [2]) == [0, 1, 0]
+
+
+def _reference_level_coordinates(c, h, level, vacuum):
+    """(basis, rows, inverse) by the earlier dense route."""
+    gram = gram_matrix(c, h, level, vacuum)
+    full = gram.basis
+    span = RowSpan()
+    kept = [j for j in range(len(full)) if span.add({i: gram.entries[i][j] for i in range(len(full))})]
+    if not kept:
+        return (), (), ()
+    m_cols = [[gram.entries[i][j] for j in kept] for i in range(len(full))]
+    transpose = [[m_cols[i][t] for i in range(len(full))] for t in range(len(kept))]
+    _, pivot_rows = _reference_rref_dense(transpose)
+    square = [m_cols[i] for i in pivot_rows]
+    k = len(kept)
+    aug = [row + [Fraction(1 if i == j else 0) for j in range(k)] for i, row in enumerate(square)]
+    red, pivots = _reference_rref_dense(aug)
+    assert pivots[:k] == list(range(k))
+    return tuple(full[j] for j in kept), tuple(pivot_rows), tuple(tuple(red[i][k:]) for i in range(k))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_level_coordinates_match_the_dense_route(m):
+    model = minimal_model(m)
+    for h in model.distinct_weights():
+        for level in range(10):
+            lc = level_coordinates(model.c, h, level, h == 0)
+            want = _reference_level_coordinates(model.c, h, level, h == 0)
+            assert (lc.basis, lc._rows, lc._inverse) == want, (h, level)

@@ -266,3 +266,12 @@ def test_cache_rejects_tampered_payload(tmp_path):
     path.write_text(body)
     with pytest.raises(ValueError):
         read_series(path)
+
+
+def test_cache_header_token_without_equals_names_the_file(tmp_path):
+    path = tmp_path / "probe.series"
+    write_series(path, q_poly(1, 2, 3))
+    body = path.read_text().replace("terms=", "terms", 1)
+    path.write_text(body)
+    with pytest.raises(ValueError, match="probe.series: bad header"):
+        read_series(path)

@@ -12,11 +12,13 @@ descendant classes (zhu._ideal_min_poly_by_l_action), are kept as oracles.
 
 import os
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
 
-from traceform.linalg import rank_dense
+from traceform import zhu
+from traceform.linalg import RowSpan
 from traceform.virasoro import (
     highest_weight_vector,
     l_action,
@@ -27,7 +29,6 @@ from traceform.virasoro import (
 )
 from traceform.zhu import (
     ZhuPoly,
-    _find_vacuum_singular,
     _ideal_min_poly_by_l_action,
     a_dot_u,
     class_polynomial,
@@ -163,9 +164,10 @@ def test_multiplication_matrix_has_the_kac_spectrum():
     weights = minimal_model(1).distinct_weights()
     assert trace == sum(weights)
     for w in weights:
-        shifted = [[mat[i][j] - (w if i == j else 0) for j in range(n)]
-                   for i in range(n)]
-        assert rank_dense(shifted) < n, f"x - {w} should be singular"
+        shifted = RowSpan()
+        for i in range(n):
+            shifted.add({j: mat[i][j] - (w if i == j else 0) for j in range(n)})
+        assert shifted.rank < n, f"x - {w} should be singular"
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +198,7 @@ def test_second_model_zhu_polynomial():
 
 def _assert_ideal_matches_l_action(zp):
     """The closed-form ideal generators equal the l_action route's, and g itself."""
-    alpha = _find_vacuum_singular(zp.m)
+    alpha = zhu._find_vacuum_singular(zp.m)
     assert sorted(zp.stabilization) == [zp.trunc, zp.trunc + 2]
     for trunc, generator in zp.stabilization.items():
         assert generator == zp.coeffs
@@ -230,7 +232,9 @@ def test_truncation_below_the_singular_level_is_refused():
 
 @pytest.mark.skipif(not os.environ.get("TRACEFORM_SLOW"),
                     reason="set TRACEFORM_SLOW=1 to run the minute-scale spectrum checks")
-def test_fourth_model_zhu_polynomial_slow():
+def test_fourth_model_zhu_polynomial_slow(monkeypatch):
+    # zhu_poly and the l_action oracle share one singular vector solve per m
+    monkeypatch.setattr(zhu, "_find_vacuum_singular", lru_cache(maxsize=None)(zhu._find_vacuum_singular))
     for m in (3, 4):
         zp = zhu_poly(m)
         _assert_no_vacuum_singular_vector_below(m, zp.singular_level)
