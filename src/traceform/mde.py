@@ -23,6 +23,11 @@ turns the recursion into a monic order-m equation in iterated Serre
 derivatives with modular coefficients; frobenius_solve produces its exact
 q-expansions. The numeric helpers evaluate truncated series on the upper
 half plane to check modular transformation behaviour of the solutions.
+
+derive_recursion is memoised on its normalised arguments, so the eta check
+and the modular check of one trace case share one derivation. The Frobenius
+recurrence runs on integer numerators over one common denominator; its
+coefficients come out as Fraction like everything else.
 """
 
 from __future__ import annotations
@@ -31,10 +36,11 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import bracket, virasoro
 from .linalg import RowSpan, _RationalLike, _frac, solve_dense
-from .qseries import PuiseuxSeries, eisenstein, eta_power
+from .qseries import PuiseuxSeries, _CommonDenominator, eisenstein, eta_power
 from .virasoro import VermaVector, verma_monomial
 from .zhu import rational_roots
 
@@ -405,12 +411,19 @@ def derive_recursion(c: _RationalLike, h: _RationalLike,
     Tries orders m = 1..max_order; for each, solves for modular r_i of
     weight 2(m-i) making the string combination reduce to zero. Raises if
     nothing closes, which usually means the weight bound is too small.
+
+    Derivations are memoised on the normalised arguments, so h = 1 and
+    Fraction(1), or weight_bound None and h + 8, share one entry. A failed
+    derivation is not memoised and raises again on the next call.
     """
-    c = _frac(c)
     h = _frac(h)
-    if weight_bound is None:
-        weight_bound = h + 8
-    weight_bound = _frac(weight_bound)
+    bound = h + 8 if weight_bound is None else _frac(weight_bound)
+    return _derive_recursion(_frac(c), h, bound, max_order)
+
+
+@lru_cache(maxsize=None)
+def _derive_recursion(c: Fraction, h: Fraction, weight_bound: Fraction,
+                      max_order: int) -> TraceRecursion:
     rel = build_relation_space(c, h, weight_bound)
     strings = _square_strings(c, h, max_order)
     for m in range(1, max_order + 1):
@@ -601,33 +614,35 @@ def frobenius_solve(ode: ModularODE, exponent: _RationalLike, terms: int = 30) -
     if terms < 1:
         raise ValueError("terms must be positive")
     A = ode.theta_operator(terms)
-    const = [a.coefficient(0) for a in A]
+    # Write A_t = sum_i a[i][t] q^i / D with integers a[i][t], lam = p/q and
+    # T = order. Then sum_t A_t[i] (lam + r)^t = sum_t a[i][t] xs[r][t] / (D q^T)
+    # with xs[r][t] = (p + r q)^t q^(T-t), so each step of the recurrence is
+    # an integer dot product and one Fraction.
+    width = len(A)
+    ints = _CommonDenominator(series.coefficient(i) for i in range(terms) for series in A)
+    a = [ints.nums[i * width:(i + 1) * width] for i in range(terms)]
+    p, q = lam.numerator, lam.denominator
+    xs = [[(p + r * q) ** t * q ** (width - 1 - t) for t in range(width)] for r in range(terms)]
 
-    def indicial(x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for t in reversed(range(len(const))):
-            acc = acc * x + const[t]
-        return acc
+    def indicial(r: int) -> int:
+        """D q^T times the indicial polynomial at lam + r."""
+        return sum(map(mul, a[0], xs[r]))
 
-    if indicial(lam) != 0:
+    if indicial(0) != 0:
         raise ValueError(f"{lam} is not an indicial root")
     coeffs = [Fraction(1)]
+    sol = _CommonDenominator(coeffs)   # coefficient r is sol.nums[r] / sol.den
     for n in range(1, terms):
-        acc = Fraction(0)
+        nums = sol.nums
+        acc = 0
         for r in range(n):
-            if coeffs[r] == 0:
-                continue
-            powers = Fraction(1)
-            s = Fraction(0)
-            x = lam + r
-            for t in range(len(A)):
-                s += A[t].coefficient(n - r) * powers
-                powers *= x
-            acc += coeffs[r] * s
-        lead = indicial(lam + n)
+            if nums[r]:
+                acc += nums[r] * sum(map(mul, a[n - r], xs[r]))
+        lead = indicial(n)
         if lead == 0:
             raise ResonantExponentError(lam, n)
-        coeffs.append(-acc / lead)
+        coeffs.append(Fraction(-acc, sol.den * lead))
+        sol.append(coeffs[-1])
     return FrobeniusSolution(lam, tuple(coeffs))
 
 

@@ -17,14 +17,20 @@ E_4^std = 720 E_4, E_6^std = -30240 E_6) are available through
 classical_eisenstein. The weight-k Serre derivative is
 d_k f = theta f + k E_2 f with theta = q d/dq; it sends weight k to k+2
 and kills eta^(2k), which is what the modular ODE machinery is built on.
+
+Coefficients are Fraction throughout. The power recurrence of pow_rational
+(and so eta_power) runs on integer numerators over one common denominator,
+through _CommonDenominator, and turns each new coefficient into a Fraction
+once.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 from os import PathLike
 
 from .linalg import _RationalLike, _frac
@@ -32,6 +38,32 @@ from .linalg import _RationalLike, _frac
 
 def _fmt_frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+class _CommonDenominator:
+    """Rationals held as integer numerators nums over one denominator den.
+
+    The recurrences of pow_rational and mde.frobenius_solve take integer dot
+    products of these numerators instead of normalising a Fraction at every
+    step. append() rescales the numerators already held when the new value's
+    denominator does not divide den.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, values: Iterable[Fraction]) -> None:
+        self.nums: list[int] = []
+        self.den = 1
+        for x in values:
+            self.append(x)
+
+    def append(self, x: Fraction) -> None:
+        d = x.denominator
+        if self.den % d:
+            scale = d // gcd(self.den, d)
+            self.nums = [v * scale for v in self.nums]
+            self.den *= scale
+        self.nums.append(x.numerator * (self.den // d))
 
 
 class PuiseuxSeries:
@@ -167,16 +199,24 @@ class PuiseuxSeries:
             raise ValueError("pow_rational needs a nonzero leading coefficient")
         if r.denominator != 1 and a0 != 1:
             raise ValueError("non-integer powers need leading coefficient 1 after factoring q^lam")
+        # out_n = (1/n) sum_k ((r+1)k - n) (f_k/f_0) out_{n-k}, with r = p/q,
+        # f_k = fs.nums[k] / fs.den and out_m = outs.nums[m] / outs.den
         n_terms = len(self.coeffs)
-        unit = [c / a0 for c in self.coeffs]
-        out = [Fraction(0)] * n_terms
-        out[0] = Fraction(1)
+        fs = _CommonDenominator(self.coeffs)
+        f0 = fs.nums[0]
+        support = [(k, fs.nums[k]) for k in range(1, n_terms) if fs.nums[k]]
+        p, q = r.numerator, r.denominator
+        out = [Fraction(1)]
+        outs = _CommonDenominator(out)
         for n in range(1, n_terms):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if unit[k] != 0:
-                    acc += ((r + 1) * k - n) * unit[k] * out[n - k]
-            out[n] = acc / n
+            nums = outs.nums
+            acc = 0
+            for k, fk in support:
+                if k > n:
+                    break
+                acc += ((p + q) * k - n * q) * fk * nums[n - k]
+            out.append(Fraction(acc, n * q * f0 * outs.den))
+            outs.append(out[-1])
         lead = a0 ** int(r) if r.denominator == 1 else Fraction(1)
         if lead != 1:
             out = [lead * c for c in out]

@@ -447,9 +447,12 @@ class LevelCoordinates:
     The class of a vector v is determined by the list of pairings
     <L(-mu) v_h, v> over the full PBW basis, i.e. by G v. basis holds the
     partitions whose classes were kept as a basis (greedy reverse-lex choice,
-    Gram columns of increasing rank), at the indices _rows of full_basis;
-    coords solves G v = sum beta_j G b_j on those rows, with _inverse the
-    inverse of the kept principal minor of G.
+    Gram columns of increasing rank), at the indices _rows of full_basis, and
+    _inverse is the inverse of the kept principal minor M of G. The
+    coordinates of v solve G v = sum beta_j G b_j on the kept rows, so they
+    are P v with P = M^-1 G[kept, :]. _projection holds the sparse column of
+    P for each partition of full_basis, as (coordinate, entry) pairs; the
+    column of a kept partition is a unit vector.
     """
 
     c: Fraction
@@ -460,6 +463,7 @@ class LevelCoordinates:
     basis: tuple[Partition, ...]
     _rows: tuple[int, ...]
     _inverse: tuple[tuple[Fraction, ...], ...]
+    _projection: dict[Partition, tuple[tuple[int, Fraction], ...]] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -467,13 +471,13 @@ class LevelCoordinates:
 
     def coords(self, vec: VermaVector) -> list[Fraction]:
         """Coordinates of [vec] in the chosen basis; vec must be homogeneous here."""
-        if vec.entries and vec.level() != self.level:
-            raise ValueError(f"vector has level {vec.level()}, coordinates are for level {self.level}")
-        gram = gram_matrix(vec.c, vec.h, self.level, self.vacuum)
-        idx = {mu: i for i, mu in enumerate(self.full_basis)}
-        gv = [sum((gram.entries[i][idx[mu]] * co for mu, co in vec.entries.items()), Fraction(0))
-              for i in self._rows]
-        return [sum((a * b for a, b in zip(row, gv)), Fraction(0)) for row in self._inverse]
+        out = [Fraction(0)] * len(self.basis)
+        for mu, co in vec.entries.items():
+            if sum(mu) != self.level:
+                raise ValueError(f"vector has level {sum(mu)}, coordinates are for level {self.level}")
+            for t, p in self._projection[mu]:
+                out[t] += p * co
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -499,8 +503,15 @@ def level_coordinates(c: _RationalLike, h: _RationalLike, level: int,
         raise AssertionError("selected square minor is singular")
     rows = (minor.pivot_row(2 * k - 1 - s) for s in range(k))
     inverse = tuple(tuple(row.get(k - 1 - t, Fraction(0)) for t in range(k)) for row in rows)
-    return LevelCoordinates(c, h, level, vacuum, full,
-                            tuple(full[j] for j in kept), tuple(kept), inverse)
+    projection = {}
+    for j, mu in enumerate(full):
+        col = (sum((inv[t] * gram.entries[i][j] for t, i in enumerate(kept)), Fraction(0))
+               for inv in inverse)
+        projection[mu] = tuple((s, p) for s, p in enumerate(col) if p != 0)
+    if any(projection[full[j]] != ((s, 1),) for s, j in enumerate(kept)):
+        raise AssertionError("projection is not the identity on the kept partitions")
+    return LevelCoordinates(c, h, level, vacuum, full, tuple(full[j] for j in kept),
+                            tuple(kept), inverse, projection)
 
 
 def irreducible_basis(c: _RationalLike, h: _RationalLike, max_level: int,

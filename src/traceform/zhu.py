@@ -3,14 +3,16 @@
 For homogeneous a of weight w the bilinear operations on V are
 
     a . u   = sum_{i=0}^{w}   C(w, i)   a(i-1) u      (the Zhu product)
-    u * a   = sum_{i=0}^{w-1} C(w-1, i) a(i-1) u      (the opposite side)
+    u * a   = sum_{i>=0}      C(w-1, i) a(i-1) u      (the opposite side)
     o(a, u) = sum_{i=0}^{w}   C(w, i)   a(i-2) u      (spans O(V))
 
-and A(V) = V / O(V). For the vacuum Virasoro algebra A(V) is the polynomial
-ring Q[x] with x the class of the conformal vector. Membership of
-L(-3-n)b + 2L(-2-n)b + L(-1-n)b in O(V) for every n >= 0 (the weight-shifted
-residue elements built from the conformal vector) collapses any PBW monomial
-class to the closed form
+and A(V) = V / O(V). The sum for u * a stops at i = w - 1 for w >= 1; at
+w = 0, a is a multiple of the vacuum, whose only nonzero mode is a(-1), and
+the binomial is the generalized C(-1, 0) = 1. For the vacuum Virasoro
+algebra A(V) is the polynomial ring Q[x] with x the class of the conformal
+vector. Membership of L(-3-n)b + 2L(-2-n)b + L(-1-n)b in O(V) for every
+n >= 0 (the weight-shifted residue elements built from the conformal vector)
+collapses any PBW monomial class to the closed form
 
     [L(-M) b] = (-1)^M ((M-1) x + wt b) [b],    M >= 1,
 
@@ -35,7 +37,7 @@ from math import comb, gcd
 
 from . import virasoro
 from .linalg import RowSpan, _RationalLike, _frac
-from .virasoro import Partition, VermaVector, _sum_scaled, l_action, mode_action, minimal_model
+from .virasoro import Partition, VermaVector, _gbinom, _sum_scaled, l_action, mode_action, minimal_model
 
 
 def _require_vacuum(a: VermaVector) -> None:
@@ -51,9 +53,13 @@ def a_dot_u(a: VermaVector, u: VermaVector) -> VermaVector:
 
 
 def u_star_a(u: VermaVector, a: VermaVector) -> VermaVector:
-    """Opposite-side product u * a; a . u - u * a = a(0)u modulo nothing."""
+    """Opposite-side product u * a, with u * 1 = u.
+
+    The difference a . u - u * a is exactly sum_{j>=0} C(wt a - 1, j) a(j) u,
+    summed over the homogeneous pieces of a.
+    """
     _require_vacuum(a)
-    return _sum_scaled(u, ((comb(w - 1, i), mode_action(piece, i - 1, u))
+    return _sum_scaled(u, ((_gbinom(w - 1, i), mode_action(piece, i - 1, u))
                            for w, piece in a.level_components().items() for i in range(max(w, 1))))
 
 

@@ -10,6 +10,10 @@ solve_dense and level_coordinates now eliminate through RowSpan.
 _reference_rref_dense is the dense Gauss-Jordan engine they used before;
 the reduced row echelon form is unique, so solutions (free variables set to
 0) and inverses must come out equal.
+
+LevelCoordinates.coords now applies the stored projection P = M^-1 G[kept, :]
+in one pass over the entries of a vector. _reference_coords is the earlier
+route, G v on the kept rows and then M^-1; (M^-1 G) v = M^-1 (G v) exactly.
 """
 
 import random
@@ -19,7 +23,15 @@ from math import gcd
 import pytest
 
 from traceform.linalg import RowSpan, solve_dense, sparse_nullspace
-from traceform.virasoro import _action_rows, _basis_at, gram_matrix, level_coordinates, minimal_model
+from traceform.virasoro import (
+    VermaVector,
+    _action_rows,
+    _basis_at,
+    gram_matrix,
+    level_coordinates,
+    minimal_model,
+    verma_monomial,
+)
 
 
 def _normalize(row):
@@ -271,3 +283,33 @@ def test_level_coordinates_match_the_dense_route(m):
             lc = level_coordinates(model.c, h, level, h == 0)
             want = _reference_level_coordinates(model.c, h, level, h == 0)
             assert (lc.basis, lc._rows, lc._inverse) == want, (h, level)
+
+
+def _reference_coords(lc, vec):
+    """The earlier coords: G v on the kept rows, then the inverse of the kept minor."""
+    gram = gram_matrix(lc.c, lc.h, lc.level, lc.vacuum)
+    idx = {mu: i for i, mu in enumerate(lc.full_basis)}
+    gv = [sum((gram.entries[i][idx[mu]] * co for mu, co in vec.entries.items()), Fraction(0))
+          for i in lc._rows]
+    return [sum((a * b for a, b in zip(row, gv)), Fraction(0)) for row in lc._inverse]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_projected_coords_match_the_inverse_route(m):
+    rng = random.Random(4100 + m)
+    model = minimal_model(m)
+    for h in model.distinct_weights():
+        vacuum = h == 0
+        for level in range(10):
+            lc = level_coordinates(model.c, h, level, vacuum)
+            for _ in range(3):
+                entries = {mu: rng.randint(-9, 9) for mu in lc.full_basis}
+                vec = VermaVector(model.c, h, entries, vacuum)
+                assert lc.coords(vec) == _reference_coords(lc, vec), (h, level, entries)
+            for s, mu in enumerate(lc.basis):
+                unit = [Fraction(int(t == s)) for t in range(lc.dim)]
+                assert lc.coords(verma_monomial(model.c, h, mu, vacuum)) == unit
+            above = verma_monomial(model.c, h, (level + 2,), vacuum)
+            for wrong in (above, above + VermaVector(model.c, h, entries, vacuum)):
+                with pytest.raises(ValueError, match="level"):
+                    lc.coords(wrong)

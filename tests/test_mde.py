@@ -7,6 +7,11 @@ model the machinery must discover a third-order equation on its own, and
 its three exact solutions must carry the graded dimensions of the three
 irreducible modules, which were checked against the alternating character
 sum elsewhere in this suite.
+
+frobenius_solve runs its recurrence on integer numerators over one common
+denominator. _reference_frobenius_solve below is the earlier loop over
+Fraction, which the integer kernel must reproduce exactly, resonances
+included.
 """
 
 import cmath
@@ -14,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from traceform import mde
+from traceform import cli, mde
 from traceform.bracket import square_mode_action
 from traceform.mde import (
     TRACE_CASES,
@@ -109,6 +114,36 @@ def test_derivation_fails_honestly_for_generic_weights():
         derive_recursion(Fraction(1, 2), Fraction(1, 3))
 
 
+def test_each_trace_equation_is_derived_once_per_process(monkeypatch):
+    mde._derive_recursion.cache_clear()
+    calls = []
+    original = mde.build_relation_space
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mde, "build_relation_space", counting)
+    assert cli.run(["--json", "verify", "traces"]) == 0
+    assert cli.run(["--json", "modular-check"]) == 0
+    assert len(calls) == 4
+    assert {(c, h) for c, h, _ in calls} == {(case.c, case.h_u) for case in TRACE_CASES}
+
+    # the memo key is the normalised (c, h, weight bound, max order)
+    c = Fraction(-22, 5)
+    first = derive_recursion(c, 1)
+    for args in ((c, Fraction(1)), (c, 1, Fraction(9)), (c, Fraction(1), 9), (c, 1, None, 4)):
+        assert derive_recursion(*args) is first
+    assert len(calls) == 5
+    assert mde._derive_recursion.cache_info().currsize == 5
+
+    # a derivation that finds no recursion is not memoised: it raises each time
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no recursion"):
+            derive_recursion(0, 1)
+    assert len(calls) == 7
+
+
 def test_ising_vacuum_equation_is_third_order():
     rec = derive_recursion(Fraction(1, 2), Fraction(0))
     assert rec.order == 3
@@ -155,6 +190,65 @@ def test_indicial_polynomial_of_a_hand_built_equation():
     roots, rest = ode.indicial_roots()
     assert roots == [(Fraction(0), 1), (Fraction(1), 1)]
     assert rest == 0
+
+
+def _reference_frobenius_solve(ode, exponent, terms):
+    """The earlier Frobenius loop, in Fraction arithmetic throughout."""
+    lam = Fraction(exponent)
+    A = ode.theta_operator(terms)
+    const = [a.coefficient(0) for a in A]
+
+    def indicial(x):
+        acc = Fraction(0)
+        for t in reversed(range(len(const))):
+            acc = acc * x + const[t]
+        return acc
+
+    assert indicial(lam) == 0
+    coeffs = [Fraction(1)]
+    for n in range(1, terms):
+        acc = Fraction(0)
+        for r in range(n):
+            if coeffs[r] == 0:
+                continue
+            powers = Fraction(1)
+            s = Fraction(0)
+            x = lam + r
+            for t in range(len(A)):
+                s += A[t].coefficient(n - r) * powers
+                powers *= x
+            acc += coeffs[r] * s
+        lead = indicial(lam + n)
+        if lead == 0:
+            raise ResonantExponentError(lam, n)
+        coeffs.append(-acc / lead)
+    return mde.FrobeniusSolution(lam, tuple(coeffs))
+
+
+def test_integer_frobenius_kernel_matches_the_fraction_loop():
+    for case in TRACE_CASES:
+        ode = trace_case_ode(case)
+        lam = leading_exponent(case)
+        assert frobenius_solve(ode, lam, 300) == _reference_frobenius_solve(ode, lam, 300), case.m
+    ode = to_ode(derive_recursion(Fraction(1, 2), Fraction(0)))
+    roots, _ = ode.indicial_roots()
+    assert len(roots) == 3
+    for lam, _ in roots:
+        assert frobenius_solve(ode, lam, 40) == _reference_frobenius_solve(ode, lam, 40), lam
+
+
+def test_integer_frobenius_kernel_resonates_at_the_same_step():
+    # P(x) = x^2 - 3x at h = 0: from the root 0 the recurrence runs through
+    # steps 1 and 2 and meets the other root at step 3
+    ode = ModularODE(Fraction(1, 2), Fraction(0), 2,
+                     (QuasiModularPoly(), QuasiModularPoly.constant(Fraction(-17, 6)),
+                      QuasiModularPoly.constant(1)))
+    assert ode.indicial_polynomial() == (Fraction(0), Fraction(-3), Fraction(1))
+    for solve in (frobenius_solve, _reference_frobenius_solve):
+        with pytest.raises(ResonantExponentError) as err:
+            solve(ode, 0, 10)
+        assert (err.value.exponent, err.value.step) == (0, 3)
+    assert frobenius_solve(ode, 3, 10) == _reference_frobenius_solve(ode, 3, 10)
 
 
 def test_resonant_exponents_raise_instead_of_guessing():

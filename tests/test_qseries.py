@@ -4,9 +4,14 @@ The oracles here are independent of the implementation: pentagonal number
 signs for eta, partition counts for 1/eta, divisor sums and Bernoulli
 numbers for the Eisenstein series, the Gamma(1/4) evaluation of eta(i),
 and the vanishing of the classical E_6 at the square lattice point.
+
+pow_rational runs its recurrence on integer numerators over one common
+denominator; _reference_pow_rational below is the earlier loop over
+Fraction, which it must reproduce exactly.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -121,6 +126,56 @@ def test_pow_rational_rejects_bad_leading_coefficients():
         PuiseuxSeries(0, [0, 1]).pow_rational(Fraction(1, 2))
     with pytest.raises(ValueError):
         q_poly(2, 1).pow_rational(Fraction(1, 2))
+
+
+def _reference_pow_rational(f, r):
+    """The earlier power recurrence, in Fraction arithmetic throughout."""
+    r = Fraction(r)
+    a0 = f.coeffs[0]
+    n_terms = len(f.coeffs)
+    unit = [c / a0 for c in f.coeffs]
+    out = [Fraction(0)] * n_terms
+    out[0] = Fraction(1)
+    for n in range(1, n_terms):
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            if unit[k] != 0:
+                acc += ((r + 1) * k - n) * unit[k] * out[n - k]
+        out[n] = acc / n
+    lead = a0 ** int(r) if r.denominator == 1 else Fraction(1)
+    if lead != 1:
+        out = [lead * c for c in out]
+    weight = None if f.weight is None else r * f.weight
+    return PuiseuxSeries(r * f.lam, out, weight)
+
+
+def _same_series(got, want):
+    return (got.lam, got.coeffs, got.weight) == (want.lam, want.coeffs, want.weight)
+
+
+def test_integer_power_kernel_matches_the_fraction_loop():
+    rng = random.Random(5077)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.7 else Fraction(0)
+
+    seen = set()
+    for _ in range(120):
+        n = rng.randint(1, 30)
+        tail = [rational() for _ in range(n - 1)]
+        lam = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        weight = rng.choice([None, Fraction(rng.randint(-4, 4), rng.randint(1, 3))])
+        if rng.random() < 0.5:
+            head, r = Fraction(1), Fraction(rng.randint(-7, 7), rng.randint(1, 9))
+        else:
+            head, r = rational() or Fraction(-3, 4), Fraction(rng.randint(-4, 4))
+        f = PuiseuxSeries(lam, [head] + tail, weight)
+        assert _same_series(f.pow_rational(r), _reference_pow_rational(f, r)), (f.coeffs, r)
+        seen.add((head != 1, (r > 0) - (r < 0), r.denominator == 1))
+    assert {(True, s, True) for s in (-1, 0, 1)} <= seen
+    assert {(False, s, False) for s in (-1, 1)} <= seen
+    for r in (Fraction(1, 5), Fraction(-3, 7), Fraction(2), Fraction(-1), Fraction(0)):
+        assert _same_series(eta_power(r, 200), _reference_pow_rational(eta(200), r)), r
 
 
 # ---------------------------------------------------------------------------

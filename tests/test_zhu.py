@@ -50,18 +50,36 @@ def vac(*mu):
 # product identities
 # ---------------------------------------------------------------------------
 
+PRODUCT_TARGETS = (
+    verma_monomial(C, Fraction(1, 16), (2, 1)),
+    verma_monomial(C, Fraction(1, 2), (1, 1)),
+    vac(2, 2),
+)
+
+
 def test_left_and_right_products_differ_by_nonnegative_modes():
     # a.u - u*a = sum_j C(w-1, j) a(j) u, an exact binomial identity
     omega = vac(2)
-    targets = [
-        verma_monomial(C, Fraction(1, 16), (2, 1)),
-        verma_monomial(C, Fraction(1, 2), (1, 1)),
-        vac(2, 2),
-    ]
-    for u in targets:
+    for u in PRODUCT_TARGETS:
         lhs = a_dot_u(omega, u) - u_star_a(u, omega)
         want = mode_action(omega, 0, u) + mode_action(omega, 1, u)
         assert lhs == want
+
+
+def test_vacuum_is_a_unit_and_the_difference_identity_holds_at_every_weight():
+    # the vacuum module has nothing at weight 1; weight 0 is the vacuum itself
+    one = highest_weight_vector(C, 0, vacuum=True)
+    by_weight = [one * 3, vac(2), vac(3), vac(4) - vac(2, 2) * Fraction(5, 3)]
+    mixed = one * Fraction(-2, 7) + vac(2) * 4 + vac(3) - vac(2, 2)
+    for u in PRODUCT_TARGETS:
+        assert u_star_a(u, one) == u
+        assert a_dot_u(one, u) == u
+        for a in by_weight + [mixed]:
+            want = u * 0
+            for w, piece in a.level_components().items():
+                for j in range(w):
+                    want = want + mode_action(piece, j, u) * comb(w - 1, j)
+            assert a_dot_u(a, u) - u_star_a(u, a) == want, a
 
 
 def test_products_require_a_vacuum_left_factor():
