@@ -119,12 +119,13 @@ def _checks_traces(terms: int) -> list[Report]:
         reports.append(_run_check(f"eta-identity-m{case.m}", eta_fn))
 
         def exp_fn(case=case):
+            # h_u/12 is the leading exponent of eta^(2 h_u), an independent source
             computed = mde.leading_exponent(case)
             actual = _rat(computed)
             if computed != case.quoted_exponent:
                 actual += (f" (externally quoted {_rat(case.quoted_exponent)};"
                            " suspected misprint, flagged)")
-            return True, _rat(computed), actual
+            return computed == case.h_u / 12, _rat(case.h_u / 12), actual
 
         reports.append(_run_check(f"leading-exponent-m{case.m}", exp_fn))
     return reports
@@ -402,16 +403,16 @@ def _cmd_elliptic(args) -> int:
 def _cmd_gram(args) -> int:
     _require_at_least(args.level, "--level", 0)
     vacuum = args.vacuum if args.vacuum is not None else args.h == 0
-    g = virasoro.gram_matrix(args.c, args.h, args.level, vacuum=vacuum)
+    g = virasoro.gram_matrix(args.c, args.h, args.level, vacuum)
     payload = {
         "basis": [",".join(map(str, mu)) for mu in g.basis],
         "entries": [[_rat(x) for x in row] for row in g.entries],
-        "rank": g.rank(),
+        "rank": virasoro.level_coordinates(args.c, args.h, args.level, vacuum).dim,
     }
     lines = [f"Gram matrix at level {args.level} for c={_rat(args.c)}, h={_rat(args.h)}"
              f" (basis {payload['basis']}):"]
     lines += ["  [" + ", ".join(_rat(x) for x in row) + "]" for row in g.entries]
-    lines.append(f"rank {g.rank()}")
+    lines.append(f"rank {payload['rank']}")
     return _emit_data(payload, args, lines)
 
 

@@ -2,11 +2,13 @@
 
 Two elimination engines serve the package. RowSpan is an incremental row
 space over Q with sparse Gauss-Jordan pivots on {key: Fraction} rows; every
-rank, solve and inverse goes through it. sparse_nullspace is the batch
-kernel of the Virasoro singular vector solves (worst case 1039 columns, for
-the m = 4 vacuum vector): it keeps integer rows normalized by their gcd and
-picks pivots by a minimum-degree rule, which is what makes those solves
-affordable, since action matrices of single modes are very sparse.
+rank and solve goes through it, and its pivot rows are the reduced row
+echelon form that Gram coordinates are read from. sparse_nullspace is the
+batch kernel of the Virasoro singular vector solves (worst case 1039
+columns, for the m = 4 vacuum vector): it keeps integer rows normalized by
+their gcd and picks pivots by a minimum-degree rule, which is what makes
+those solves affordable, since action matrices of single modes are very
+sparse.
 
 _frac and _RationalLike are the rational coercion every layer shares.
 """

@@ -18,8 +18,10 @@ derive_recursion looks for the least m with
 
     [L[-2]^m u] + sum_{i<m} r_i [L[-2]^i u] = 0
 
-modulo that span, the r_i holomorphic modular of weight 2(m-i). to_ode then
-turns the recursion into a monic order-m equation in iterated Serre
+modulo that span, the r_i holomorphic modular of weight 2(m-i). Relations,
+and the vectors reduced against them, are plain {(level, index, a4, a6):
+Fraction} dicts as graded_vector returns them, held in a RowSpan. to_ode
+then turns the recursion into a monic order-m equation in iterated Serre
 derivatives with modular coefficients; frobenius_solve produces its exact
 q-expansions. The numeric helpers evaluate truncated series on the upper
 half plane to check modular transformation behaviour of the solutions.
@@ -238,70 +240,20 @@ def eisenstein_modular_poly(two_k: int) -> QuasiModularPoly:
 GradedKey = tuple[int, int, int, int]
 
 
-class GradedVector:
-    """Module coordinates with attached E4, E6 monomials.
+def graded_vector(vec: VermaVector, e4: int = 0, e6: int = 0) -> dict[GradedKey, Fraction]:
+    """Project onto irreducible coordinates and attach a monomial.
 
     Keys are (level, index, a4, a6): index enumerates the irreducible basis
     of the module at that level, and the monomial E4^a4 E6^a6 multiplies the
     coordinate. The grading weight of a key is h + level + 4 a4 + 6 a6.
     """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[GradedKey, _RationalLike] | None = None):
-        clean: dict[GradedKey, Fraction] = {}
-        for key, co in (entries or {}).items():
-            co = _frac(co)
-            if co != 0:
-                clean[key] = co
-        object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedVector is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedVector):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __add__(self, other: "GradedVector") -> "GradedVector":
-        out = dict(self.entries)
-        for key, co in other.entries.items():
-            out[key] = out.get(key, Fraction(0)) + co
-        return GradedVector(out)
-
-    def __neg__(self) -> "GradedVector":
-        return GradedVector({k: -v for k, v in self.entries.items()})
-
-    def __sub__(self, other: "GradedVector") -> "GradedVector":
-        return self + (-other)
-
-    def __mul__(self, scalar: _RationalLike) -> "GradedVector":
-        return GradedVector({k: v * _frac(scalar) for k, v in self.entries.items()})
-
-    __rmul__ = __mul__
-
-    def shifted(self, a4: int, a6: int) -> "GradedVector":
-        """Multiply by the monomial E4^a4 E6^a6."""
-        return GradedVector({(lvl, idx, b4 + a4, b6 + a6): co
-                             for (lvl, idx, b4, b6), co in self.entries.items()})
-
-    def __repr__(self) -> str:
-        return f"GradedVector({self.entries!r})"
-
-
-def graded_vector(vec: VermaVector, e4: int = 0, e6: int = 0) -> GradedVector:
-    """Project onto irreducible coordinates and attach a monomial."""
     out: dict[GradedKey, Fraction] = {}
     for lvl, piece in vec.level_components().items():
         lc = virasoro.level_coordinates(vec.c, vec.h, lvl, vacuum=vec.vacuum)
         for idx, co in enumerate(lc.coords(piece)):
             if co != 0:
                 out[(lvl, idx, e4, e6)] = co
-    return GradedVector(out)
+    return out
 
 
 def _monomials_of_weight(w: int) -> list[tuple[int, int]]:
@@ -332,7 +284,7 @@ class RelationSpace:
                      for lv in range(2, level_bound + 2)}
         mod_basis = {lu: virasoro.level_coordinates(self.c, self.h, lu, vacuum=vac).basis
                      for lu in range(0, level_bound + 1)}
-        gens: list[tuple[int, GradedVector]] = []
+        gens: list[tuple[int, dict[GradedKey, Fraction]]] = []
         for lv, vparts in vac_basis.items():
             for vmu in vparts:
                 v = verma_monomial(self.c, Fraction(0), vmu, vacuum=True)
@@ -341,7 +293,7 @@ class RelationSpace:
                         u = verma_monomial(self.c, self.h, umu, vacuum=vac)
                         if 0 <= lv + lu - 1 <= level_bound:
                             g = graded_vector(bracket.square_mode_action(v, 0, u))
-                            if not g.is_zero():
+                            if g:
                                 gens.append((lv + lu - 1, g))
                         if lv + lu + 1 <= level_bound:
                             g = graded_vector(bracket.square_mode_action(v, -2, u))
@@ -349,26 +301,29 @@ class RelationSpace:
                                 x = bracket.square_mode_action(v, 2 * k - 2, u)
                                 if x.is_zero():
                                     continue
-                                epoly = eisenstein_modular_poly(2 * k)
-                                for (_, a4, a6), co in epoly.entries.items():
-                                    g = g + (2 * k - 1) * co * graded_vector(x, e4=a4, e6=a6)
-                            if not g.is_zero():
+                                gx = graded_vector(x)
+                                for (_, a4, a6), co in eisenstein_modular_poly(2 * k).entries.items():
+                                    scale = (2 * k - 1) * co
+                                    for (lvl, idx, _, _), val in gx.items():
+                                        virasoro._acc(g, (lvl, idx, a4, a6), scale * val)
+                            if g:
                                 gens.append((lv + lu + 1, g))
         for wg, g in gens:
             room = level_bound - wg
             for extra in range(0, room + 1):
                 for a4, a6 in _monomials_of_weight(extra):
-                    self._span.add(g.shifted(a4, a6).entries)
+                    self._span.add({(lvl, idx, b4 + a4, b6 + a6): co
+                                    for (lvl, idx, b4, b6), co in g.items()})
 
     @property
     def rank(self) -> int:
         return self._span.rank
 
-    def reduce(self, gv: GradedVector) -> GradedVector:
-        return GradedVector(self._span.reduce(gv.entries))
+    def reduce(self, gv: dict[GradedKey, Fraction]) -> dict[GradedKey, Fraction]:
+        return self._span.reduce(gv)
 
-    def contains(self, gv: GradedVector) -> bool:
-        return self.reduce(gv).is_zero()
+    def contains(self, gv: dict[GradedKey, Fraction]) -> bool:
+        return self._span.contains(gv)
 
 
 def build_relation_space(c: _RationalLike, h: _RationalLike,
@@ -430,19 +385,19 @@ def _derive_recursion(c: Fraction, h: Fraction, weight_bound: Fraction,
         if h + 2 * m > weight_bound:
             break
         target = rel.reduce(graded_vector(strings[m]))
-        cands: list[GradedVector] = []
+        cands: list[dict[GradedKey, Fraction]] = []
         labels: list[tuple[int, int, int]] = []
         for i in range(m):
             for a4, a6 in _monomials_of_weight(2 * (m - i)):
                 cands.append(rel.reduce(graded_vector(strings[i], e4=a4, e6=a6)))
                 labels.append((i, a4, a6))
-        keys = sorted(set(target.entries) | {k for cv in cands for k in cv.entries})
+        keys = sorted(set(target) | {k for cv in cands for k in cv})
         if not cands:
-            if target.is_zero():
+            if not target:
                 return TraceRecursion(c, h, m, (QuasiModularPoly(),) * m, weight_bound)
             continue
-        rows = [[cv.entries.get(k, Fraction(0)) for cv in cands] for k in keys]
-        rhs = [-target.entries.get(k, Fraction(0)) for k in keys]
+        rows = [[cv.get(k, Fraction(0)) for cv in cands] for k in keys]
+        rhs = [-target.get(k, Fraction(0)) for k in keys]
         rho = solve_dense(rows, rhs)
         if rho is None:
             continue

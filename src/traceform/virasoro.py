@@ -344,12 +344,6 @@ class GramMatrix:
     basis: tuple[Partition, ...]
     entries: tuple[tuple[Fraction, ...], ...]
 
-    def rank(self) -> int:
-        span = linalg.RowSpan()
-        for row in self.entries:
-            span.add(dict(enumerate(row)))
-        return span.rank
-
 
 def _basis_at(level: int, vacuum: bool) -> tuple[Partition, ...]:
     return partitions_of(level, min_part=2 if vacuum else 1)
@@ -386,9 +380,10 @@ def graded_dims(c: _RationalLike, h: _RationalLike, max_level: int, vacuum: bool
     """Dimensions of the irreducible quotient L(c,h) at levels 0..max_level.
 
     Computed as Gram ranks, which quotient by the full radical whether or not
-    the vacuum shortcut basis is in use.
+    the vacuum shortcut basis is in use. The rank is the dim of the cached
+    level_coordinates, so each level is eliminated once.
     """
-    return [gram_matrix(c, h, lvl, vacuum).rank() for lvl in range(max_level + 1)]
+    return [level_coordinates(c, h, lvl, vacuum).dim for lvl in range(max_level + 1)]
 
 
 def _action_rows(c: Fraction, h: Fraction, level: int, vacuum: bool,
@@ -446,13 +441,14 @@ class LevelCoordinates:
 
     The class of a vector v is determined by the list of pairings
     <L(-mu) v_h, v> over the full PBW basis, i.e. by G v. basis holds the
-    partitions whose classes were kept as a basis (greedy reverse-lex choice,
-    Gram columns of increasing rank), at the indices _rows of full_basis, and
-    _inverse is the inverse of the kept principal minor M of G. The
-    coordinates of v solve G v = sum beta_j G b_j on the kept rows, so they
-    are P v with P = M^-1 G[kept, :]. _projection holds the sparse column of
-    P for each partition of full_basis, as (coordinate, entry) pairs; the
-    column of a kept partition is a unit vector.
+    partitions whose classes were kept as a basis: the leftmost independent
+    Gram columns, which are the pivots of the reduced row echelon form R of
+    G. With M the kept principal minor, the coordinates of v solve
+    G v = sum beta_j G b_j on the kept rows, so they are P v with
+    P = M^-1 G[kept, :], and P is exactly the nonzero rows of R. _projection
+    holds the sparse column of P for each partition of full_basis, as
+    (coordinate, entry) pairs; the column of a kept partition is a unit
+    vector.
     """
 
     c: Fraction
@@ -461,8 +457,6 @@ class LevelCoordinates:
     vacuum: bool
     full_basis: tuple[Partition, ...]
     basis: tuple[Partition, ...]
-    _rows: tuple[int, ...]
-    _inverse: tuple[tuple[Fraction, ...], ...]
     _projection: dict[Partition, tuple[tuple[int, Fraction], ...]] = field(compare=False, repr=False)
 
     @property
@@ -480,38 +474,34 @@ class LevelCoordinates:
         return out
 
 
-@lru_cache(maxsize=None)
 def level_coordinates(c: _RationalLike, h: _RationalLike, level: int,
                       vacuum: bool = False) -> LevelCoordinates:
-    c, h = _frac(c), _frac(h)
+    """Coordinates of L(c,h) at one level, memoised on the normalised arguments.
+
+    Positional, keyword and default vacuum share one entry, so each Gram
+    level is eliminated once however it is asked for.
+    """
+    return _level_coordinates(_frac(c), _frac(h), level, vacuum)
+
+
+@lru_cache(maxsize=None)
+def _level_coordinates(c: Fraction, h: Fraction, level: int, vacuum: bool) -> LevelCoordinates:
     gram = gram_matrix(c, h, level, vacuum)
     full = gram.basis
+    n = len(full)
+    # column j keyed n-1-j puts the pivots on the leftmost columns, so the
+    # span ends up holding the reduced row echelon form of G
     span = linalg.RowSpan()
-    kept: list[int] = []
-    for j, mu in enumerate(full):
-        col = {i: gram.entries[i][j] for i in range(len(full)) if gram.entries[i][j] != 0}
-        if span.add(col):
-            kept.append(j)
-    # G is symmetric, so its kept rows are independent too: invert the kept
-    # principal minor through [M | I], column s of M keyed 2k-1-s and column
-    # t of I keyed k-1-t, so that the span reduces to [I | M^-1]
-    k = len(kept)
-    minor = linalg.RowSpan()
-    for t, i in enumerate(kept):
-        minor.add({2 * k - 1 - s: gram.entries[i][j] for s, j in enumerate(kept)} | {k - 1 - t: 1})
-    if minor.pivot_keys != set(range(k, 2 * k)):
-        raise AssertionError("selected square minor is singular")
-    rows = (minor.pivot_row(2 * k - 1 - s) for s in range(k))
-    inverse = tuple(tuple(row.get(k - 1 - t, Fraction(0)) for t in range(k)) for row in rows)
-    projection = {}
-    for j, mu in enumerate(full):
-        col = (sum((inv[t] * gram.entries[i][j] for t, i in enumerate(kept)), Fraction(0))
-               for inv in inverse)
-        projection[mu] = tuple((s, p) for s, p in enumerate(col) if p != 0)
+    for row in gram.entries:
+        span.add({n - 1 - j: v for j, v in enumerate(row) if v != 0})
+    keys = sorted(span.pivot_keys, reverse=True)
+    kept = [n - 1 - key for key in keys]
+    rows = [span.pivot_row(key) for key in keys]
+    projection = {mu: tuple((s, row[n - 1 - j]) for s, row in enumerate(rows) if n - 1 - j in row)
+                  for j, mu in enumerate(full)}
     if any(projection[full[j]] != ((s, 1),) for s, j in enumerate(kept)):
         raise AssertionError("projection is not the identity on the kept partitions")
-    return LevelCoordinates(c, h, level, vacuum, full, tuple(full[j] for j in kept),
-                            tuple(kept), inverse, projection)
+    return LevelCoordinates(c, h, level, vacuum, full, tuple(full[j] for j in kept), projection)
 
 
 def irreducible_basis(c: _RationalLike, h: _RationalLike, max_level: int,
@@ -523,11 +513,6 @@ def irreducible_basis(c: _RationalLike, h: _RationalLike, max_level: int,
 # ---------------------------------------------------------------------------
 # cofiniteness quotients
 # ---------------------------------------------------------------------------
-
-def _module_flags(h: Fraction) -> bool:
-    """The h = 0 module is the vacuum vertex algebra, where L(-1)1 = 0."""
-    return h == 0
-
 
 def _quotient_dims_from_images(c: Fraction, h: Fraction, max_level: int, uvac: bool,
                                images: list[VermaVector]) -> list[int]:
@@ -574,7 +559,7 @@ def c2_quotient_dim(c: _RationalLike, h: _RationalLike, max_level: int) -> list[
     L(c,h); watching the list stabilize (or not) is the point.
     """
     c, h = _frac(c), _frac(h)
-    uvac = _module_flags(h)
+    uvac = h == 0
     images = _cofiniteness_images(c, h, max_level, uvac, zero_modes=False)
     return _quotient_dims_from_images(c, h, max_level, uvac, images)
 
@@ -588,6 +573,6 @@ def c20_quotient_dim(c: _RationalLike, h: _RationalLike, max_level: int) -> list
     genuinely new directions.
     """
     c, h = _frac(c), _frac(h)
-    uvac = _module_flags(h)
+    uvac = h == 0
     images = _cofiniteness_images(c, h, max_level, uvac, zero_modes=True)
     return _quotient_dims_from_images(c, h, max_level, uvac, images)

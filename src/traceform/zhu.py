@@ -17,7 +17,7 @@ collapses any PBW monomial class to the closed form
     [L(-M) b] = (-1)^M ((M-1) x + wt b) [b],    M >= 1,
 
 which class_polynomial implements. In particular [L(-1)b] = -wt(b) [b] and
-[L(-2)b] = (x + wt b)[b]; o_space exposes the direct truncated span so those
+[L(-2)b] = (x + wt b)[b]; OSpace exposes the direct truncated span so those
 reduction relations can be checked against it rather than assumed.
 
 zhu_poly(m) reads the level of the first vacuum singular vector of the
@@ -213,11 +213,6 @@ class OSpace:
             cols.append(col)
         matrix = [[cols[j][i] for j in range(len(keys))] for i in range(len(keys))]
         return keys, matrix
-
-
-def o_space(c: _RationalLike, trunc: int) -> OSpace:
-    """Truncated O(V) span for central charge c; see OSpace."""
-    return OSpace(c, trunc)
 
 
 # ---------------------------------------------------------------------------

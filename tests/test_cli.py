@@ -7,11 +7,12 @@ num/den rational strings.
 """
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from traceform import cli
+from traceform import cli, mde
 from traceform.qseries import eta_power, read_series
 
 
@@ -115,6 +116,16 @@ def test_flagged_exponent_is_reported_as_a_pass_with_a_note(capsys):
     assert rep["status"] == "pass"
     assert "1/84" in rep["actual"]
     assert "1/81" in rep["actual"]
+
+
+def test_a_wrong_trace_weight_fails_the_exponent_check(capsys, monkeypatch):
+    # h_w - c/24 is checked against h_u/12, the leading exponent of eta^(2 h_u)
+    monkeypatch.setattr(mde, "TRACE_CASES", (replace(mde.TRACE_CASES[0], h_w=Fraction(1, 17)),))
+    code, payload = run_json(capsys, ["verify", "traces"])
+    assert code == 1
+    rep = next(r for r in payload["reports"] if r["check_name"] == "leading-exponent-m1")
+    assert rep["status"] == "fail"
+    assert rep["expected"] == "1/24"
 
 
 def test_truncating_too_hard_fails_the_numeric_checks(capsys):

@@ -9,15 +9,19 @@ kernel vectors, dict for dict and in the same order.
 solve_dense and level_coordinates now eliminate through RowSpan.
 _reference_rref_dense is the dense Gauss-Jordan engine they used before;
 the reduced row echelon form is unique, so solutions (free variables set to
-0) and inverses must come out equal.
+0) must come out equal.
 
-LevelCoordinates.coords now applies the stored projection P = M^-1 G[kept, :]
-in one pass over the entries of a vector. _reference_coords is the earlier
-route, G v on the kept rows and then M^-1; (M^-1 G) v = M^-1 (G v) exactly.
+level_coordinates reads the projection P = M^-1 G[kept, :] off the reduced
+rows of the Gram matrix G. _reference_level_coordinates is the earlier
+route: kept columns, the inverse of the kept minor M through the dense
+engine, then the product with G. LevelCoordinates.coords applies P in one
+pass over the entries of a vector; _reference_coords is G v on the kept
+rows and then M^-1, and (M^-1 G) v = M^-1 (G v) exactly.
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -256,14 +260,15 @@ def test_solve_dense_edge_cases():
     assert solve_dense([[0, 2, 4]], [2]) == [0, 1, 0]
 
 
+@lru_cache(maxsize=None)
 def _reference_level_coordinates(c, h, level, vacuum):
-    """(basis, rows, inverse) by the earlier dense route."""
+    """(basis, rows, inverse, projection) by the earlier dense route."""
     gram = gram_matrix(c, h, level, vacuum)
     full = gram.basis
     span = RowSpan()
     kept = [j for j in range(len(full)) if span.add({i: gram.entries[i][j] for i in range(len(full))})]
     if not kept:
-        return (), (), ()
+        return (), (), (), {mu: () for mu in full}
     m_cols = [[gram.entries[i][j] for j in kept] for i in range(len(full))]
     transpose = [[m_cols[i][t] for i in range(len(full))] for t in range(len(kept))]
     _, pivot_rows = _reference_rref_dense(transpose)
@@ -272,7 +277,13 @@ def _reference_level_coordinates(c, h, level, vacuum):
     aug = [row + [Fraction(1 if i == j else 0) for j in range(k)] for i, row in enumerate(square)]
     red, pivots = _reference_rref_dense(aug)
     assert pivots[:k] == list(range(k))
-    return tuple(full[j] for j in kept), tuple(pivot_rows), tuple(tuple(red[i][k:]) for i in range(k))
+    inverse = tuple(tuple(red[i][k:]) for i in range(k))
+    projection = {}
+    for j, mu in enumerate(full):
+        col = (sum((inv[t] * gram.entries[i][j] for t, i in enumerate(pivot_rows)), Fraction(0))
+               for inv in inverse)
+        projection[mu] = tuple((s, p) for s, p in enumerate(col) if p != 0)
+    return tuple(full[j] for j in kept), tuple(pivot_rows), inverse, projection
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -281,17 +292,17 @@ def test_level_coordinates_match_the_dense_route(m):
     for h in model.distinct_weights():
         for level in range(10):
             lc = level_coordinates(model.c, h, level, h == 0)
-            want = _reference_level_coordinates(model.c, h, level, h == 0)
-            assert (lc.basis, lc._rows, lc._inverse) == want, (h, level)
+            basis, _, _, projection = _reference_level_coordinates(model.c, h, level, h == 0)
+            assert (lc.basis, lc._projection) == (basis, projection), (h, level)
 
 
-def _reference_coords(lc, vec):
+def _reference_coords(lc, rows, inverse, vec):
     """The earlier coords: G v on the kept rows, then the inverse of the kept minor."""
     gram = gram_matrix(lc.c, lc.h, lc.level, lc.vacuum)
     idx = {mu: i for i, mu in enumerate(lc.full_basis)}
     gv = [sum((gram.entries[i][idx[mu]] * co for mu, co in vec.entries.items()), Fraction(0))
-          for i in lc._rows]
-    return [sum((a * b for a, b in zip(row, gv)), Fraction(0)) for row in lc._inverse]
+          for i in rows]
+    return [sum((a * b for a, b in zip(row, gv)), Fraction(0)) for row in inverse]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -302,10 +313,11 @@ def test_projected_coords_match_the_inverse_route(m):
         vacuum = h == 0
         for level in range(10):
             lc = level_coordinates(model.c, h, level, vacuum)
+            _, rows, inverse, _ = _reference_level_coordinates(model.c, h, level, vacuum)
             for _ in range(3):
                 entries = {mu: rng.randint(-9, 9) for mu in lc.full_basis}
                 vec = VermaVector(model.c, h, entries, vacuum)
-                assert lc.coords(vec) == _reference_coords(lc, vec), (h, level, entries)
+                assert lc.coords(vec) == _reference_coords(lc, rows, inverse, vec), (h, level, entries)
             for s, mu in enumerate(lc.basis):
                 unit = [Fraction(int(t == s)) for t in range(lc.dim)]
                 assert lc.coords(verma_monomial(model.c, h, mu, vacuum)) == unit

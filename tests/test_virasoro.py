@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 
+from traceform import cli, virasoro
+from traceform.linalg import RowSpan
 from traceform.virasoro import (
     GramMatrix,
     c2_quotient_dim,
@@ -229,10 +231,43 @@ def test_generic_verma_dims_are_plain_partition_counts():
     assert got == partition_numbers(8)[:9]
 
 
+def _gram_rank(c, h, level, vacuum):
+    """Rank of the Gram matrix from a RowSpan over its rows, keyed by column index."""
+    span = RowSpan()
+    for row in gram_matrix(c, h, level, vacuum).entries:
+        span.add(dict(enumerate(row)))
+    return span.rank
+
+
 def test_level_coordinates_dimensions_agree_with_graded_dims():
-    dims = graded_dims(C, H, 6)
-    for level in range(7):
-        assert level_coordinates(C, H, level).dim == dims[level]
+    # both read level_coordinates; _gram_rank is the independent route
+    modules = [(c, h, False) for c, h in LEVEL_TWO_CASES]
+    modules += [(minimal_model(m).c, Fraction(0), True) for m in (1, 2, 3)]
+    for c, h, vacuum in modules:
+        ranks = [_gram_rank(c, h, level, vacuum) for level in range(9)]
+        assert [level_coordinates(c, h, level, vacuum).dim for level in range(9)] == ranks, (c, h)
+        assert graded_dims(c, h, 8, vacuum) == ranks, (c, h)
+
+
+def test_each_gram_level_is_eliminated_once(monkeypatch, capsys):
+    for obj in vars(virasoro).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    created = []
+
+    class CountingSpan(RowSpan):
+        def __init__(self):
+            super().__init__()
+            created.append(self)
+
+    monkeypatch.setattr(virasoro.linalg, "RowSpan", CountingSpan)
+    c, h = Fraction(1, 2), Fraction(1, 2)
+    graded_dims(c, h, 8)
+    for level in range(9):
+        level_coordinates(c, h, level)
+    assert cli.run(["gram", "--c", "1/2", "--h", "1/2", "--level", "5"]) == 0
+    capsys.readouterr()
+    assert len(created) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,12 @@ from traceform.virasoro import (
     verma_monomial,
 )
 from traceform.zhu import (
+    OSpace,
     ZhuPoly,
     _ideal_min_poly_by_l_action,
     a_dot_u,
     class_polynomial,
     o_elem,
-    o_space,
     rational_roots,
     u_star_a,
     zhu_poly,
@@ -169,12 +169,12 @@ def test_irrational_factors_are_reported_not_invented():
 # ---------------------------------------------------------------------------
 
 def test_o_span_quotient_stabilizes_at_the_weight_count():
-    sp = o_space(C, 8)
+    sp = OSpace(C, 8)
     assert sp.quotient_dims[-1] == sp.quotient_dims[-2] == 3
 
 
 def test_multiplication_matrix_has_the_kac_spectrum():
-    sp = o_space(C, 8)
+    sp = OSpace(C, 8)
     keys, mat = sp.x_matrix(8)
     n = len(keys)
     assert n == 3
