@@ -495,7 +495,8 @@ def _cmd_mde_derive(args) -> int:
         roots, rest = ode.indicial_roots()
         detail = (f"order {ode.order}; {ode}; indicial roots "
                   + ", ".join(f"{_rat(r)} (x{mult})" for r, mult in roots)
-                  + ("" if rest == 0 else f"; non-rational factor of degree {rest}"))
+                  + ("" if rest == 0 else f"; non-rational factor of degree {rest}")
+                  + f"; weight bound {_rat(rec.weight_bound)}")
         return True, "a finite-order recursion", detail
 
     report = _run_check(f"mde-derive-c{_rat(c)}-h{_rat(h)}", derive_fn)
@@ -617,7 +618,8 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--m", type=int, default=None, help="minimal model index for c")
         q.add_argument("--c", type=_parse_rat, default=None, help="central charge (alternative to --m)")
         q.add_argument("--h", type=_parse_rat, required=True, help="highest weight of the module")
-        q.add_argument("--weight-bound", type=_parse_rat, default=None)
+        q.add_argument("--weight-bound", type=_parse_rat, default=None,
+                       help="cap on the relation span weight (default h + 8)")
         q.add_argument("--max-order", type=int, default=4)
         if action == "solve":
             q.add_argument("--exponent", type=_parse_rat, default=None,

@@ -18,7 +18,13 @@ derive_recursion looks for the least m with
 
     [L[-2]^m u] + sum_{i<m} r_i [L[-2]^i u] = 0
 
-modulo that span, the r_i holomorphic modular of weight 2(m-i). Relations,
+modulo that span, the r_i holomorphic modular of weight 2(m-i). The span
+is built at h + 2 and grows one weight level at a time. derive_recursion
+stops early only when [L[-2] u] reduces to zero: order 1 is the least order
+and has no coefficients, since there is no weight-2 modular form, and a
+larger bound only enlarges the span. Otherwise the span grows to the
+weight bound, a cap that defaults to h + 8, and every order is tried
+there; the recursion records the bound the span reached. Relations,
 and the vectors reduced against them, are plain {(level, index, a4, a6):
 Fraction} dicts as graded_vector returns them, held in a RowSpan. to_ode
 then turns the recursion into a monic order-m equation in iterated Serre
@@ -264,56 +270,66 @@ def _monomials_of_weight(w: int) -> list[tuple[int, int]]:
 class RelationSpace:
     """Span of the trace-vanishing relations below a total weight bound.
 
-    Relations of homogeneous weight are multiplied by all E4, E6 monomials
-    that keep them under the bound, then held in reduced row form, so
-    reduce() gives a canonical representative modulo everything the bound
-    can see.
+    The span grows one weight level at a time: grow() adds the zero-mode and
+    E-tail generators of the next level, and the E4, E6 shifts of earlier
+    generators that land exactly on it, to the same RowSpan. Its reduced row
+    echelon form does not depend on the order rows arrive in, so reduce()
+    gives the same canonical representative, modulo everything the bound
+    can see, however the span got there. RelationSpace(c, h, bound) grows
+    from level 0 to the largest level under the bound, which must be at
+    least 2: the first trace string [L[-2] u] sits at level 2.
     """
 
     def __init__(self, c: _RationalLike, h: _RationalLike, weight_bound: _RationalLike):
         self.c = _frac(c)
         self.h = _frac(h)
-        self.weight_bound = _frac(weight_bound)
-        level_bound = int(self.weight_bound - self.h)
+        level_bound = int(_frac(weight_bound) - self.h)
         if level_bound < 2:
             raise ValueError("weight bound leaves no room above the highest weight vector")
-        self.level_bound = level_bound
-        vac = self.h == 0
+        self.level_bound = 0
         self._span = RowSpan()
-        vac_basis = {lv: virasoro.level_coordinates(self.c, Fraction(0), lv, vacuum=True).basis
-                     for lv in range(2, level_bound + 2)}
-        mod_basis = {lu: virasoro.level_coordinates(self.c, self.h, lu, vacuum=vac).basis
-                     for lu in range(0, level_bound + 1)}
-        gens: list[tuple[int, dict[GradedKey, Fraction]]] = []
-        for lv, vparts in vac_basis.items():
-            for vmu in vparts:
-                v = verma_monomial(self.c, Fraction(0), vmu, vacuum=True)
-                for lu in range(0, level_bound + 2 - lv):
-                    for umu in mod_basis.get(lu, []):
-                        u = verma_monomial(self.c, self.h, umu, vacuum=vac)
-                        if 0 <= lv + lu - 1 <= level_bound:
-                            g = graded_vector(bracket.square_mode_action(v, 0, u))
-                            if g:
-                                gens.append((lv + lu - 1, g))
-                        if lv + lu + 1 <= level_bound:
-                            g = graded_vector(bracket.square_mode_action(v, -2, u))
-                            for k in range(2, (lv + lu + 1) // 2 + 1):
-                                x = bracket.square_mode_action(v, 2 * k - 2, u)
-                                if x.is_zero():
-                                    continue
-                                gx = graded_vector(x)
-                                for (_, a4, a6), co in eisenstein_modular_poly(2 * k).entries.items():
-                                    scale = (2 * k - 1) * co
-                                    for (lvl, idx, _, _), val in gx.items():
-                                        virasoro._acc(g, (lvl, idx, a4, a6), scale * val)
-                            if g:
-                                gens.append((lv + lu + 1, g))
-        for wg, g in gens:
-            room = level_bound - wg
-            for extra in range(0, room + 1):
-                for a4, a6 in _monomials_of_weight(extra):
-                    self._span.add({(lvl, idx, b4 + a4, b6 + a6): co
-                                    for (lvl, idx, b4, b6), co in g.items()})
+        self._gens: list[tuple[int, dict[GradedKey, Fraction]]] = []
+        while self.level_bound < level_bound:
+            self.grow()
+
+    @property
+    def weight_bound(self) -> Fraction:
+        """h plus the highest level the span has reached."""
+        return self.h + self.level_bound
+
+    def grow(self) -> None:
+        """Add every relation of weight exactly h + level_bound + 1."""
+        level = self.level_bound + 1
+        c, h = self.c, self.h
+        vac = h == 0
+        for wg, g in self._gens:
+            for a4, a6 in _monomials_of_weight(level - wg):
+                self._span.add({(lvl, idx, b4 + a4, b6 + a6): co
+                                for (lvl, idx, b4, b6), co in g.items()})
+        # v of level lv and u of level lu give v[0] u at level lv + lu - 1 and
+        # the E-tail of v[-2] u at level lv + lu + 1
+        for lv in range(2, level + 2):
+            for vmu in virasoro.level_coordinates(c, Fraction(0), lv, vacuum=True).basis:
+                v = verma_monomial(c, Fraction(0), vmu, vacuum=True)
+                for lu, mode in ((level + 1 - lv, 0), (level - 1 - lv, -2)):
+                    if lu < 0:
+                        continue
+                    for umu in virasoro.level_coordinates(c, h, lu, vacuum=vac).basis:
+                        u = verma_monomial(c, h, umu, vacuum=vac)
+                        g = graded_vector(bracket.square_mode_action(v, mode, u))
+                        for k in range(2, level // 2 + 1) if mode == -2 else ():
+                            x = bracket.square_mode_action(v, 2 * k - 2, u)
+                            if x.is_zero():
+                                continue
+                            gx = graded_vector(x)
+                            for (_, a4, a6), co in eisenstein_modular_poly(2 * k).entries.items():
+                                scale = (2 * k - 1) * co
+                                for (lvl, idx, _, _), val in gx.items():
+                                    virasoro._acc(g, (lvl, idx, a4, a6), scale * val)
+                        if g:
+                            self._gens.append((level, g))
+                            self._span.add(g)
+        self.level_bound = level
 
     @property
     def rank(self) -> int:
@@ -328,7 +344,11 @@ class RelationSpace:
 
 def build_relation_space(c: _RationalLike, h: _RationalLike,
                          weight_bound: _RationalLike | None = None) -> RelationSpace:
-    """Relation span for modules of highest weight h; bound defaults to h+8."""
+    """Relation span for modules of highest weight h; bound defaults to h+8.
+
+    derive_recursion asks for h + 2 and grows the result itself, a level at
+    a time, up to its own bound.
+    """
     h = _frac(h)
     if weight_bound is None:
         weight_bound = h + 8
@@ -363,9 +383,15 @@ def derive_recursion(c: _RationalLike, h: _RationalLike,
                      max_order: int = 4) -> TraceRecursion:
     """Least-order recursion for the trace of L[-2] strings on u.
 
-    Tries orders m = 1..max_order; for each, solves for modular r_i of
-    weight 2(m-i) making the string combination reduce to zero. Raises if
-    nothing closes, which usually means the weight bound is too small.
+    The relation span starts at h + 2 and grows one level at a time. As soon
+    as [L[-2] u] reduces to zero the answer is order 1 with no coefficients:
+    no order is lower, there is no weight-2 modular form, and a larger bound
+    only enlarges the span. Otherwise the span grows to the weight bound,
+    which is a cap, and orders m = 1..max_order are tried there; for each,
+    the modular r_i of weight 2(m-i) are solved for that make the string
+    combination reduce to zero. Raises if nothing closes, which usually
+    means the weight bound is too small. The result's weight_bound is the
+    bound the span reached.
 
     Derivations are memoised on the normalised arguments, so h = 1 and
     Fraction(1), or weight_bound None and h + 8, share one entry. A failed
@@ -379,8 +405,13 @@ def derive_recursion(c: _RationalLike, h: _RationalLike,
 @lru_cache(maxsize=None)
 def _derive_recursion(c: Fraction, h: Fraction, weight_bound: Fraction,
                       max_order: int) -> TraceRecursion:
-    rel = build_relation_space(c, h, weight_bound)
+    rel = build_relation_space(c, h, min(weight_bound, h + 2))
     strings = _square_strings(c, h, max_order)
+    # grow until [L[-2] u] reduces to zero, which m = 1 below returns as the
+    # order-1 recursion, or until the next level would pass the bound
+    first = graded_vector(strings[1]) if max_order >= 1 else {}
+    while rel.weight_bound + 1 <= weight_bound and not rel.contains(first):
+        rel.grow()
     for m in range(1, max_order + 1):
         if h + 2 * m > weight_bound:
             break
@@ -394,7 +425,7 @@ def _derive_recursion(c: Fraction, h: Fraction, weight_bound: Fraction,
         keys = sorted(set(target) | {k for cv in cands for k in cv})
         if not cands:
             if not target:
-                return TraceRecursion(c, h, m, (QuasiModularPoly(),) * m, weight_bound)
+                return TraceRecursion(c, h, m, (QuasiModularPoly(),) * m, rel.weight_bound)
             continue
         rows = [[cv.get(k, Fraction(0)) for cv in cands] for k in keys]
         rhs = [-target.get(k, Fraction(0)) for k in keys]
@@ -404,7 +435,7 @@ def _derive_recursion(c: Fraction, h: Fraction, weight_bound: Fraction,
         rs = [QuasiModularPoly() for _ in range(m)]
         for (i, a4, a6), val in zip(labels, rho):
             rs[i] = rs[i] + QuasiModularPoly({(0, a4, a6): val})
-        return TraceRecursion(c, h, m, tuple(rs), weight_bound)
+        return TraceRecursion(c, h, m, tuple(rs), rel.weight_bound)
     raise ValueError(f"no recursion of order <= {max_order} under weight bound {weight_bound}")
 
 

@@ -362,7 +362,6 @@ def _raise_to_scalar(c: Fraction, h: Fraction, mu: Partition, nu: Partition) -> 
     return dict(vec).get((), Fraction(0))
 
 
-@lru_cache(maxsize=None)
 def gram_matrix(c: _RationalLike, h: _RationalLike, level: int, vacuum: bool = False) -> GramMatrix:
     c, h = _frac(c), _frac(h)
     basis = _basis_at(level, vacuum)

@@ -57,6 +57,13 @@ def test_zhu_dump_lists_kac_roots(capsys):
     assert payload["complete"] is True
 
 
+def test_mde_derive_reports_the_weight_bound_it_reached(capsys):
+    for h, tail in (("1/2", "; weight bound 5/2"), ("0", "; weight bound 8/1")):
+        code, payload = run_json(capsys, ["mde", "derive", "--m", "1", "--h", h])
+        assert code == 0
+        assert payload["reports"][0]["actual"].endswith(tail), h
+
+
 def test_dims_text_output_lists_dimensions(capsys):
     code = cli.run(["dims", "--c", "1/2", "--h", "0", "--max-level", "8"])
     out = capsys.readouterr().out

@@ -17,6 +17,11 @@ route: kept columns, the inverse of the kept minor M through the dense
 engine, then the product with G. LevelCoordinates.coords applies P in one
 pass over the entries of a vector; _reference_coords is G v on the kept
 rows and then M^-1, and (M^-1 G) v = M^-1 (G v) exactly.
+
+RowSpan keeps the reduced row echelon form, with each pivot the largest key
+of its row, which is unique for a given span. The relation span of the mde
+layer grows level by level on that fact, so the pivot rows must not depend
+on the order in which rows were added.
 """
 
 import random
@@ -25,6 +30,8 @@ from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceform.linalg import RowSpan, solve_dense, sparse_nullspace
 from traceform.virasoro import (
@@ -258,6 +265,31 @@ def test_solve_dense_edge_cases():
         solve_dense([[1, 2]], [1, 2])
     assert solve_dense([[0, 0]], [1]) is None
     assert solve_dense([[0, 2, 4]], [2]) == [0, 1, 0]
+
+
+_SPARSE_ROWS = st.lists(
+    st.dictionaries(st.integers(0, 5), st.integers(-2, 2).map(Fraction), max_size=4),
+    max_size=9)
+
+
+@given(_SPARSE_ROWS, st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_rowspan_pivot_rows_do_not_depend_on_insertion_order(rows, rnd):
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    spans = []
+    for order in (rows, shuffled):
+        span = RowSpan()
+        for row in order:
+            span.add(row)
+        spans.append(span)
+    first, second = spans
+    assert first.pivot_keys == second.pivot_keys
+    for key in first.pivot_keys:
+        row = first.pivot_row(key)
+        assert row == second.pivot_row(key)
+        assert max(row) == key and row[key] == 1
+        assert not (first.pivot_keys - {key}) & set(row)
 
 
 @lru_cache(maxsize=None)

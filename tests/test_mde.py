@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from traceform import cli, mde
-from traceform.bracket import square_mode_action
+from traceform.bracket import square_mode_action, square_virasoro_action
 from traceform.mde import (
     TRACE_CASES,
     ModularODE,
@@ -109,6 +109,19 @@ def test_all_four_trace_cases_close_at_first_order():
         assert all(r.is_zero() for r in rec.coefficients)
 
 
+def test_trace_cases_stop_at_the_first_order_one_closure():
+    for case in TRACE_CASES:
+        rec = derive_recursion(case.c, case.h_u)
+        assert rec.weight_bound == case.h_u + 2, case.m
+        # the span at the default bound h + 8 contains the smaller one, so it
+        # also reduces [L[-2] u] to zero
+        string = square_virasoro_action(-2, highest_weight_vector(case.c, case.h_u))
+        assert build_relation_space(case.c, case.h_u).contains(graded_vector(string)), case.m
+        for bound in (case.h_u + 1, case.h_u + Fraction(3, 2)):
+            with pytest.raises(ValueError, match="no room"):
+                derive_recursion(case.c, case.h_u, bound)
+
+
 def test_derivation_fails_honestly_for_generic_weights():
     with pytest.raises(ValueError):
         derive_recursion(Fraction(1, 2), Fraction(1, 3))
@@ -153,6 +166,22 @@ def test_ising_vacuum_equation_is_third_order():
     assert ode.serre_coeffs[2].is_zero()
     assert ode.serre_coeffs[1].entries == {(0, 1, 0): Fraction(-535, 16)}
     assert ode.serre_coeffs[0].entries == {(0, 0, 1): Fraction(-805, 64)}
+
+
+def test_tricritical_ising_equations_above_order_one():
+    # both only close past the order-1 levels, so the span grows to the
+    # default bound h + 8 and the coefficients come from there
+    c = Fraction(7, 10)
+    rec = derive_recursion(c, Fraction(3, 5))
+    assert (rec.order, rec.weight_bound) == (3, Fraction(43, 5))
+    ode = to_ode(rec)
+    assert [p.entries for p in ode.serre_coeffs] == [
+        {(0, 0, 1): Fraction(-875, 64)}, {(0, 1, 0): Fraction(-775, 16)}, {}, {(0, 0, 0): 1}]
+    rec = derive_recursion(c, Fraction(3, 2))
+    assert (rec.order, rec.weight_bound) == (2, Fraction(19, 2))
+    ode = to_ode(rec)
+    assert [p.entries for p in ode.serre_coeffs] == [
+        {(0, 1, 0): Fraction(-119, 5)}, {}, {(0, 0, 0): 1}]
 
 
 def test_ising_vacuum_indicial_roots_are_the_module_exponents():
