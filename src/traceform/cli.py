@@ -94,9 +94,13 @@ def _maybe_cache(series: PuiseuxSeries, args, stem: str) -> str | None:
     if not args.cache_dir:
         return None
     path = Path(args.cache_dir)
-    path.mkdir(parents=True, exist_ok=True)
     target = path / f"{stem}.series"
-    qseries.write_series(target, series)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        qseries.write_series(target, series)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise _UsageError(f"--cache-dir {path}: cannot write {target.name} ({reason})") from exc
     return str(target)
 
 

@@ -18,10 +18,14 @@ classical_eisenstein. The weight-k Serre derivative is
 d_k f = theta f + k E_2 f with theta = q d/dq; it sends weight k to k+2
 and kills eta^(2k), which is what the modular ODE machinery is built on.
 
-Coefficients are Fraction throughout. The power recurrence of pow_rational
-(and so eta_power) runs on integer numerators over one common denominator,
-through _CommonDenominator, and turns each new coefficient into a Fraction
-once.
+Coefficients are stored as Fraction, but the hot kernels run over int. A
+sum aligns the two windows by integer offsets and adds coefficient by
+coefficient. A product and the power recurrence of pow_rational (and so
+eta_power) hold each factor as integer numerators over one common
+denominator (_CommonDenominator), convolve those over the nonzero support
+of one factor, and build one Fraction per output coefficient. The Euler
+product of eta comes from the pentagonal number theorem in O(N). Results
+are exactly those of the plain Fraction loops.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
+from operator import add
 from os import PathLike
 
 from .linalg import _RationalLike, _frac
@@ -43,10 +48,10 @@ def _fmt_frac(x: Fraction) -> str:
 class _CommonDenominator:
     """Rationals held as integer numerators nums over one denominator den.
 
-    The recurrences of pow_rational and mde.frobenius_solve take integer dot
-    products of these numerators instead of normalising a Fraction at every
-    step. append() rescales the numerators already held when the new value's
-    denominator does not divide den.
+    Series products and the recurrences of pow_rational and
+    mde.frobenius_solve take integer dot products of these numerators instead
+    of normalising a Fraction at every step. append() rescales the numerators
+    already held when the new value's denominator does not divide den.
     """
 
     __slots__ = ("nums", "den")
@@ -124,25 +129,18 @@ class PuiseuxSeries:
 
     # -- ring operations --------------------------------------------------
 
-    def _window_coeff(self, e: Fraction) -> Fraction:
-        if e < self.lam:
-            return Fraction(0)
-        return self.coeffs[int(e - self.lam)]
-
     def __add__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         if (self.lam - other.lam).denominator != 1:
             raise ValueError(
                 f"cannot add series on different exponent lattices ({self.lam} vs {other.lam})")
-        lam = min(self.lam, other.lam)
-        end = min(self.end_exponent, other.end_exponent)
-        n = int(end - lam)
-        if n < 1:
-            raise ValueError("sum has no retained coefficients at these truncations")
-        coeffs = [self._window_coeff(lam + i) + other._window_coeff(lam + i) for i in range(n)]
+        lo, hi = (self, other) if self.lam <= other.lam else (other, self)
+        off = int(hi.lam - lo.lam)
+        # below hi.lam only lo contributes; zip stops at the shorter reach
+        coeffs = list(lo.coeffs[:off]) + [a + b for a, b in zip(lo.coeffs[off:], hi.coeffs)]
         weight = self.weight if self.weight == other.weight else None
-        return PuiseuxSeries(lam, coeffs, weight)
+        return PuiseuxSeries(lo.lam, coeffs, weight)
 
     def __neg__(self):
         return PuiseuxSeries(self.lam, [-c for c in self.coeffs], self.weight)
@@ -158,19 +156,20 @@ class PuiseuxSeries:
             return PuiseuxSeries(self.lam, [a * c for a in self.coeffs], self.weight)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
+        # Cauchy product of the integer numerators over one denominator per
+        # factor, looping over the nonzero support of self only
         n = min(len(self.coeffs), len(other.coeffs))
-        coeffs = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    coeffs[i + j] += a * b
+        a = _CommonDenominator(self.coeffs[:n])
+        b = _CommonDenominator(other.coeffs[:n])
+        acc = [0] * n
+        for i, x in enumerate(a.nums):
+            if x:
+                acc[i:] = map(add, acc[i:], map(x.__mul__, b.nums))
+        den = a.den * b.den
         weight = None
         if self.weight is not None and other.weight is not None:
             weight = self.weight + other.weight
-        return PuiseuxSeries(self.lam + other.lam, coeffs, weight)
+        return PuiseuxSeries(self.lam + other.lam, [Fraction(v, den) for v in acc], weight)
 
     __rmul__ = __mul__
 
@@ -342,13 +341,19 @@ def classical_eisenstein(k: int, terms: int) -> PuiseuxSeries:
 # -- eta and its rational powers ----------------------------------------------
 
 def _euler_product(terms: int) -> list[Fraction]:
-    """Coefficients of prod_{n>=1} (1 - q^n) up to q^(terms-1)."""
-    coeffs = [Fraction(0)] * terms
-    coeffs[0] = Fraction(1)
-    for n in range(1, terms):
-        for i in range(terms - 1, n - 1, -1):
-            coeffs[i] -= coeffs[i - n]
-    return coeffs
+    """Coefficients of prod_{n>=1} (1 - q^n) up to q^(terms-1).
+
+    By Euler's pentagonal number theorem the product is
+    sum_{k in Z} (-1)^k q^(k(3k-1)/2), so each coefficient is 0 or +-1.
+    """
+    coeffs = [0] * terms
+    k, sign = 0, 1
+    while k * (3 * k - 1) // 2 < terms:
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if e < terms:
+                coeffs[e] = sign
+        k, sign = k + 1, -sign
+    return [Fraction(c) for c in coeffs]
 
 
 def eta(terms: int) -> PuiseuxSeries:

@@ -80,6 +80,20 @@ def test_cache_dir_exports_readable_series(tmp_path, capsys):
     assert read_series(cached) == eta_power(1, 6)
 
 
+@pytest.mark.parametrize("under_file", [False, True])
+def test_cache_dir_on_a_file_exits_two_with_one_line(tmp_path, capsys, under_file):
+    blocker = tmp_path / "some_file"
+    blocker.write_text("not a directory\n")
+    cache_dir = blocker / "sub" if under_file else blocker
+    code = cli.run(["--cache-dir", str(cache_dir), "eta", "--power", "2", "--terms", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: --cache-dir {cache_dir}: cannot write ")
+    assert blocker.read_text() == "not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # checks and reports
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ and the vanishing of the classical E_6 at the square lattice point.
 
 pow_rational runs its recurrence on integer numerators over one common
 denominator; _reference_pow_rational below is the earlier loop over
-Fraction, which it must reproduce exactly.
+Fraction, which it must reproduce exactly. The same holds for series sums
+and products (_reference_add, _reference_mul) and for the pentagonal-number
+Euler product (_reference_euler_product, the earlier quadratic loop).
 """
 
 import math
@@ -18,8 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traceform.mde import derive_recursion, frobenius_solve, to_ode
 from traceform.qseries import (
     PuiseuxSeries,
+    _euler_product,
     bernoulli,
     classical_eisenstein,
     eisenstein,
@@ -176,6 +180,126 @@ def test_integer_power_kernel_matches_the_fraction_loop():
     assert {(False, s, False) for s in (-1, 1)} <= seen
     for r in (Fraction(1, 5), Fraction(-3, 7), Fraction(2), Fraction(-1), Fraction(0)):
         assert _same_series(eta_power(r, 200), _reference_pow_rational(eta(200), r)), r
+
+
+def _reference_add(f, g):
+    """The earlier __add__: each coefficient looked up by its Fraction exponent."""
+    def window_coeff(s, e):
+        return Fraction(0) if e < s.lam else s.coeffs[int(e - s.lam)]
+
+    lam = min(f.lam, g.lam)
+    n = int(min(f.end_exponent, g.end_exponent) - lam)
+    coeffs = [window_coeff(f, lam + i) + window_coeff(g, lam + i) for i in range(n)]
+    return PuiseuxSeries(lam, coeffs, f.weight if f.weight == g.weight else None)
+
+
+def _reference_mul(f, g):
+    """The earlier __mul__: a Cauchy product in Fraction arithmetic."""
+    n = min(len(f.coeffs), len(g.coeffs))
+    coeffs = [Fraction(0)] * n
+    for i, a in enumerate(f.coeffs[:n]):
+        if a == 0:
+            continue
+        for j in range(n - i):
+            b = g.coeffs[j]
+            if b != 0:
+                coeffs[i + j] += a * b
+    weight = None if f.weight is None or g.weight is None else f.weight + g.weight
+    return PuiseuxSeries(f.lam + g.lam, coeffs, weight)
+
+
+def _reference_euler_product(terms, one=Fraction(1)):
+    """The earlier quadratic loop: multiply in (1 - q^n) for n = 1 .. terms-1."""
+    coeffs = [one - one] * terms
+    coeffs[0] = one
+    for n in range(1, terms):
+        for i in range(terms - 1, n - 1, -1):
+            coeffs[i] -= coeffs[i - n]
+    return coeffs
+
+
+def _check_sum_and_products(f, g):
+    for x, y in ((f, g), (g, f)):
+        assert _same_series(x * y, _reference_mul(x, y)), (x.coeffs, y.coeffs)
+    if (f.lam - g.lam).denominator == 1:
+        for x, y in ((f, g), (g, f), (f, -g)):
+            assert _same_series(x + y, _reference_add(x, y)), (x.lam, y.lam)
+        assert _same_series(f - g, _reference_add(f, -g))
+
+
+_sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                              st.fractions(max_denominator=40, min_value=-50, max_value=50))
+
+
+@given(st.fractions(max_denominator=12, min_value=-2, max_value=2),
+       st.integers(min_value=-4, max_value=4),
+       st.lists(_sparse_rationals, min_size=1, max_size=14),
+       st.lists(_sparse_rationals, min_size=1, max_size=14),
+       st.sampled_from([None, Fraction(2), Fraction(1, 2)]))
+@settings(max_examples=100, deadline=None)
+def test_sum_and_product_kernels_match_the_fraction_loops(base, shift, a, b, weight):
+    # one lattice, different leading exponents, unequal truncations
+    f = PuiseuxSeries(base, a, weight)
+    g = PuiseuxSeries(base + shift, b, Fraction(2))
+    _check_sum_and_products(f, g)
+
+
+def test_series_kernels_match_the_fraction_loops_on_seeded_edge_cases():
+    rng = random.Random(7311)
+
+    def coeff():
+        roll = rng.random()
+        if roll < 0.3:
+            return Fraction(0)
+        if roll < 0.4:
+            return Fraction(rng.choice((1, -1)))
+        return Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 2 ** 30))
+
+    for _ in range(60):
+        lam = Fraction(rng.randint(-9, 9), rng.randint(1, 24))
+        n, m = rng.randint(1, 40), rng.randint(1, 40)
+        a = [coeff() for _ in range(n)]
+        b = [coeff() for _ in range(m)]
+        start = rng.randrange(n)
+        stop = rng.randint(start, n)
+        a[start:stop] = [Fraction(0)] * (stop - start)   # a run of zeros
+        _check_sum_and_products(PuiseuxSeries(lam, a), PuiseuxSeries(lam + rng.randint(-6, 6), b))
+    f = PuiseuxSeries(Fraction(1, 3), [coeff() for _ in range(25)], Fraction(4))
+    for c in (0, 1, -1):
+        for terms in (1, 10, 25, 30):
+            const = PuiseuxSeries(0, [c] + [0] * (terms - 1))
+            _check_sum_and_products(f, const)
+            _check_sum_and_products(f, const.shifted(Fraction(1, 3) + 2))
+        assert _same_series(f * c, _reference_mul(f, PuiseuxSeries(0, [c] + [0] * 24, 0)))
+    zeros = PuiseuxSeries(Fraction(1, 3), [0] * 25)
+    _check_sum_and_products(zeros, zeros)
+    assert (f * zeros).is_zero() and (zeros * f).terms == 25
+
+
+def test_series_kernels_match_the_fraction_loops_on_deep_frobenius_solutions():
+    # c = 7/10, h_u = 3/5: order 3, denominators of several hundred bits at 300 terms
+    ode = to_ode(derive_recursion(Fraction(7, 10), Fraction(3, 5)))
+    roots = [lam for lam, _ in ode.indicial_roots()[0]]
+    assert roots == [Fraction(1, 120), Fraction(17, 240), Fraction(137, 240)]
+    sols = [frobenius_solve(ode, lam, 300).to_puiseux(Fraction(3, 5)) for lam in roots]
+    assert max(c.denominator.bit_length() for c in sols[0].coeffs) > 500
+    f, g = sols[0], sols[1].shifted(sols[0].lam - sols[1].lam + 3).truncate(250)
+    assert _same_series(f * sols[2], _reference_mul(f, sols[2]))
+    assert _same_series(f * g, _reference_mul(f, g))
+    assert _same_series(g * f, _reference_mul(g, f))
+    assert _same_series(f + g, _reference_add(f, g))
+    assert _same_series(f - g, _reference_add(f, -g))
+    assert _same_series(sols[2] * eta(300), _reference_mul(sols[2], eta(300)))
+
+
+def test_pentagonal_euler_product_matches_the_quadratic_loop():
+    for terms in range(1, 40):
+        assert _euler_product(terms) == _reference_euler_product(terms)
+    assert _euler_product(300) == _reference_euler_product(300)
+    want = _reference_euler_product(2000, one=1)
+    got = _euler_product(2000)
+    assert got == want and all(type(c) is Fraction for c in got)
+    assert sum(c != 0 for c in got) == 73
 
 
 # ---------------------------------------------------------------------------
