@@ -50,6 +50,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import sub
 
 from .bracket import bracket_coeffs
 from .linalg import _RationalLike, _frac
@@ -91,7 +92,8 @@ class BivariateLaurent:
     def entry(self, zexp: int) -> PuiseuxSeries:
         if not self.z_min <= zexp <= self.z_max:
             raise ValueError(f"z^{zexp} is outside the window [{self.z_min}, {self.z_max}]")
-        return self.entries.get(zexp, _zero_series(self.qterms))
+        series = self.entries.get(zexp)
+        return _zero_series(self.qterms) if series is None else series
 
     def coefficient(self, zexp: int, qexp: _RationalLike) -> Fraction:
         return self.entry(zexp).coefficient(qexp)
@@ -188,7 +190,7 @@ def p_zcoeff(k: int, n: int, terms: int) -> PuiseuxSeries:
     if n == 0:
         raise ValueError("P_k has no z^0 entry")
     scalar = Fraction(n ** (k - 1), factorial(k - 1))
-    return PuiseuxSeries(0, [scalar * c for c in _geo_coeffs(n, terms)])
+    return PuiseuxSeries(0, [scalar * c if c else c for c in _geo_coeffs(n, terms)])
 
 
 def p_series(k: int, terms: int, z_min: int = -8, z_max: int = 8) -> BivariateLaurent:
@@ -375,46 +377,45 @@ def p_shift_zcoeff(k: int, n: int, terms: int) -> PuiseuxSeries:
     return PuiseuxSeries(0, out)
 
 
-def _residue_term(i: int, w: int, func, shifted_side: bool, terms: int) -> PuiseuxSeries:
+def _residue_term(i: int, w: int, func, shifted_side: bool, terms: int) -> list[Fraction]:
     """Residue in w of (w-z)^i z^(w-1-i) w^(-w) times a z-diagonal integrand.
 
     func(n) returns the q-series multiplying z^n in the integrand (None for
     no contribution). shifted_side chooses the |z| > |w| expansion of the
-    i = -1 pole; for i >= 0 both expansions are the same polynomial.
+    i = -1 pole; for i >= 0 both expansions are the same polynomial. The
+    q-coefficients are accumulated in one list, over the nonzero entries of
+    each func(n) only.
     """
-    total = _zero_series(terms)
     if i >= 0:
-        for j in range(i + 1):
-            beta = _gbinom(i, j) * ((-1) ** j)
-            n = i - j - w + 1
-            val = func(n)
-            if val is not None:
-                total = total + val * beta
-        return total
-    if not shifted_side:
+        pairs = [(i - j - w + 1, _gbinom(i, j) * (-1) ** j) for j in range(i + 1)]
+    elif not shifted_side:
         # (w - z)^(-1) = sum_j z^j w^(-1-j) for |w| > |z|
-        for j in range(0, terms + w + 1):
-            val = func(-j - w)
-            if val is not None:
-                total = total + val
+        pairs = [(-j - w, 1) for j in range(terms + w + 1)]
     else:
         # (-z + w)^(-1) = -sum_j z^(-1-j) w^j for |z| > |w|
-        for j in range(0, terms + w + 1):
-            val = func(j - w + 1)
-            if val is not None:
-                total = total - val
+        pairs = [(j - w + 1, -1) for j in range(terms + w + 1)]
+    total = [Fraction(0)] * terms
+    for n, beta in pairs:
+        val = func(n)
+        if val is not None:
+            for k, co in enumerate(val.coeffs):
+                if co:
+                    total[k] += co * beta
     return total
 
 
 def _residue_identity_value(w: int, m: int | None, terms: int) -> PuiseuxSeries:
-    """Total sum_i c_i (A_i - B_i) for integrand P_m (m=None: bare 1, m=1: P_1 - 1)."""
+    """Total sum_i c_i (A_i - B_i) for integrand P_m (m=None: bare 1, m=1: P_1 - 1).
+
+    The i-sum is accumulated in one coefficient list; one series is built
+    for the total.
+    """
+    one = _const_series(Fraction(1), terms)
     if m is None:
         def afunc(n):
-            return _const_series(Fraction(1), terms) if n == 0 else None
+            return one if n == 0 else None
 
-        def bfunc(n):
-            return _const_series(Fraction(1), terms) if n == 0 else None
-
+        bfunc = afunc
         i_top = 2
     else:
         def afunc(n):
@@ -423,7 +424,7 @@ def _residue_identity_value(w: int, m: int | None, terms: int) -> PuiseuxSeries:
         if m == 1:
             def bfunc(n):
                 if n == 0:
-                    return _const_series(Fraction(-1), terms)
+                    return -one
                 return p_shift_zcoeff(m, n, terms)
         else:
             def bfunc(n):
@@ -431,15 +432,18 @@ def _residue_identity_value(w: int, m: int | None, terms: int) -> PuiseuxSeries:
 
         i_top = m + 2
     c = _c_row(w, i_top + 2)
-    total = _zero_series(terms)
+    total = [Fraction(0)] * terms
     tail: list[bool] = []
     for i in range(-1, i_top + 1):
-        delta = _residue_term(i, w, afunc, False, terms) - _residue_term(i, w, bfunc, True, terms)
-        total = total + delta * c[i + 1]
-        tail.append(delta.is_zero())
+        delta = list(map(sub, _residue_term(i, w, afunc, False, terms),
+                         _residue_term(i, w, bfunc, True, terms)))
+        for k, d in enumerate(delta):
+            if d:
+                total[k] += d * c[i + 1]
+        tail.append(not any(delta))
     if not (tail[-1] and tail[-2]):
         raise AssertionError(f"residue i-sum did not stabilize for w={w}, m={m}")
-    return total
+    return PuiseuxSeries(0, total)
 
 
 def verify_residue_identities(w: int, terms: int = 6,
@@ -485,7 +489,10 @@ def verify_expansion_identity(w: int, terms: int = 6, i_max: int = 8,
     For each retained z-power i and each x-exponent n with 1 <= |n| <= n_max,
     the q-series C(w-1+n, i)/(1-q^n) must equal
     sum_{m=0}^{i} (z^n entry of P_{m+1}) * b_{i-m}, where b is the
-    bracket_coeffs(w, m) row. Exact in every retained q-power.
+    bracket_coeffs(w, m) row. Exact in every retained q-power. Rows are
+    prefixes of deeper rows, so each m takes one row of depth i_max - m + 1;
+    each right-hand side is accumulated in one coefficient list over the
+    nonzero entries of P_{m+1}.
     """
     if w < 1:
         raise ValueError("w must be a positive integer")
@@ -493,14 +500,18 @@ def verify_expansion_identity(w: int, terms: int = 6, i_max: int = 8,
     bad: list[tuple[str, str, str]] = []
     checked = 0
     pseries = [p_series(m + 1, terms, -n_max, n_max) for m in range(0, i_max + 1)]
+    rows = [bracket_coeffs(w, m, i_max - m + 1).coeffs for m in range(0, i_max + 1)]
     for i in range(0, i_max + 1):
         for n in list(range(-n_max, 0)) + list(range(1, n_max + 1)):
-            lhs = PuiseuxSeries(0, _geo_coeffs(n, terms)) * _gbinom(w - 1 + n, i)
-            rhs = _zero_series(terms)
+            scale = _gbinom(w - 1 + n, i)
+            lhs = PuiseuxSeries(0, [co * scale for co in _geo_coeffs(n, terms)])
+            rhs = [Fraction(0)] * terms
             for m in range(0, i + 1):
-                row = bracket_coeffs(w, m, i - m + 1)
-                rhs = rhs + pseries[m].entry(n) * row[i - m]
+                b = rows[m][i - m]
+                for k, co in enumerate(pseries[m].entry(n).coeffs):
+                    if co:
+                        rhs[k] += co * b
             checked += terms
-            bad.extend(_series_mismatches(f"i={i} n={n}", lhs, rhs))
+            bad.extend(_series_mismatches(f"i={i} n={n}", lhs, PuiseuxSeries(0, rhs)))
     return ResidueReport("binomial-mode-expansion", {"w": w, "terms": terms},
                          checked, tuple(bad), time.perf_counter() - start)

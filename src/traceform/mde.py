@@ -34,8 +34,9 @@ half plane to check modular transformation behaviour of the solutions.
 
 derive_recursion is memoised on its normalised arguments, so the eta check
 and the modular check of one trace case share one derivation. The Frobenius
-recurrence runs on integer numerators over one common denominator; its
-coefficients come out as Fraction like everything else.
+recurrence runs on integer numerators over one common denominator, one
+dot product per theta column and step; its coefficients come out as
+Fraction like everything else.
 """
 
 from __future__ import annotations
@@ -600,12 +601,18 @@ def frobenius_solve(ode: ModularODE, exponent: _RationalLike, terms: int = 30) -
     if terms < 1:
         raise ValueError("terms must be positive")
     A = ode.theta_operator(terms)
+    if any(series.lam != 0 or series.terms != terms for series in A):
+        raise AssertionError("theta-operator coefficients must be power series with all terms")
     # Write A_t = sum_i a[i][t] q^i / D with integers a[i][t], lam = p/q and
     # T = order. Then sum_t A_t[i] (lam + r)^t = sum_t a[i][t] xs[r][t] / (D q^T)
-    # with xs[r][t] = (p + r q)^t q^(T-t), so each step of the recurrence is
-    # an integer dot product and one Fraction.
+    # with xs[r][t] = (p + r q)^t q^(T-t). With coefficient r = sol.nums[r] /
+    # sol.den, step n needs sum_t sum_{r<n} a[n-r][t] ys[t][r] for
+    # ys[t][r] = sol.nums[r] xs[r][t]: one dot product per column t, of the
+    # column read from q^(terms-1) down to q^1 (rcols) against ys[t]. Columns
+    # that vanish past q^0 drop out; at order 1 the theta column is the
+    # constant 1. ys is rescaled whenever sol.den grows.
     width = len(A)
-    ints = _CommonDenominator(series.coefficient(i) for i in range(terms) for series in A)
+    ints = _CommonDenominator(c for row in zip(*(series.coeffs for series in A)) for c in row)
     a = [ints.nums[i * width:(i + 1) * width] for i in range(terms)]
     p, q = lam.numerator, lam.denominator
     xs = [[(p + r * q) ** t * q ** (width - 1 - t) for t in range(width)] for r in range(terms)]
@@ -616,19 +623,24 @@ def frobenius_solve(ode: ModularODE, exponent: _RationalLike, terms: int = 30) -
 
     if indicial(0) != 0:
         raise ValueError(f"{lam} is not an indicial root")
+    live = [t for t in range(width) if any(a[i][t] for i in range(1, terms))]
+    rcols = [[a[i][t] for i in range(terms - 1, 0, -1)] for t in live]
     coeffs = [Fraction(1)]
-    sol = _CommonDenominator(coeffs)   # coefficient r is sol.nums[r] / sol.den
+    sol = _CommonDenominator(coeffs)
+    ys = [[xs[0][t]] for t in live]
     for n in range(1, terms):
-        nums = sol.nums
-        acc = 0
-        for r in range(n):
-            if nums[r]:
-                acc += nums[r] * sum(map(mul, a[n - r], xs[r]))
+        acc = sum(sum(map(mul, rcol[terms - 1 - n:], y)) for rcol, y in zip(rcols, ys))
         lead = indicial(n)
         if lead == 0:
             raise ResonantExponentError(lam, n)
-        coeffs.append(Fraction(-acc, sol.den * lead))
+        den = sol.den
+        coeffs.append(Fraction(-acc, den * lead))
         sol.append(coeffs[-1])
+        if sol.den != den:
+            scale = sol.den // den
+            ys = [[v * scale for v in y] for y in ys]
+        for y, t in zip(ys, live):
+            y.append(sol.nums[n] * xs[n][t])
     return FrobeniusSolution(lam, tuple(coeffs))
 
 

@@ -23,9 +23,11 @@ sum aligns the two windows by integer offsets and adds coefficient by
 coefficient. A product and the power recurrence of pow_rational (and so
 eta_power) hold each factor as integer numerators over one common
 denominator (_CommonDenominator), convolve those over the nonzero support
-of one factor, and build one Fraction per output coefficient. The Euler
-product of eta comes from the pentagonal number theorem in O(N). Results
-are exactly those of the plain Fraction loops.
+of the factor with more zero numerators, and build one Fraction per output
+coefficient. The Euler product of eta comes from the pentagonal number
+theorem in O(N). Results are exactly those of the plain Fraction loops,
+whichever order the factors come in. The constructor coerces coefficients
+only when some of them are not already Fraction.
 """
 
 from __future__ import annotations
@@ -82,8 +84,11 @@ class PuiseuxSeries:
     __slots__ = ("lam", "coeffs", "weight")
 
     def __init__(self, lam: _RationalLike, coeffs, weight: _RationalLike | None = None):
+        coeffs = tuple(coeffs)
+        if set(map(type, coeffs)) != {Fraction}:
+            coeffs = tuple(map(_frac, coeffs))
         object.__setattr__(self, "lam", _frac(lam))
-        object.__setattr__(self, "coeffs", tuple(_frac(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "weight", None if weight is None else _frac(weight))
         if not self.coeffs:
             raise ValueError("a series needs at least one retained coefficient")
@@ -157,10 +162,13 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         # Cauchy product of the integer numerators over one denominator per
-        # factor, looping over the nonzero support of self only
+        # factor, looping over the nonzero support of the sparser factor: integer
+        # addition is exact and commutes, so the order only changes the cost
         n = min(len(self.coeffs), len(other.coeffs))
         a = _CommonDenominator(self.coeffs[:n])
         b = _CommonDenominator(other.coeffs[:n])
+        if b.nums.count(0) > a.nums.count(0):
+            a, b = b, a
         acc = [0] * n
         for i, x in enumerate(a.nums):
             if x:

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import pytest
 
+from traceform import elliptic
+from traceform.bracket import BracketCoeffTable, bracket_coeffs
 from traceform.elliptic import (
     BivariateLaurent,
     p_series,
@@ -174,6 +176,50 @@ def test_binomial_mode_expansion_holds_for_all_small_weights():
     for w in range(1, 6):
         rep = verify_expansion_identity(w, terms=6, i_max=8, n_max=6)
         assert rep.passed, f"w={w}: {rep.mismatches[:1]}"
+
+
+def test_bracket_rows_are_prefixes_of_deeper_rows():
+    # verify_expansion_identity reads every b_{i-m} from one row per m
+    for w in range(1, 7):
+        for m in range(-2, 9):
+            for d in range(1, 13):
+                deep = bracket_coeffs(w, m, d).coeffs
+                for k in range(1, d + 1):
+                    assert deep[:k] == bracket_coeffs(w, m, k).coeffs, (w, m, k, d)
+
+
+def test_binomial_mode_expansion_catches_a_perturbed_bracket_row(monkeypatch):
+    def perturbed(w, m, depth=12):
+        row = bracket_coeffs(w, m, depth)
+        if m != 2 or depth < 2:
+            return row
+        return BracketCoeffTable(row.weight, row.m, (row[0], row[1] + 1) + row.coeffs[2:])
+
+    monkeypatch.setattr(elliptic, "bracket_coeffs", perturbed)
+    for w in range(1, 6):
+        rep = verify_expansion_identity(w, terms=6, i_max=8, n_max=6)
+        assert not rep.passed and rep.checked == 648
+        # b_1 of the m = 2 row enters the z^3 expansion only
+        assert {label.split()[0] for label, _, _ in rep.mismatches} == {"i=3"}, w
+
+
+def test_residue_identities_catch_a_perturbed_shifted_row(monkeypatch):
+    # residue-p3 expects E_3 = 0, which an empty sum would also give, so a
+    # perturbed term of the shifted P_3 row must show up as a mismatch
+    real = elliptic.p_shift_zcoeff
+    for w, n, q_power in [(w, 6, 1) for w in range(1, 7)] + [(6, 1, 3)]:
+        def perturbed(k, m, terms, n=n, q_power=q_power):
+            s = real(k, m, terms)
+            if (k, m) != (3, n):
+                return s
+            coeffs = list(s.coeffs)
+            coeffs[q_power] += 1
+            return PuiseuxSeries(s.lam, coeffs)
+
+        monkeypatch.setattr(elliptic, "p_shift_zcoeff", perturbed)
+        unit, p2, p3 = verify_residue_identities(w, terms=6, ms=(2, 3))
+        assert unit.passed and p2.passed
+        assert not p3.passed and [label for label, _, _ in p3.mismatches] == [f" q^{q_power}"], (w, n)
 
 
 def test_identity_suites_reject_nonpositive_weight():

@@ -259,11 +259,15 @@ def test_integer_frobenius_kernel_matches_the_fraction_loop():
         ode = trace_case_ode(case)
         lam = leading_exponent(case)
         assert frobenius_solve(ode, lam, 300) == _reference_frobenius_solve(ode, lam, 300), case.m
-    ode = to_ode(derive_recursion(Fraction(1, 2), Fraction(0)))
-    roots, _ = ode.indicial_roots()
-    assert len(roots) == 3
-    for lam, _ in roots:
-        assert frobenius_solve(ode, lam, 40) == _reference_frobenius_solve(ode, lam, 40), lam
+    # two order-3 equations, c = 1/2 at h = 0 and c = 7/10 at h_u = 3/5: the
+    # theta columns 0..2 stay live past q^0, only the monic column 3 drops out
+    for c, h in ((Fraction(1, 2), Fraction(0)), (Fraction(7, 10), Fraction(3, 5))):
+        ode = to_ode(derive_recursion(c, h))
+        assert [any(a.coeffs[1:]) for a in ode.theta_operator(40)] == [True, True, True, False]
+        roots, _ = ode.indicial_roots()
+        assert len(roots) == 3
+        for lam, _ in roots:
+            assert frobenius_solve(ode, lam, 40) == _reference_frobenius_solve(ode, lam, 40), (h, lam)
 
 
 def test_integer_frobenius_kernel_resonates_at_the_same_step():

@@ -292,6 +292,38 @@ def test_series_kernels_match_the_fraction_loops_on_deep_frobenius_solutions():
     assert _same_series(sols[2] * eta(300), _reference_mul(sols[2], eta(300)))
 
 
+def test_products_do_not_depend_on_operand_order():
+    # the kernel loops over the factor with more zero numerators, so each pair
+    # below runs the other loop in one of its two orders
+    def check(f, g):
+        want = _reference_mul(f, g)
+        assert _same_series(f * g, want) and _same_series(g * f, want), (f, g)
+
+    e2 = eisenstein(2, 300)
+    one = PuiseuxSeries(0, [1] + [0] * 299, 0)
+    check(one, e2)
+    check(e2, one)
+    ode = to_ode(derive_recursion(Fraction(7, 10), Fraction(3, 5)))
+    sol = frobenius_solve(ode, Fraction(1, 120), 300).to_puiseux(Fraction(3, 5))
+    monomial = PuiseuxSeries(Fraction(-1, 120), [0, 0, Fraction(-3, 7)] + [0] * 297, 1)
+    check(monomial, sol)
+    check(sol.truncate(120), monomial)
+    zeros = PuiseuxSeries(Fraction(1, 3), [0] * 40, 2)
+    check(zeros, zeros)
+    check(zeros, e2)
+    check(zeros.truncate(7), sol)
+    check(e2.truncate(17), sol.truncate(250))
+
+
+def test_series_coefficients_are_stored_as_fractions_whatever_the_input():
+    for coeffs in ([1, 2], [True, False], [1, Fraction(1, 2), True], [Fraction(2), Fraction(1, 3)]):
+        s = PuiseuxSeries(0, coeffs)
+        assert all(type(c) is Fraction for c in s.coeffs), coeffs
+        assert s.coeffs == tuple(Fraction(c) for c in coeffs)
+    with pytest.raises(ValueError):
+        PuiseuxSeries(0, [])
+
+
 def test_pentagonal_euler_product_matches_the_quadratic_loop():
     for terms in range(1, 40):
         assert _euler_product(terms) == _reference_euler_product(terms)
