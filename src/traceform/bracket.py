@@ -92,7 +92,7 @@ def square_mode_action(v: VermaVector, m: int, u: VermaVector) -> VermaVector:
     weight w uses the (w, m) coefficient row. The sum is finite because
     v(j)u vanishes once j exceeds level(u) + w - 1.
     """
-    if not v.vacuum or v.h != 0:
+    if not v.vacuum:
         raise ValueError("square modes need a vacuum vertex algebra vector")
     lev_u = max(u.level_components(), default=0)
     terms = []

@@ -404,9 +404,18 @@ def _cmd_elliptic(args) -> int:
     return _emit_reports(_checks_elliptic(args.terms), args)
 
 
+def _vacuum(args) -> bool:
+    """--vacuum or --no-vacuum, h == 0 when neither; the vacuum quotient needs h = 0."""
+    vacuum = args.vacuum if args.vacuum is not None else args.h == 0
+    try:
+        return virasoro.verma_module(args.c, args.h, vacuum).vacuum
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _cmd_gram(args) -> int:
     _require_at_least(args.level, "--level", 0)
-    vacuum = args.vacuum if args.vacuum is not None else args.h == 0
+    vacuum = _vacuum(args)
     g = virasoro.gram_matrix(args.c, args.h, args.level, vacuum)
     payload = {
         "basis": [",".join(map(str, mu)) for mu in g.basis],
@@ -422,7 +431,7 @@ def _cmd_gram(args) -> int:
 
 def _cmd_singular(args) -> int:
     _require_at_least(args.level, "--level", 0)
-    vacuum = args.vacuum if args.vacuum is not None else args.h == 0
+    vacuum = _vacuum(args)
     found = virasoro.singular_vectors(args.c, args.h, args.level, vacuum=vacuum)
     payload = {"singular_vectors": [
         {",".join(map(str, mu)): _rat(co) for mu, co in sorted(v.entries.items())}
@@ -436,7 +445,7 @@ def _cmd_singular(args) -> int:
 
 def _cmd_dims(args) -> int:
     _require_at_least(args.max_level, "--max-level", 0)
-    vacuum = args.vacuum if args.vacuum is not None else args.h == 0
+    vacuum = _vacuum(args)
     dims = virasoro.graded_dims(args.c, args.h, args.max_level, vacuum=vacuum)
     payload = {"graded_dims": dims}
     lines = [f"graded dims of L({_rat(args.c)}, {_rat(args.h)}) through level {args.max_level}:",

@@ -254,13 +254,7 @@ def graded_vector(vec: VermaVector, e4: int = 0, e6: int = 0) -> dict[GradedKey,
     of the module at that level, and the monomial E4^a4 E6^a6 multiplies the
     coordinate. The grading weight of a key is h + level + 4 a4 + 6 a6.
     """
-    out: dict[GradedKey, Fraction] = {}
-    for lvl, piece in vec.level_components().items():
-        lc = virasoro.level_coordinates(vec.c, vec.h, lvl, vacuum=vec.vacuum)
-        for idx, co in enumerate(lc.coords(piece)):
-            if co != 0:
-                out[(lvl, idx, e4, e6)] = co
-    return out
+    return {(lvl, idx, e4, e6): co for (lvl, idx), co in virasoro.irreducible_coordinates(vec).items()}
 
 
 def _monomials_of_weight(w: int) -> list[tuple[int, int]]:
@@ -302,7 +296,8 @@ class RelationSpace:
         """Add every relation of weight exactly h + level_bound + 1."""
         level = self.level_bound + 1
         c, h = self.c, self.h
-        vac = h == 0
+        vmod, umod = virasoro.verma_module(c, Fraction(0), True), virasoro.verma_module(c, h, h == 0)
+        ubasis = [virasoro.level_coordinates(c, h, lu, h == 0).basis for lu in range(level)]
         for wg, g in self._gens:
             for a4, a6 in _monomials_of_weight(level - wg):
                 self._span.add({(lvl, idx, b4 + a4, b6 + a6): co
@@ -311,12 +306,12 @@ class RelationSpace:
         # the E-tail of v[-2] u at level lv + lu + 1
         for lv in range(2, level + 2):
             for vmu in virasoro.level_coordinates(c, Fraction(0), lv, vacuum=True).basis:
-                v = verma_monomial(c, Fraction(0), vmu, vacuum=True)
+                v = vmod.monomial(vmu)
                 for lu, mode in ((level + 1 - lv, 0), (level - 1 - lv, -2)):
                     if lu < 0:
                         continue
-                    for umu in virasoro.level_coordinates(c, h, lu, vacuum=vac).basis:
-                        u = verma_monomial(c, h, umu, vacuum=vac)
+                    for umu in ubasis[lu]:
+                        u = umod.monomial(umu)
                         g = graded_vector(bracket.square_mode_action(v, mode, u))
                         for k in range(2, level // 2 + 1) if mode == -2 else ():
                             x = bracket.square_mode_action(v, 2 * k - 2, u)
@@ -372,8 +367,7 @@ class TraceRecursion:
 
 
 def _square_strings(c: Fraction, h: Fraction, count: int) -> list[VermaVector]:
-    vac = h == 0
-    strings = [verma_monomial(c, h, (), vacuum=vac)]
+    strings = [virasoro.highest_weight_vector(c, h, h == 0)]
     for _ in range(count):
         strings.append(bracket.square_virasoro_action(-2, strings[-1]))
     return strings
@@ -440,7 +434,6 @@ def _derive_recursion(c: Fraction, h: Fraction, weight_bound: Fraction,
     raise ValueError(f"no recursion of order <= {max_order} under weight bound {weight_bound}")
 
 
-@lru_cache(maxsize=None)
 def _string_mode_scalar(c: Fraction, h: Fraction, i: int, k: int) -> Fraction:
     """mu with L(2k-2) L(-2)^i u = mu L(-2)^(i-k+1) u in the Verma module.
 

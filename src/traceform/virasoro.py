@@ -10,13 +10,19 @@ Conventions:
   at level 4 the order is (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
 * vacuum=True means the module is M(c,0)/<L(-1)1>, the universal vacuum
   module: partitions containing a part 1 are zero there, so its PBW basis
-  uses partitions with all parts >= 2.
+  uses partitions with all parts >= 2. This quotient exists only at h = 0,
+  and verma_module raises ValueError for any other h.
+
+verma_module(c, h, vacuum) returns the one VermaModule of a module; it
+memoises the tables keyed on partitions and levels only. Every vector
+carries its module, so no table is looked up by (c, h).
 
 The contravariant (Shapovalov) form has <v_h, v_h> = 1 and adjoint
 L(n)^+ = L(-n). Gram matrix ranks give the graded dimensions of the
 irreducible quotient, kernels at the right levels expose singular vectors,
 and the induced coordinates on the irreducible quotient are what the Zhu
-algebra, cofiniteness, and modular ODE layers compute in.
+algebra, cofiniteness, and modular ODE layers compute in. They all read
+them through irreducible_coordinates, keyed by (level, index).
 
 mode_action implements the modes a(n) of a vacuum vector a = L(-m_1)... 1 on
 any module in the same central charge, through the associativity formula
@@ -98,33 +104,40 @@ def minimal_model(m: int) -> MinimalModelData:
 
 @dataclass
 class VermaVector:
-    """Element of a highest-weight module, keyed by PBW partitions."""
+    """Element of a highest-weight module, keyed by PBW partitions.
+
+    module is the VermaModule of (c, h, vacuum), shared with every vector
+    built from this one.
+    """
 
     c: Fraction
     h: Fraction
     entries: dict[Partition, Fraction]
     vacuum: bool = False
+    module: VermaModule = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        self.c = _frac(self.c)
-        self.h = _frac(self.h)
+        if self.module is None:
+            self.module = verma_module(_frac(self.c), _frac(self.h), bool(self.vacuum))
+            self.c, self.h, self.vacuum = self.module.c, self.module.h, self.module.vacuum
         self.entries = {mu: _frac(co) for mu, co in self.entries.items() if co != 0}
 
-    def _check(self, other: "VermaVector") -> None:
-        if (self.c, self.h, self.vacuum) != (other.c, other.h, other.vacuum):
-            raise ValueError("vectors live in different modules")
+    def _like(self, entries: dict[Partition, Fraction]) -> "VermaVector":
+        """A vector of the same module."""
+        return VermaVector(self.c, self.h, entries, self.vacuum, self.module)
 
     def __add__(self, other):
         if not isinstance(other, VermaVector):
             return NotImplemented
-        self._check(other)
+        if (self.c, self.h, self.vacuum) != (other.c, other.h, other.vacuum):
+            raise ValueError("vectors live in different modules")
         out = dict(self.entries)
         for mu, co in other.entries.items():
             _acc(out, mu, co)
-        return VermaVector(self.c, self.h, out, self.vacuum)
+        return self._like(out)
 
     def __neg__(self):
-        return VermaVector(self.c, self.h, {mu: -co for mu, co in self.entries.items()}, self.vacuum)
+        return self._like({mu: -co for mu, co in self.entries.items()})
 
     def __sub__(self, other):
         if not isinstance(other, VermaVector):
@@ -134,38 +147,19 @@ class VermaVector:
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        s = _frac(scalar)
-        if s == 0:
-            return VermaVector(self.c, self.h, {}, self.vacuum)
-        return VermaVector(self.c, self.h, {mu: co * s for mu, co in self.entries.items()}, self.vacuum)
+        return self._like({mu: co * scalar for mu, co in self.entries.items()})
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        return (self.c, self.h, self.vacuum, self.entries) == (other.c, other.h, other.vacuum, other.entries)
-
     def is_zero(self) -> bool:
         return not self.entries
-
-    def coefficient(self, mu: Partition) -> Fraction:
-        return self.entries.get(tuple(mu), Fraction(0))
 
     def level_components(self) -> dict[int, "VermaVector"]:
         """Split into homogeneous pieces keyed by level = |partition|."""
         split: dict[int, dict[Partition, Fraction]] = {}
         for mu, co in self.entries.items():
             split.setdefault(sum(mu), {})[mu] = co
-        return {lvl: VermaVector(self.c, self.h, part, self.vacuum)
-                for lvl, part in sorted(split.items())}
-
-    def level(self) -> int:
-        """Level of a homogeneous vector (the zero vector has level 0)."""
-        comps = self.level_components()
-        if len(comps) > 1:
-            raise ValueError(f"vector is not homogeneous: levels {sorted(comps)}")
-        return next(iter(comps), 0)
+        return {lvl: self._like(part) for lvl, part in sorted(split.items())}
 
     def __repr__(self):
         terms = ", ".join(f"{mu}: {co}" for mu, co in sorted(self.entries.items(), reverse=True))
@@ -174,20 +168,15 @@ class VermaVector:
 
 
 def highest_weight_vector(c: _RationalLike, h: _RationalLike, vacuum: bool = False) -> VermaVector:
-    return VermaVector(_frac(c), _frac(h), {(): Fraction(1)}, vacuum)
+    return verma_module(_frac(c), _frac(h), bool(vacuum)).monomial(())
 
 
 def verma_monomial(c: _RationalLike, h: _RationalLike, mu: Partition, vacuum: bool = False) -> VermaVector:
-    mu = tuple(mu)
-    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)) or any(p < 1 for p in mu):
-        raise ValueError(f"{mu} is not a weakly decreasing positive partition")
-    if vacuum and 1 in mu:
-        raise ValueError("part 1 is zero in the vacuum module")
-    return VermaVector(_frac(c), _frac(h), {mu: Fraction(1)}, vacuum)
+    return verma_module(_frac(c), _frac(h), bool(vacuum)).monomial(mu)
 
 
 # ---------------------------------------------------------------------------
-# the L(n) action
+# the module object and its tables
 # ---------------------------------------------------------------------------
 
 _Terms = tuple[tuple[Partition, Fraction], ...]
@@ -207,7 +196,7 @@ def _sum_scaled(u: VermaVector, terms: Iterable[tuple[_RationalLike, VermaVector
     for k, vec in terms:
         for mu, co in vec.entries.items():
             _acc(out, mu, co * k)
-    return VermaVector(u.c, u.h, out, u.vacuum)
+    return u._like(out)
 
 
 @lru_cache(maxsize=None)
@@ -226,49 +215,6 @@ def _lower(m: int, mu: Partition) -> _Terms:
 
 
 @lru_cache(maxsize=None)
-def _act(c: Fraction, h: Fraction, n: int, mu: Partition) -> _Terms:
-    """L(n) L(-mu) v_h in the Verma module, for n >= 0."""
-    if not mu:
-        if n == 0 and h != 0:
-            return (((), h),)
-        return ()
-    head, rest = mu[0], mu[1:]
-    out: dict[Partition, Fraction] = {}
-    for nu, co in _act(c, h, n, rest):
-        for nu2, co2 in _lower(head, nu):
-            _acc(out, nu2, co * co2)
-    k = n - head
-    sub = _act(c, h, k, rest) if k >= 0 else _lower(-k, rest)
-    for nu, co in sub:
-        _acc(out, nu, (n + head) * co)
-    if n == head:
-        central = Fraction(n ** 3 - n, 12) * c
-        if central != 0:
-            _acc(out, rest, central)
-    return tuple(out.items())
-
-
-def _strip_ones(entries: dict[Partition, Fraction]) -> dict[Partition, Fraction]:
-    return {mu: co for mu, co in entries.items() if not mu or mu[-1] != 1}
-
-
-def l_action(n: int, vec: VermaVector) -> VermaVector:
-    """L(n) applied to a Verma vector (any sign of n)."""
-    out: dict[Partition, Fraction] = {}
-    for mu, co in vec.entries.items():
-        terms = _lower(-n, mu) if n < 0 else _act(vec.c, vec.h, n, mu)
-        for nu, co2 in terms:
-            _acc(out, nu, co * co2)
-    if vec.vacuum:
-        out = _strip_ones(out)
-    return VermaVector(vec.c, vec.h, out, vec.vacuum)
-
-
-# ---------------------------------------------------------------------------
-# modes of vacuum vectors on arbitrary modules
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
 def _gbinom(m: int, i: int) -> Fraction:
     """Generalized binomial C(m, i) for integer m of any sign."""
     num = 1
@@ -277,37 +223,149 @@ def _gbinom(m: int, i: int) -> Fraction:
     return Fraction(num, factorial(i))
 
 
-@lru_cache(maxsize=None)
-def _mode(c: Fraction, h: Fraction, uvac: bool, mu: Partition, r: int, nu: Partition) -> _Terms:
-    """Coefficients of a(r) u for a = L(-mu) 1 and u = L(-nu) v_h."""
-    if not mu:
-        return ((nu, Fraction(1)),) if r == -1 else ()
-    M, b = mu[0], mu[1:]
-    m_ = 1 - M
-    sign_m = Fraction(-1 if m_ % 2 else 1)
-    out: dict[Partition, Fraction] = {}
-    imax = max(sum(nu) + sum(b) - 1 - r, sum(nu) + 1, 0)
-    for i in range(imax + 1):
-        coeff = _gbinom(m_, i)
-        if i % 2:
-            coeff = -coeff
-        if coeff == 0:
-            continue
-        # first piece: L(-M-i) applied to b(r+i) u
-        for nu1, co1 in _mode(c, h, uvac, b, r + i, nu):
-            for nu2, co2 in _lower(M + i, nu1):
-                _acc(out, nu2, coeff * co1 * co2)
-        # second piece: -(-1)^(1-M) b(1-M+r-i) applied to L(i-1) u
-        k = i - 1
-        lu = _lower(1, nu) if k < 0 else _act(c, h, k, nu)
-        for nu1, co1 in lu:
-            if uvac and nu1 and nu1[-1] == 1:
+def _strip_ones(entries: dict[Partition, Fraction]) -> dict[Partition, Fraction]:
+    return {mu: co for mu, co in entries.items() if not mu or mu[-1] != 1}
+
+
+def _basis_at(level: int, vacuum: bool) -> tuple[Partition, ...]:
+    return partitions_of(level, min_part=2 if vacuum else 1)
+
+
+class VermaModule:
+    """M(c, h), or with vacuum=True the vacuum quotient M(c, 0)/<L(-1)v>.
+
+    Four tables are memoised per instance, keyed on partitions and levels:
+    _act (L(n) on the Verma module), _mode (modes of vacuum vectors),
+    _pairing (the contravariant form) and _coordinates (per level). Each
+    gets its own lru_cache in __init__ and the recursions go through self,
+    so clearing verma_module's cache drops every table.
+    """
+
+    def __init__(self, c: _RationalLike, h: _RationalLike, vacuum: bool):
+        if vacuum and h != 0:
+            raise ValueError(f"the vacuum quotient by L(-1)v exists only at h = 0, got h = {h}")
+        self.c, self.h, self.vacuum = _frac(c), _frac(h), bool(vacuum)
+        for name in ("_act", "_mode", "_pairing", "_coordinates"):
+            setattr(self, name, lru_cache(maxsize=None)(getattr(self, name)))
+
+    def monomial(self, mu: Partition) -> VermaVector:
+        """L(-mu) v for a weakly decreasing partition mu of positive parts."""
+        mu = tuple(mu)
+        if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)) or any(p < 1 for p in mu):
+            raise ValueError(f"{mu} is not a weakly decreasing positive partition")
+        if self.vacuum and 1 in mu:
+            raise ValueError("part 1 is zero in the vacuum module")
+        return VermaVector(self.c, self.h, {mu: Fraction(1)}, self.vacuum, self)
+
+    def _act(self, n: int, mu: Partition) -> _Terms:
+        """L(n) L(-mu) v_h in the Verma module, for n >= 0."""
+        if not mu:
+            return (((), self.h),) if n == 0 and self.h != 0 else ()
+        head, rest = mu[0], mu[1:]
+        out: dict[Partition, Fraction] = {}
+        for nu, co in self._act(n, rest):
+            for nu2, co2 in _lower(head, nu):
+                _acc(out, nu2, co * co2)
+        k = n - head
+        sub = self._act(k, rest) if k >= 0 else _lower(-k, rest)
+        for nu, co in sub:
+            _acc(out, nu, (n + head) * co)
+        if n == head:
+            central = Fraction(n ** 3 - n, 12) * self.c
+            if central != 0:
+                _acc(out, rest, central)
+        return tuple(out.items())
+
+    def _mode(self, mu: Partition, r: int, nu: Partition) -> _Terms:
+        """Coefficients of a(r) u for a = L(-mu) 1 and u = L(-nu) v_h."""
+        if not mu:
+            return ((nu, Fraction(1)),) if r == -1 else ()
+        M, b = mu[0], mu[1:]
+        m_ = 1 - M
+        sign_m = Fraction(-1 if m_ % 2 else 1)
+        out: dict[Partition, Fraction] = {}
+        imax = max(sum(nu) + sum(b) - 1 - r, sum(nu) + 1, 0)
+        for i in range(imax + 1):
+            coeff = _gbinom(m_, i)
+            if i % 2:
+                coeff = -coeff
+            if coeff == 0:
                 continue
-            for nu2, co2 in _mode(c, h, uvac, b, 1 - M + r - i, nu1):
-                _acc(out, nu2, -sign_m * coeff * co1 * co2)
-    if uvac:
+            # first piece: L(-M-i) applied to b(r+i) u
+            for nu1, co1 in self._mode(b, r + i, nu):
+                for nu2, co2 in _lower(M + i, nu1):
+                    _acc(out, nu2, coeff * co1 * co2)
+            # second piece: -(-1)^(1-M) b(1-M+r-i) applied to L(i-1) u
+            k = i - 1
+            lu = _lower(1, nu) if k < 0 else self._act(k, nu)
+            for nu1, co1 in lu:
+                if self.vacuum and nu1 and nu1[-1] == 1:
+                    continue
+                for nu2, co2 in self._mode(b, 1 - M + r - i, nu1):
+                    _acc(out, nu2, -sign_m * coeff * co1 * co2)
+        if self.vacuum:
+            out = _strip_ones(out)
+        return tuple(out.items())
+
+    def _pairing(self, mu: Partition, nu: Partition) -> Fraction:
+        """<L(-mu) v, L(-nu) v> by peeling raising operators off the left of mu."""
+        vec: _Terms = ((nu, Fraction(1)),)
+        for m in mu:
+            out: dict[Partition, Fraction] = {}
+            for rho, co in vec:
+                for rho2, co2 in self._act(m, rho):
+                    _acc(out, rho2, co * co2)
+            vec = tuple(out.items())
+        return dict(vec).get((), Fraction(0))
+
+    def _gram(self, level: int) -> GramMatrix:
+        basis = _basis_at(level, self.vacuum)
+        n = len(basis)
+        # the form is symmetric: each pair is paired once, left index first
+        entries = tuple(tuple(self._pairing(basis[min(i, j)], basis[max(i, j)]) for j in range(n))
+                        for i in range(n))
+        return GramMatrix(self.c, self.h, level, self.vacuum, basis, entries)
+
+    def _coordinates(self, level: int) -> LevelCoordinates:
+        gram = self._gram(level)
+        full = gram.basis
+        n = len(full)
+        # column j keyed n-1-j puts the pivots on the leftmost columns, so the
+        # span ends up holding the reduced row echelon form of G
+        span = linalg.RowSpan()
+        for row in gram.entries:
+            span.add({n - 1 - j: v for j, v in enumerate(row) if v != 0})
+        keys = sorted(span.pivot_keys, reverse=True)
+        kept = [n - 1 - key for key in keys]
+        rows = [span.pivot_row(key) for key in keys]
+        projection = {mu: tuple((s, row[n - 1 - j]) for s, row in enumerate(rows) if n - 1 - j in row)
+                      for j, mu in enumerate(full)}
+        if any(projection[full[j]] != ((s, 1),) for s, j in enumerate(kept)):
+            raise AssertionError("projection is not the identity on the kept partitions")
+        return LevelCoordinates(self.c, self.h, level, self.vacuum, full,
+                                tuple(full[j] for j in kept), projection)
+
+
+@lru_cache(maxsize=None)
+def verma_module(c: _RationalLike, h: _RationalLike, vacuum: bool, /) -> VermaModule:
+    """The one VermaModule of (c, h, vacuum); positional, so each has one entry."""
+    return VermaModule(c, h, vacuum)
+
+
+# ---------------------------------------------------------------------------
+# the L(n) action and modes of vacuum vectors on arbitrary modules
+# ---------------------------------------------------------------------------
+
+def l_action(n: int, vec: VermaVector) -> VermaVector:
+    """L(n) applied to a Verma vector (any sign of n)."""
+    act = vec.module._act
+    out: dict[Partition, Fraction] = {}
+    for mu, co in vec.entries.items():
+        for nu, co2 in (_lower(-n, mu) if n < 0 else act(n, mu)):
+            _acc(out, nu, co * co2)
+    if vec.vacuum:
         out = _strip_ones(out)
-    return tuple(out.items())
+    return vec._like(out)
 
 
 def mode_action(a: VermaVector, n: int, u: VermaVector) -> VermaVector:
@@ -317,16 +375,17 @@ def mode_action(a: VermaVector, n: int, u: VermaVector) -> VermaVector:
     square-bracket structure constants on identically labeled PBW monomials
     agree with the round-bracket ones.
     """
-    if not a.vacuum or a.h != 0:
+    if not a.vacuum:
         raise ValueError("modes are defined for vectors of the vacuum vertex algebra")
     if a.c != u.c:
         raise ValueError("central charges differ")
+    mode = u.module._mode
     out: dict[Partition, Fraction] = {}
     for mu, ca in a.entries.items():
         for nu, cu in u.entries.items():
-            for rho, co in _mode(u.c, u.h, u.vacuum, mu, n, nu):
+            for rho, co in mode(mu, n, nu):
                 _acc(out, rho, ca * cu * co)
-    return VermaVector(u.c, u.h, out, u.vacuum)
+    return u._like(out)
 
 
 # ---------------------------------------------------------------------------
@@ -345,42 +404,16 @@ class GramMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
 
-def _basis_at(level: int, vacuum: bool) -> tuple[Partition, ...]:
-    return partitions_of(level, min_part=2 if vacuum else 1)
-
-
-@lru_cache(maxsize=None)
-def _raise_to_scalar(c: Fraction, h: Fraction, mu: Partition, nu: Partition) -> Fraction:
-    """<L(-mu) v, L(-nu) v> by peeling raising operators off the left of mu."""
-    vec: _Terms = ((nu, Fraction(1)),)
-    for m in mu:
-        out: dict[Partition, Fraction] = {}
-        for rho, co in vec:
-            for rho2, co2 in _act(c, h, m, rho):
-                _acc(out, rho2, co * co2)
-        vec = tuple(out.items())
-    return dict(vec).get((), Fraction(0))
-
-
 def gram_matrix(c: _RationalLike, h: _RationalLike, level: int, vacuum: bool = False) -> GramMatrix:
-    c, h = _frac(c), _frac(h)
-    basis = _basis_at(level, vacuum)
-    n = len(basis)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            val = _raise_to_scalar(c, h, basis[i], basis[j])
-            rows[i][j] = val
-            rows[j][i] = val
-    return GramMatrix(c, h, level, vacuum, basis, tuple(tuple(r) for r in rows))
+    return verma_module(_frac(c), _frac(h), bool(vacuum))._gram(level)
 
 
 def graded_dims(c: _RationalLike, h: _RationalLike, max_level: int, vacuum: bool = False) -> list[int]:
     """Dimensions of the irreducible quotient L(c,h) at levels 0..max_level.
 
     Computed as Gram ranks, which quotient by the full radical whether or not
-    the vacuum shortcut basis is in use. The rank is the dim of the cached
-    level_coordinates, so each level is eliminated once.
+    the vacuum shortcut basis is in use. Each rank is the dim of the
+    module's memoised level coordinates, so each level is eliminated once.
     """
     return [level_coordinates(c, h, lvl, vacuum).dim for lvl in range(max_level + 1)]
 
@@ -388,12 +421,13 @@ def graded_dims(c: _RationalLike, h: _RationalLike, max_level: int, vacuum: bool
 def _action_rows(c: Fraction, h: Fraction, level: int, vacuum: bool,
                  basis: tuple[Partition, ...]) -> tuple[list[dict[int, Fraction]], int]:
     """Stacked matrices of L(1) and L(2) off one level, rows indexed by targets."""
+    act = verma_module(c, h, vacuum)._act
     rows: list[dict[int, Fraction]] = []
     for n in (1, 2):
         targets = {mu: i for i, mu in enumerate(_basis_at(level - n, vacuum))}
         block: list[dict[int, Fraction]] = [dict() for _ in targets]
         for j, mu in enumerate(basis):
-            for nu, co in _act(c, h, n, mu):
+            for nu, co in act(n, mu):
                 if vacuum and nu and nu[-1] == 1:
                     continue
                 block[targets[nu]][j] = co
@@ -410,19 +444,18 @@ def singular_vectors(c: _RationalLike, h: _RationalLike, level: int,
     reverse-lex order (the pure L(-level) monomial when present) is 1. The
     returned vectors are checked to be annihilated by L(1) and L(2).
     """
-    c, h = _frac(c), _frac(h)
-    if level < 1:
+    module = verma_module(_frac(c), _frac(h), bool(vacuum))
+    basis = _basis_at(level, module.vacuum)
+    if level < 1 or not basis:
         return []
-    basis = _basis_at(level, vacuum)
-    if not basis:
-        return []
-    rows, ncols = _action_rows(c, h, level, vacuum, basis)
+    rows, ncols = _action_rows(module.c, module.h, level, module.vacuum, basis)
     kernel = linalg.sparse_nullspace(rows, ncols)
     out: list[VermaVector] = []
     for ker in kernel:
         first = min(ker)  # reverse-lex order is the basis order
         inv = 1 / ker[first]
-        vec = VermaVector(c, h, {basis[j]: co * inv for j, co in ker.items()}, vacuum)
+        vec = VermaVector(module.c, module.h, {basis[j]: co * inv for j, co in ker.items()},
+                          module.vacuum, module)
         for n in (1, 2):
             if not l_action(n, vec).is_zero():
                 raise AssertionError("kernel vector not annihilated by a raising mode")
@@ -475,79 +508,51 @@ class LevelCoordinates:
 
 def level_coordinates(c: _RationalLike, h: _RationalLike, level: int,
                       vacuum: bool = False) -> LevelCoordinates:
-    """Coordinates of L(c,h) at one level, memoised on the normalised arguments.
+    """Coordinates of L(c,h) at one level, read from the module's level memo.
 
-    Positional, keyword and default vacuum share one entry, so each Gram
-    level is eliminated once however it is asked for.
+    The arguments are normalised first, so every call form of one module
+    shares one VermaModule and each Gram level is eliminated once.
     """
-    return _level_coordinates(_frac(c), _frac(h), level, vacuum)
+    return verma_module(_frac(c), _frac(h), bool(vacuum))._coordinates(level)
 
 
-@lru_cache(maxsize=None)
-def _level_coordinates(c: Fraction, h: Fraction, level: int, vacuum: bool) -> LevelCoordinates:
-    gram = gram_matrix(c, h, level, vacuum)
-    full = gram.basis
-    n = len(full)
-    # column j keyed n-1-j puts the pivots on the leftmost columns, so the
-    # span ends up holding the reduced row echelon form of G
-    span = linalg.RowSpan()
-    for row in gram.entries:
-        span.add({n - 1 - j: v for j, v in enumerate(row) if v != 0})
-    keys = sorted(span.pivot_keys, reverse=True)
-    kept = [n - 1 - key for key in keys]
-    rows = [span.pivot_row(key) for key in keys]
-    projection = {mu: tuple((s, row[n - 1 - j]) for s, row in enumerate(rows) if n - 1 - j in row)
-                  for j, mu in enumerate(full)}
-    if any(projection[full[j]] != ((s, 1),) for s, j in enumerate(kept)):
-        raise AssertionError("projection is not the identity on the kept partitions")
-    return LevelCoordinates(c, h, level, vacuum, full, tuple(full[j] for j in kept), projection)
-
-
-def irreducible_basis(c: _RationalLike, h: _RationalLike, max_level: int,
-                      vacuum: bool = False) -> list[list[Partition]]:
-    """Per level, partitions whose classes form a basis of L(c,h)_level."""
-    return [list(level_coordinates(c, h, lvl, vacuum).basis) for lvl in range(max_level + 1)]
+def irreducible_coordinates(vec: VermaVector) -> dict[tuple[int, int], Fraction]:
+    """Nonzero coordinates of [vec] in L(c,h), keyed by (level, index into that level's basis)."""
+    levels = vec.module._coordinates
+    out: dict[tuple[int, int], Fraction] = {}
+    for mu, co in vec.entries.items():
+        lvl = sum(mu)
+        for t, p in levels(lvl)._projection[mu]:
+            _acc(out, (lvl, t), p * co)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # cofiniteness quotients
 # ---------------------------------------------------------------------------
 
-def _quotient_dims_from_images(c: Fraction, h: Fraction, max_level: int, uvac: bool,
-                               images: list[VermaVector]) -> list[int]:
+def _quotient_dims(c: _RationalLike, h: _RationalLike, max_level: int, zero_modes: bool) -> list[int]:
+    """c2_quotient_dim, and with zero_modes c20_quotient_dim."""
+    c, h = _frac(c), _frac(h)
+    vac, module = verma_module(c, Fraction(0), True), verma_module(c, h, h == 0)
     by_level: dict[int, list[VermaVector]] = {}
-    for w in images:
-        if not w.is_zero():
-            by_level.setdefault(w.level(), []).append(w)
-    span = linalg.RowSpan()
-    dims: list[int] = []
-    total = 0
+    for la in range(2, max_level + 1):
+        for mu in vac._coordinates(la).basis:
+            a = vac.monomial(mu)
+            for lu in range(0, max_level + 1):
+                for nu in module._coordinates(lu).basis:
+                    u = module.monomial(nu)
+                    # a(n) u has level la + lu - n - 1
+                    for n in (-2, 0) if zero_modes else (-2,):
+                        if la + lu - n - 1 <= max_level:
+                            by_level.setdefault(la + lu - n - 1, []).append(mode_action(a, n, u))
+    span, dims, total = linalg.RowSpan(), [], 0
     for lvl in range(max_level + 1):
-        coords = level_coordinates(c, h, lvl, uvac)
-        total += coords.dim
+        total += module._coordinates(lvl).dim
         for w in by_level.get(lvl, []):
-            vec = {(lvl, t): co for t, co in enumerate(coords.coords(w)) if co != 0}
-            span.add(vec)
+            span.add(irreducible_coordinates(w))
         dims.append(total - span.rank)
     return dims
-
-
-def _cofiniteness_images(c: Fraction, h: Fraction, max_level: int, uvac: bool,
-                         zero_modes: bool) -> list[VermaVector]:
-    a_basis = irreducible_basis(c, 0, max_level, vacuum=True)
-    u_basis = irreducible_basis(c, h, max_level, vacuum=uvac)
-    images: list[VermaVector] = []
-    for la in range(2, max_level + 1):
-        for mu in a_basis[la]:
-            a = verma_monomial(c, 0, mu, vacuum=True)
-            for lu in range(0, max_level + 1):
-                for nu in u_basis[lu]:
-                    u = verma_monomial(c, h, nu, vacuum=uvac)
-                    if la + lu + 1 <= max_level:
-                        images.append(mode_action(a, -2, u))
-                    if zero_modes and 0 <= la + lu - 1 <= max_level:
-                        images.append(mode_action(a, 0, u))
-    return images
 
 
 def c2_quotient_dim(c: _RationalLike, h: _RationalLike, max_level: int) -> list[int]:
@@ -557,10 +562,7 @@ def c2_quotient_dim(c: _RationalLike, h: _RationalLike, max_level: int) -> list[
     below N, with a running over a basis of L(c,0) and u over a basis of
     L(c,h); watching the list stabilize (or not) is the point.
     """
-    c, h = _frac(c), _frac(h)
-    uvac = h == 0
-    images = _cofiniteness_images(c, h, max_level, uvac, zero_modes=False)
-    return _quotient_dims_from_images(c, h, max_level, uvac, images)
+    return _quotient_dims(c, h, max_level, zero_modes=False)
 
 
 def c20_quotient_dim(c: _RationalLike, h: _RationalLike, max_level: int) -> list[int]:
@@ -571,7 +573,4 @@ def c20_quotient_dim(c: _RationalLike, h: _RationalLike, max_level: int) -> list
     so the a[-2] images coincide with the a(-2) ones; the a[0] images are the
     genuinely new directions.
     """
-    c, h = _frac(c), _frac(h)
-    uvac = h == 0
-    images = _cofiniteness_images(c, h, max_level, uvac, zero_modes=True)
-    return _quotient_dims_from_images(c, h, max_level, uvac, images)
+    return _quotient_dims(c, h, max_level, zero_modes=True)

@@ -41,7 +41,7 @@ from .virasoro import Partition, VermaVector, _gbinom, _sum_scaled, l_action, mo
 
 
 def _require_vacuum(a: VermaVector) -> None:
-    if not a.vacuum or a.h != 0:
+    if not a.vacuum:
         raise ValueError("the left factor must live in the vacuum vertex algebra")
 
 
@@ -140,13 +140,14 @@ class OSpace:
                         for l in range(trunc + 1)]
         self.module_dims = [lc.dim for lc in self._coords]
         basis = [lc.basis for lc in self._coords]
+        self._module = virasoro.verma_module(self.c, Fraction(0), True)
         gens_by_top: dict[int, list[VermaVector]] = {}
         for la in range(2, trunc + 1):
             for mu in basis[la]:
-                a = virasoro.verma_monomial(self.c, 0, mu, vacuum=True)
+                a = self._module.monomial(mu)
                 for lu in range(0, trunc - la):
                     for nu in basis[lu]:
-                        u = virasoro.verma_monomial(self.c, 0, nu, vacuum=True)
+                        u = self._module.monomial(nu)
                         gens_by_top.setdefault(la + lu + 1, []).append(o_elem(a, u))
         self._span = RowSpan()
         self.quotient_dims: list[int] = []
@@ -163,14 +164,10 @@ class OSpace:
 
     def coords(self, vec: VermaVector) -> dict[tuple[int, int], Fraction]:
         """Concatenated irreducible coordinates keyed by (level, index)."""
-        out: dict[tuple[int, int], Fraction] = {}
-        for lvl, piece in vec.level_components().items():
-            if lvl > self.trunc:
-                raise ValueError(f"vector reaches level {lvl}, truncation is {self.trunc}")
-            for i, co in enumerate(self._coords[lvl].coords(piece)):
-                if co != 0:
-                    out[(lvl, i)] = co
-        return out
+        top = max(map(sum, vec.entries), default=0)
+        if top > self.trunc:
+            raise ValueError(f"vector reaches level {top}, truncation is {self.trunc}")
+        return virasoro.irreducible_coordinates(vec)
 
     def reduce(self, vec: VermaVector) -> dict[tuple[int, int], Fraction]:
         return self._span.reduce(self.coords(vec))
@@ -199,11 +196,11 @@ class OSpace:
         keys = self.quotient_basis()
         if any(lvl > level_cap for lvl, _ in keys):
             raise ValueError("quotient basis reaches above level_cap; raise the truncation")
-        omega = virasoro.verma_monomial(self.c, 0, (2,), vacuum=True)
+        omega = self._module.monomial((2,))
         index = {k: t for t, k in enumerate(keys)}
         cols: list[list[Fraction]] = []
         for lvl, i in keys:
-            rep = virasoro.verma_monomial(self.c, 0, self._coords[lvl].basis[i], vacuum=True)
+            rep = self._module.monomial(self._coords[lvl].basis[i])
             red = self._span.reduce(self.coords(a_dot_u(omega, rep)))
             col = [Fraction(0)] * len(keys)
             for key, co in red.items():

@@ -64,6 +64,22 @@ def test_mde_derive_reports_the_weight_bound_it_reached(capsys):
         assert payload["reports"][0]["actual"].endswith(tail), h
 
 
+def test_negative_rationals_take_the_equals_form(capsys):
+    code, payload = run_json(capsys, ["mde", "derive", "--c=-22/5", "--h=-1/5"])
+    assert code == 0
+    assert payload["reports"][0]["actual"].startswith("order 1; D^1 = 0; indicial roots -1/60 (x1)")
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["mde", "derive", "--c", "-22/5", "--h", "-1/5"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_the_verma_route_at_h_zero_stays_legal(capsys):
+    code, payload = run_json(capsys, ["dims", "--c", "1/2", "--h", "0", "--max-level", "4", "--no-vacuum"])
+    assert code == 0
+    assert payload["graded_dims"] == [1, 0, 1, 1, 2]
+
+
 def test_dims_text_output_lists_dimensions(capsys):
     code = cli.run(["dims", "--c", "1/2", "--h", "0", "--max-level", "8"])
     out = capsys.readouterr().out
@@ -210,6 +226,9 @@ def test_solving_at_a_non_root_reports_an_error(capsys):
     (["mde", "solve", "--m", "1", "--h", "1/2", "--terms", "0"], "--terms must be >= 1, got 0"),
     (["mde", "derive", "--m", "1", "--h", "1/2", "--max-order", "0"], "--max-order must be >= 1, got 0"),
     (["mde", "solve", "--m", "1", "--h", "1/2", "--max-order", "0"], "--max-order must be >= 1, got 0"),
+    (["gram", "--c", "1/2", "--h", "1/2", "--level", "4", "--vacuum"], "only at h = 0, got h = 1/2"),
+    (["singular", "--c", "1/2", "--h", "1/2", "--level", "4", "--vacuum"], "only at h = 0, got h = 1/2"),
+    (["dims", "--c", "1/2", "--h", "1/2", "--max-level", "4", "--vacuum"], "only at h = 0, got h = 1/2"),
 ])
 def test_bad_values_exit_two_with_one_line(capsys, argv, message):
     code = cli.run(argv)

@@ -57,6 +57,31 @@ def _is_empty_container(node: ast.expr | None) -> bool:
     return False
 
 
+def _is_lru_cache(node: ast.expr) -> bool:
+    func = node.func if isinstance(node, ast.Call) else node
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "lru_cache"
+
+
+def test_no_lru_cache_is_keyed_on_the_central_charge_or_weight():
+    # module tables live on the one verma_module object per (c, h, vacuum),
+    # keyed on partitions and levels; a cache keyed on c or h hashes
+    # Fractions on every lookup
+    allowed = {("virasoro", "verma_module"), ("mde", "_derive_recursion")}
+    offenders = []
+    for stem in ("virasoro", "mde"):
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not any(_is_lru_cache(d) for d in node.decorator_list):
+                continue
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if {"c", "h"} & {a.arg for a in params} and (stem, node.name) not in allowed:
+                offenders.append(f"{stem}.{node.name}")
+    assert not offenders, offenders
+    assert "irreducible_basis" not in _definitions_by_module()["virasoro"]
+
+
 def test_no_module_keeps_memo_state_outside_lru_cache():
     # a module-level dict or list filled at run time is a cache that
     # cache_clear() and the cold-start check of the benchmark cannot see

@@ -271,6 +271,95 @@ def test_each_gram_level_is_eliminated_once(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# one module object per (c, h, vacuum)
+# ---------------------------------------------------------------------------
+
+def _clear_virasoro_caches():
+    for obj in vars(virasoro).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def test_every_call_form_shares_one_module_object():
+    _clear_virasoro_caches()
+    first = level_coordinates(3, 2, 3)
+    for args, kwargs in (((Fraction(3), Fraction(2), 3), {}), ((3, 2, 3, False), {}),
+                         ((Fraction(3), 2, 3), {"vacuum": False}), ((3, Fraction(2), 3, 0), {})):
+        assert level_coordinates(*args, **kwargs) is first, (args, kwargs)
+    assert virasoro.verma_module.cache_info().currsize == 1
+    module = virasoro.verma_module(Fraction(3), Fraction(2), False)
+    assert (module.c, module.h, module.vacuum) == (3, 2, False)
+    assert type(module.c) is Fraction and type(module.h) is Fraction
+    assert verma_monomial(3, 2, (2, 1)).module is module
+    assert highest_weight_vector(Fraction(3), 2).module is module
+    assert virasoro.verma_module.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_vacuum_and_verma_modules_at_h_zero_keep_separate_tables(first):
+    for m in (1, 2, 3):
+        _clear_virasoro_caches()
+        c = minimal_model(m).c
+        coords = {vacuum: level_coordinates(c, 0, 4, vacuum) for vacuum in (first, not first)}
+        assert coords[True].full_basis == ((4,), (2, 2))
+        assert coords[False].full_basis == partitions_of(4)
+        assert all(1 not in mu for mu in coords[True].full_basis)
+        assert virasoro.verma_module(c, 0, True) is not virasoro.verma_module(c, 0, False)
+        assert graded_dims(c, 0, 8, vacuum=True) == graded_dims(c, 0, 8, vacuum=False), m
+
+
+def test_clearing_the_caches_makes_the_next_call_recompute():
+    c, h = Fraction(7, 10), Fraction(3, 5)
+    _clear_virasoro_caches()
+    module = virasoro.verma_module(c, h, False)
+    before = level_coordinates(c, h, 4)
+    assert level_coordinates(c, h, 4) is before
+    _clear_virasoro_caches()
+    assert virasoro.verma_module.cache_info().currsize == 0
+    after = level_coordinates(c, h, 4)
+    assert after is not before and after == before
+    assert virasoro.verma_module(c, h, False) is not module
+
+
+def test_the_vacuum_quotient_exists_only_at_h_zero():
+    c, h = Fraction(1, 2), Fraction(1, 2)
+    for build in (lambda: virasoro.verma_module(c, h, True),
+                  lambda: highest_weight_vector(c, h, vacuum=True),
+                  lambda: verma_monomial(c, h, (2,), vacuum=True),
+                  lambda: graded_dims(c, h, 4, vacuum=True)):
+        with pytest.raises(ValueError, match="only at h = 0"):
+            build()
+    assert graded_dims(c, h, 4) == [1, 1, 1, 1, 2]
+    # the Verma route at h = 0 stays legal and gives the irreducible dims
+    assert graded_dims(c, 0, 4, vacuum=False) == [1, 0, 1, 1, 2]
+
+
+def test_every_coordinate_route_reads_one_projection(monkeypatch):
+    from traceform import mde, zhu
+
+    calls = []
+    original = virasoro.irreducible_coordinates
+
+    def counting(vec):
+        calls.append(vec.module)
+        return original(vec)
+
+    monkeypatch.setattr(virasoro, "irreducible_coordinates", counting)
+    c = Fraction(1, 2)
+    u = verma_monomial(c, Fraction(1, 16), (2, 1))
+    assert mde.graded_vector(u, e4=1) == {(lvl, t, 1, 0): co for (lvl, t), co in original(u).items()}
+    assert len(calls) == 1
+    space = zhu.OSpace(c, 4)
+    seen = len(calls)
+    assert seen > 1
+    space.coords(verma_monomial(c, 0, (2, 2), vacuum=True))
+    assert len(calls) == seen + 1
+    c2_quotient_dim(c, Fraction(1, 16), 4)
+    assert len(calls) > seen + 1
+    assert {module.vacuum for module in calls} == {False, True}
+
+
+# ---------------------------------------------------------------------------
 # cofiniteness quotients
 # ---------------------------------------------------------------------------
 
