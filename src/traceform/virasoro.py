@@ -495,16 +495,6 @@ class LevelCoordinates:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coords(self, vec: VermaVector) -> list[Fraction]:
-        """Coordinates of [vec] in the chosen basis; vec must be homogeneous here."""
-        out = [Fraction(0)] * len(self.basis)
-        for mu, co in vec.entries.items():
-            if sum(mu) != self.level:
-                raise ValueError(f"vector has level {sum(mu)}, coordinates are for level {self.level}")
-            for t, p in self._projection[mu]:
-                out[t] += p * co
-        return out
-
 
 def level_coordinates(c: _RationalLike, h: _RationalLike, level: int,
                       vacuum: bool = False) -> LevelCoordinates:

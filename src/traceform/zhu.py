@@ -26,6 +26,12 @@ solves for that vector at that one level. Its class reduces to a monic
 polynomial g whose roots recover the Kac weight table. The truncated ideal
 span of its descendant classes [L(-mu) alpha] is built in closed form: each
 is [alpha] times one linear factor per part of mu, by the same reduction rule.
+
+The polynomial work runs over integers. class_polynomial clears the
+vector's denominators once and divides by that one denominator at the end;
+the ideal span is a fraction-free echelon keyed by degree that divides once,
+to make its least element monic; and rational_roots tests each candidate
+p/q as an integer and divides it out over Z. Only results leave as Fraction.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from . import virasoro
 from .linalg import RowSpan, _RationalLike, _frac
@@ -74,24 +80,20 @@ def o_elem(a: VermaVector, u: VermaVector) -> VermaVector:
 # classes in A(V) as polynomials in x = [omega]
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                out[i + j] += x * y
-    return out
+def _cleared(poly: Iterable[_RationalLike]) -> list[int]:
+    """Integer numerators of poly over the least common denominator."""
+    poly = list(poly)
+    denom = lcm(*(co.denominator for co in poly))
+    return [co.numerator * (denom // co.denominator) for co in poly]
 
 
-def _poly_trim(a: list[Fraction]) -> list[Fraction]:
+def _poly_trim(a: list) -> list:
     while len(a) > 1 and a[-1] == 0:
         a = a[:-1]
     return a
 
 
-def _descend(poly: list[Fraction], mu: tuple[int, ...], wt: int) -> list[Fraction]:
+def _descend(poly: list[int], mu: tuple[int, ...], wt: int) -> list[int]:
     """[L(-mu) b] from [b] = poly and wt b, one reduction factor per part.
 
     Parts act from the right, so the factor of each part sees wt b plus the
@@ -99,7 +101,11 @@ def _descend(poly: list[Fraction], mu: tuple[int, ...], wt: int) -> list[Fractio
     """
     for m_part in reversed(mu):
         sign = -1 if m_part % 2 else 1
-        poly = _poly_mul(poly, [sign * Fraction(wt), sign * Fraction(m_part - 1)])
+        const, slope = sign * wt, sign * (m_part - 1)
+        out = [const * co for co in poly] + [0]
+        for i, co in enumerate(poly):
+            out[i + 1] += slope * co
+        poly = out
         wt += m_part
     return poly
 
@@ -108,16 +114,18 @@ def class_polynomial(vec: VermaVector) -> list[Fraction]:
     """[vec] in A(V) = Q[x], coefficients ascending in x.
 
     Applies [L(-M) b] = (-1)^M ((M-1)x + wt b)[b] factor by factor to each
-    PBW monomial of vec.
+    PBW monomial of vec, over the integer numerators of vec's coefficients
+    cleared to one denominator, which divides out at the end.
     """
     _require_vacuum(vec)
-    acc = [Fraction(0)]
+    denom = lcm(*(co.denominator for co in vec.entries.values()))
+    acc = [0]
     for mu, co in vec.entries.items():
-        poly = _descend([co], mu, 0)
-        width = max(len(acc), len(poly))
-        acc = [(acc[i] if i < len(acc) else Fraction(0)) + (poly[i] if i < len(poly) else Fraction(0))
-               for i in range(width)]
-    return _poly_trim(acc)
+        poly = _descend([co.numerator * (denom // co.denominator)], mu, 0)
+        acc.extend([0] * (len(poly) - len(acc)))
+        for i, a in enumerate(poly):
+            acc[i] += a
+    return [Fraction(a, denom) for a in _poly_trim(acc)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,66 +233,74 @@ def _monic(poly: list[Fraction]) -> tuple[Fraction, ...]:
 
 
 def _divisors(n: int) -> list[int]:
+    """Positive divisors of n != 0, ascending.
+
+    Trial division divides out each prime factor as it is found, so the loop
+    ends once d^2 exceeds what is left of n. The leading coefficients here
+    are products of small primes (2^18 3^3 7^10 at m = 4) and factor in a
+    few steps, where counting d up to sqrt(n) took seconds.
+    """
     n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
+    out = [1]
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out = [x * d**k for x in out for k in range(e + 1)]
+        d += 1
+    if n > 1:
+        out += [x * n for x in out]
     return sorted(out)
 
 
-def _poly_eval(poly: tuple[Fraction, ...], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for co in reversed(poly):
-        acc = acc * x + co
-    return acc
-
-
-def _deflate(poly: list[Fraction], root: Fraction) -> list[Fraction]:
-    """Divide by (x - root); assumes root is exact."""
-    out = [Fraction(0)] * (len(poly) - 1)
+def _deflate(poly: list[int], p: int, q: int) -> list[int]:
+    """Divide by (q x - p) over Z; by Gauss's lemma p/q in lowest terms leaves no remainder."""
+    out = [0] * (len(poly) - 1)
     carry = poly[-1]
     for i in range(len(poly) - 2, -1, -1):
-        out[i] = carry
-        carry = poly[i] + carry * root
+        out[i], rem = divmod(carry, q)
+        if rem:
+            raise ValueError("not a root")
+        carry = poly[i] + p * out[i]
     if carry != 0:
         raise ValueError("not a root")
     return out
 
 
+def _vanishes_at(poly: list[int], p: int, q: int) -> bool:
+    """Whether sum_i a_i p^i q^(d-i), q^d times poly(p/q), is zero."""
+    acc, qpow = 0, 1
+    for co in reversed(poly):
+        acc = acc * p + co * qpow
+        qpow *= q
+    return acc == 0
+
+
 def rational_roots(poly: tuple[Fraction, ...]) -> tuple[list[tuple[Fraction, int]], int]:
-    """All rational roots with multiplicity, plus the degree of the rootless rest."""
-    work = _poly_trim(list(poly))
+    """All rational roots with multiplicity, plus the degree of the rootless rest.
+
+    Works on the integer numerators of poly over one denominator: a root
+    p/q in lowest terms has p dividing the constant and q the leading
+    coefficient, each candidate is tested as an integer, and each root found
+    is divided out over Z.
+    """
+    work = _cleared(_poly_trim(list(poly)))
     roots: dict[Fraction, int] = {}
+    while len(work) > 1 and work[0] == 0:
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+        work = work[1:]
     while len(work) > 1:
-        while work[0] == 0:
-            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-            work = work[1:]
-            if len(work) == 1:
-                return sorted(roots.items()), 0
-        denom = 1
-        for co in work:
-            denom = denom * co.denominator // gcd(denom, co.denominator)
-        ints = [int(co * denom) for co in work]
-        found = None
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _poly_eval(tuple(work), cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        leading = _divisors(work[-1])
+        found = next(((s * p, q) for p in _divisors(work[0]) for q in leading
+                      if gcd(p, q) == 1 for s in (1, -1) if _vanishes_at(work, s * p, q)), None)
         if found is None:
             break
-        roots[found] = roots.get(found, 0) + 1
-        work = _deflate(work, found)
+        root = Fraction(*found)
+        roots[root] = roots.get(root, 0) + 1
+        work = _deflate(work, *found)
     return sorted(roots.items()), len(work) - 1
 
 
@@ -342,19 +358,34 @@ def _find_vacuum_singular(m: int) -> VermaVector:
     return found[0]
 
 
-def _span_generator(polys: Iterable[list[Fraction]]) -> tuple[Fraction, ...]:
-    """Minimal monic polynomial in the span of polys (ascending coefficients)."""
-    span = RowSpan()
+def _span_generator(polys: Iterable[list[_RationalLike]]) -> tuple[Fraction, ...]:
+    """Minimal monic polynomial in the span of polys (ascending coefficients).
+
+    A fraction-free echelon keyed by degree: each poly is cleared to
+    integers and reduced against the stored row of its leading degree by
+    cross-multiplying the leading coefficients, with every row divided by
+    the gcd of its entries. The span's elements of least degree are the
+    multiples of the row of the least stored degree, which one division
+    makes monic.
+    """
+    rows: dict[int, list[int]] = {}
     for poly in polys:
-        span.add({i: co for i, co in enumerate(poly) if co != 0})
-    if span.rank == 0:
+        row = _poly_trim(_cleared(poly))
+        while row[-1]:
+            deg = len(row) - 1
+            pivot = rows.get(deg)
+            g = gcd(*row)
+            row = [co // g for co in row]
+            if pivot is None:
+                rows[deg] = row
+                break
+            a, b = pivot[deg], row[deg]
+            g = gcd(a, b)
+            row = _poly_trim([a // g * x - b // g * y for x, y in zip(row, pivot)])
+    if not rows:
         raise AssertionError("descendant classes span nothing")
-    best_pivot = min(span.pivot_keys)
-    row = span.pivot_row(best_pivot)
-    out = [Fraction(0)] * (best_pivot + 1)
-    for i, co in row.items():
-        out[i] = co
-    return tuple(out)
+    row = rows[min(rows)]
+    return tuple(Fraction(co, row[-1]) for co in row)
 
 
 def _ideal_min_poly(alpha_class: list[Fraction], level: int, trunc: int) -> tuple[Fraction, ...]:
@@ -366,7 +397,8 @@ def _ideal_min_poly(alpha_class: list[Fraction], level: int, trunc: int) -> tupl
     such class is a polynomial multiple of [alpha], so the minimum degree
     element of the span is the stabilized generator.
     """
-    return _span_generator(_descend(alpha_class, mu, level)
+    alpha = _cleared(alpha_class)
+    return _span_generator(_descend(alpha, mu, level)
                            for extra in range(trunc - level + 1)
                            for mu in virasoro.partitions_of(extra))
 

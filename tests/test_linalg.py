@@ -1,10 +1,11 @@
 """Exact linear algebra against the earlier implementations it replaced.
 
-sparse_nullspace keeps, per column, its active and its done rows apart and
-refreshes pivot keys only where rows changed. _reference_sparse_nullspace
-below is the earlier implementation, which rescans every column on every
-pivot step; the pivot rule is the same, so both must return the same
-kernel vectors, dict for dict and in the same order.
+sparse_nullspace eliminates modulo a prime, recovers the kernel by rational
+reconstruction and certifies it over the integers. Two exact routines with
+the same pivot rule are kept to check it against, dict for dict and in the
+same key order: _reference_sparse_nullspace rescans every column on every
+pivot step, and _exact_sparse_nullspace eliminates gcd-normalised integer
+rows with the pivot keys in a heap.
 
 solve_dense and level_coordinates now eliminate through RowSpan.
 _reference_rref_dense is the dense Gauss-Jordan engine they used before;
@@ -14,7 +15,7 @@ the reduced row echelon form is unique, so solutions (free variables set to
 level_coordinates reads the projection P = M^-1 G[kept, :] off the reduced
 rows of the Gram matrix G. _reference_level_coordinates is the earlier
 route: kept columns, the inverse of the kept minor M through the dense
-engine, then the product with G. LevelCoordinates.coords applies P in one
+engine, then the product with G. irreducible_coordinates applies P in one
 pass over the entries of a vector; _reference_coords is G v on the kept
 rows and then M^-1, and (M^-1 G) v = M^-1 (G v) exactly.
 
@@ -27,18 +28,21 @@ on the order in which rows were added.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from heapq import heappop, heappush
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceform.linalg import RowSpan, solve_dense, sparse_nullspace
+from traceform import linalg
+from traceform.linalg import _PRIMES, RowSpan, _rational, solve_dense, sparse_nullspace
 from traceform.virasoro import (
     VermaVector,
     _action_rows,
     _basis_at,
     gram_matrix,
+    irreducible_coordinates,
     level_coordinates,
     minimal_model,
     verma_monomial,
@@ -110,6 +114,84 @@ def _reference_sparse_nullspace(rows, ncols):
     return basis
 
 
+def _exact_sparse_nullspace(rows, ncols):
+    """Exact elimination over the integers, with the pivot keys in a heap."""
+    work = []
+    for row in rows:
+        denom = 1
+        for v in row.values():
+            f = Fraction(v)
+            denom = denom * f.denominator // gcd(denom, f.denominator)
+        cleared = {c: int(Fraction(v) * denom) for c, v in row.items() if v != 0}
+        if cleared:
+            work.append(_normalize(cleared))
+    active_at = {}
+    for i, row in enumerate(work):
+        for c in row:
+            active_at.setdefault(c, set()).add(i)
+    order = {c: t for t, c in enumerate(active_at)}
+    stride = len(work) + 1
+    row_key = [len(row) * stride + i for i, row in enumerate(work)]
+    heap, choice, dirty, pivot_of = [], {}, set(active_at), {}
+    while True:
+        for c in dirty:
+            live = active_at[c]
+            if live:
+                ri = min(live, key=row_key.__getitem__)
+                key = (len(live), len(work[ri]))
+                choice[c] = key + (ri,)
+                heappush(heap, key + (order[c], c))
+            else:
+                choice.pop(c, None)
+        dirty.clear()
+        while heap:
+            cnt, short, _, col = heap[0]
+            cur = choice.get(col)
+            if cur is not None and cur[0] == cnt and cur[1] == short:
+                break
+            heappop(heap)
+        if not heap:
+            break
+        pr = choice[col][2]
+        prow = work[pr]
+        for c in prow:
+            active_at[c].discard(pr)
+        dirty.update(prow)
+        pval = prow[col]
+        for i in list(active_at[col]):
+            row = work[i]
+            for c in row:
+                active_at[c].discard(i)
+            g = gcd(pval, row[col])
+            a, b = pval // g, row[col] // g
+            new = {c2: a * v for c2, v in row.items()}
+            for c2, v in prow.items():
+                w = new.get(c2, 0) - b * v
+                if w:
+                    new[c2] = w
+                else:
+                    del new[c2]
+            new = _normalize(new)
+            work[i] = new
+            row_key[i] = len(new) * stride + i
+            for c in new:
+                active_at[c].add(i)
+            dirty.update(row)
+            dirty.update(new)
+        pivot_of[col] = pr
+    backward = list(pivot_of.items())[::-1]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_of):
+        x = {f: Fraction(1)}
+        for col, ri in backward:
+            row = work[ri]
+            acc = sum(v * x[c] for c, v in row.items() if c in x)
+            if acc:
+                x[col] = -acc / row[col]
+        basis.append({f: x[f], **{col: x[col] for col in pivot_of if col in x}})
+    return basis
+
+
 def _random_rows(rng, nrows, ncols, density):
     rows = [{c: rng.randint(-5, 5) for c in range(ncols) if rng.random() < density}
             for _ in range(nrows)]
@@ -138,6 +220,7 @@ def test_random_sparse_matrices_match_the_reference():
         rows = _random_rows(rng, rng.randint(0, 14), ncols, rng.uniform(0.1, 0.6))
         got = sparse_nullspace(rows, ncols)
         assert _same(got, _reference_sparse_nullspace(rows, ncols)), rows
+        assert _same(got, _exact_sparse_nullspace(rows, ncols)), rows
         assert all(_annihilated(rows, v) for v in got), rows
         dims.append(len(got))
     assert sum(d >= 2 for d in dims) > 100
@@ -152,6 +235,7 @@ def test_rational_entries_and_wide_kernels():
         got = sparse_nullspace(rows, 20)
         assert len(got) >= 14
         assert _same(got, _reference_sparse_nullspace(rows, 20))
+        assert _same(got, _exact_sparse_nullspace(rows, 20))
         assert all(_annihilated(rows, v) for v in got)
 
 
@@ -173,7 +257,140 @@ def test_raising_mode_matrices_match_the_reference(m, h, levels):
         rows, ncols = _action_rows(c, h, level, vacuum, basis)
         got = sparse_nullspace(rows, ncols)
         assert _same(got, _reference_sparse_nullspace(rows, ncols)), level
+        assert _same(got, _exact_sparse_nullspace(rows, ncols)), level
         assert all(_annihilated(rows, v) for v in got)
+
+
+def _passes(monkeypatch):
+    """Record the prime of every elimination pass, and whether it replayed."""
+    log = []
+    original = linalg._eliminate
+
+    def logged(work, p, replay=None):
+        log.append((_PRIMES.index(p), replay is not None))
+        return original(work, p, replay)
+
+    monkeypatch.setattr(linalg, "_eliminate", logged)
+    return log
+
+
+def test_the_twentieth_level_vacuum_system_matches_the_exact_elimination(monkeypatch):
+    c = minimal_model(3).c
+    rows, ncols = _action_rows(c, Fraction(0), 20, True, _basis_at(20, True))
+    assert (len(rows), ncols) == (193, 137)
+    log = _passes(monkeypatch)
+    got = sparse_nullspace(rows, ncols)
+    assert _same(got, _exact_sparse_nullspace(rows, ncols))
+    assert len(got) == 1 and _annihilated(rows, got[0])
+    assert log == [(0, False)]
+
+
+def test_an_entry_divisible_by_the_first_prime_moves_to_the_next(monkeypatch):
+    p = _PRIMES[0]
+    log = _passes(monkeypatch)
+    for rows, ncols in (([{0: p, 1: 1}], 2),
+                        ([{0: 2, 1: 3 * p, 2: 1}, {1: 1, 2: Fraction(p, 7)}], 4)):
+        log.clear()
+        got = sparse_nullspace(rows, ncols)
+        assert _same(got, _exact_sparse_nullspace(rows, ncols)), rows
+        assert all(_annihilated(rows, v) for v in got)
+        # the entries near p need more than one prime, and the first is never used
+        assert log[0] == (1, False) and len(log) > 1
+        assert all(k > 0 for k, _ in log)
+
+
+def test_a_pivot_that_vanishes_modulo_the_prime_is_caught_and_retried(monkeypatch):
+    p = _PRIMES[0]
+    log = _passes(monkeypatch)
+    # over Q the second row keeps p at column 1 after the first pivot;
+    # modulo p it vanishes, the rank drops and the certificate must fail
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]
+    assert sparse_nullspace(rows, 2) == _exact_sparse_nullspace(rows, 2) == []
+    # replayed modulo the next prime, that row keeps an entry, so the search starts over
+    assert log == [(0, False), (1, True), (1, False)]
+    log.clear()
+    # the rank survives modulo p, but the vanishing entry changes the pivot
+    # pattern; the kernel it gives needs a second prime, whose replay comes
+    # out with a longer row, so the search starts over there
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1 + p, 2: 2}, {0: 2, 1: 2, 2: 2}]
+    got = sparse_nullspace(rows, 3)
+    assert _same(got, _exact_sparse_nullspace(rows, 3))
+    assert len(got) == 1 and _annihilated(rows, got[0])
+    assert log[:3] == [(0, False), (1, True), (1, False)]
+    log.clear()
+    # one entry vanishes modulo each of the first two primes, in one row at
+    # one step, so the lengths agree; the replay meets the vanished pivot
+    q = _PRIMES[1]
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1 + q, 2: 1 + p}]
+    got = sparse_nullspace(rows, 3)
+    assert _same(got, _exact_sparse_nullspace(rows, 3))
+    assert log[:3] == [(0, False), (1, True), (1, False)]
+
+
+def test_kernels_beyond_one_prime_are_joined_by_the_chinese_remainder_theorem(monkeypatch):
+    rng = random.Random(127)
+    log = _passes(monkeypatch)
+    for bits in (70, 130, 260):
+        a, b = rng.getrandbits(bits) | 1 << bits, rng.getrandbits(bits) | 1 << bits
+        if gcd(a, b) > 1:
+            b += 1
+        rows = [{0: a, 1: b}]
+        log.clear()
+        got = sparse_nullspace(rows, 2)
+        assert got == [{1: Fraction(1), 0: Fraction(-b, a)}]
+        assert _same(got, _exact_sparse_nullspace(rows, 2))
+        # one 127-bit prime recovers numerator and denominator up to 63 bits each
+        passes = -(-(2 * (bits + 1) + 1) // 126)
+        assert log == [(0, False)] + [(k, True) for k in range(1, passes)], bits
+    for _ in range(20):
+        rows = [{c: rng.randint(-10**12, 10**12) for c in rng.sample(range(9), 6)} for _ in range(7)]
+        got = sparse_nullspace(rows, 9)
+        assert _same(got, _exact_sparse_nullspace(rows, 9)), rows
+        assert all(_annihilated(rows, v) for v in got)
+        big = max(max(abs(q.numerator), q.denominator) for v in got for q in v.values())
+        assert big.bit_length() > 64
+
+
+def test_one_prime_covers_exactly_the_entries_within_its_bound(monkeypatch):
+    p = _PRIMES[0]
+    bound = isqrt((p - 1) // 2)
+    log = _passes(monkeypatch)
+    for a, b, passes in ((bound, bound - 2, 1), (bound - 1, bound, 1),
+                         (bound + 2, bound + 1, 2), (3 * bound // 2 + 1, 3 * bound // 2, 2)):
+        assert gcd(a, b) == 1
+        log.clear()
+        assert sparse_nullspace([{0: b, 1: a}], 2) == [{1: 1, 0: Fraction(-a, b)}]
+        assert len(log) == passes, (a, b)
+
+
+def test_rational_reconstruction_within_and_beyond_the_bound():
+    rng = random.Random(61)
+    for m in (_PRIMES[0], _PRIMES[0] * _PRIMES[1]):
+        bound = isqrt((m - 1) // 2)
+        for _ in range(300):
+            a = rng.randint(-bound, bound)
+            b = rng.randint(1, bound)
+            if gcd(a, b) != 1:
+                continue
+            assert _rational(a * pow(b, -1, m) % m, m, bound) == Fraction(a, b)
+        assert _rational(bound, m, bound) == bound
+        assert _rational(m - bound, m, bound) == -bound
+        assert _rational(bound + 1, m, bound) is None
+        assert _rational(pow(bound, -1, m), m, bound) == Fraction(1, bound)
+
+
+def test_nullity_zero_and_wide_kernels():
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        extra = rng.choice((0, 0, 1, 3, 6))
+        rows = [{c: rng.randint(-30, 30) for c in range(n + extra) if rng.random() < 0.7} for _ in range(n)]
+        got = sparse_nullspace(rows, n + extra)
+        assert _same(got, _exact_sparse_nullspace(rows, n + extra)), rows
+        assert all(_annihilated(rows, v) for v in got)
+        seen.add(min(len(got), 2))
+    assert seen == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +566,8 @@ def test_projected_coords_match_the_inverse_route(m):
             for _ in range(3):
                 entries = {mu: rng.randint(-9, 9) for mu in lc.full_basis}
                 vec = VermaVector(model.c, h, entries, vacuum)
-                assert lc.coords(vec) == _reference_coords(lc, rows, inverse, vec), (h, level, entries)
+                want = _reference_coords(lc, rows, inverse, vec)
+                assert irreducible_coordinates(vec) == {(level, t): co for t, co in enumerate(want) if co}, \
+                    (h, level, entries)
             for s, mu in enumerate(lc.basis):
-                unit = [Fraction(int(t == s)) for t in range(lc.dim)]
-                assert lc.coords(verma_monomial(model.c, h, mu, vacuum)) == unit
-            above = verma_monomial(model.c, h, (level + 2,), vacuum)
-            for wrong in (above, above + VermaVector(model.c, h, entries, vacuum)):
-                with pytest.raises(ValueError, match="level"):
-                    lc.coords(wrong)
+                assert irreducible_coordinates(verma_monomial(model.c, h, mu, vacuum)) == {(level, s): 1}

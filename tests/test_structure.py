@@ -92,3 +92,22 @@ def test_no_module_keeps_memo_state_outside_lru_cache():
             if _is_empty_container(value):
                 offenders.append(f"{path.stem}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_no_module_reads_the_environment():
+    # the primes of the modular kernel and every other setting are constants
+    # of the code, not knobs a process can turn
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in ("environ", "environb", "getenv", "getenvb"):
+                offenders.append(f"{path.stem}:{getattr(node, 'lineno', '?')}")
+    assert not offenders, offenders

@@ -8,19 +8,27 @@ weight table. zhu_poly itself takes the fast routes (the predicted
 singular level, closed-form descendant classes); the slow routes they
 replace, a level-by-level scan and the l_action construction of the
 descendant classes (zhu._ideal_min_poly_by_l_action), are kept as oracles.
+
+class_polynomial, _ideal_min_poly and rational_roots run over integers;
+the _fraction_* routines below are the earlier versions over Fraction, kept
+to check them against on singular vectors, random vacuum vectors and
+polynomials with known roots.
 """
 
 import os
+import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, isqrt
 
 import pytest
 
 from traceform import zhu
 from traceform.linalg import RowSpan
 from traceform.virasoro import (
+    VermaVector,
     highest_weight_vector,
+    partitions_of,
     l_action,
     minimal_model,
     mode_action,
@@ -30,7 +38,9 @@ from traceform.virasoro import (
 from traceform.zhu import (
     OSpace,
     ZhuPoly,
+    _ideal_min_poly,
     _ideal_min_poly_by_l_action,
+    _monic,
     a_dot_u,
     class_polynomial,
     o_elem,
@@ -162,6 +172,164 @@ def test_irrational_factors_are_reported_not_invented():
     roots, rest = rational_roots((Fraction(6), Fraction(-2), Fraction(-3), Fraction(1)))
     assert roots == [(Fraction(3), 1)]
     assert rest == 2
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the earlier Fraction routines
+# ---------------------------------------------------------------------------
+
+def _fraction_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fraction_trim(a):
+    while len(a) > 1 and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _fraction_descend(poly, mu, wt):
+    for m_part in reversed(mu):
+        sign = -1 if m_part % 2 else 1
+        poly = _fraction_poly_mul(poly, [sign * Fraction(wt), sign * Fraction(m_part - 1)])
+        wt += m_part
+    return poly
+
+
+def _fraction_class_polynomial(vec):
+    acc = [Fraction(0)]
+    for mu, co in vec.entries.items():
+        poly = _fraction_descend([co], mu, 0)
+        width = max(len(acc), len(poly))
+        acc = [(acc[i] if i < len(acc) else Fraction(0)) + (poly[i] if i < len(poly) else Fraction(0))
+               for i in range(width)]
+    return _fraction_trim(acc)
+
+
+def _fraction_ideal_min_poly(alpha_class, level, trunc):
+    span = RowSpan()
+    for extra in range(trunc - level + 1):
+        for mu in partitions_of(extra):
+            poly = _fraction_descend(alpha_class, mu, level)
+            span.add({i: co for i, co in enumerate(poly) if co != 0})
+    best = min(span.pivot_keys)
+    out = [Fraction(0)] * (best + 1)
+    for i, co in span.pivot_row(best).items():
+        out[i] = co
+    return tuple(out)
+
+
+def _fraction_rational_roots(poly):
+    def divisors(n):
+        n = abs(n)
+        return sorted({d for i in range(1, isqrt(n) + 1) if n % i == 0 for d in (i, n // i)})
+
+    def value(work, x):
+        acc = Fraction(0)
+        for co in reversed(work):
+            acc = acc * x + co
+        return acc
+
+    work = _fraction_trim([Fraction(co) for co in poly])
+    roots = {}
+    while len(work) > 1:
+        while work[0] == 0:
+            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+            work = work[1:]
+            if len(work) == 1:
+                return sorted(roots.items()), 0
+        denom = 1
+        for co in work:
+            denom = denom * co.denominator // gcd(denom, co.denominator)
+        ints = [int(co * denom) for co in work]
+        found = next((cand for p in divisors(ints[0]) for q in divisors(ints[-1])
+                      for cand in (Fraction(p, q), Fraction(-p, q)) if value(work, cand) == 0), None)
+        if found is None:
+            break
+        roots[found] = roots.get(found, 0) + 1
+        out = [Fraction(0)] * (len(work) - 1)
+        carry = work[-1]
+        for i in range(len(work) - 2, -1, -1):
+            out[i] = carry
+            carry = work[i] + carry * found
+        assert carry == 0
+        work = out
+    return sorted(roots.items()), len(work) - 1
+
+
+def _random_vacuum_vector(rng, level):
+    basis = [mu for mu in partitions_of(level) if min(mu) >= 2]
+    entries = {mu: Fraction(rng.randint(-40, 40), rng.randint(1, 36))
+               for mu in rng.sample(basis, max(1, len(basis) * 2 // 3))}
+    return VermaVector(C, 0, entries, True)
+
+
+def _check_integer_kernels(vec, level):
+    got = class_polynomial(vec)
+    assert got == _fraction_class_polynomial(vec), vec
+    assert all(type(co) is Fraction for co in got)
+    if any(got):
+        for trunc in (level, level + 3):
+            assert _ideal_min_poly(got, level, trunc) == _fraction_ideal_min_poly(got, level, trunc)
+        g = _monic(got)
+        assert rational_roots(g) == _fraction_rational_roots(g)
+
+
+def test_divisors_by_trial_division_with_division():
+    rng = random.Random(5)
+    kac_denominator = 2**18 * 3**3 * 7**10
+    for n in list(range(1, 400)) + [rng.randint(1, 10**8) for _ in range(30)] + [-360, 137 * 2**20, kac_denominator]:
+        want = [d for d in range(1, isqrt(abs(n)) + 1) if n % d == 0]
+        want = sorted(set(want + [abs(n) // d for d in want]))
+        assert zhu._divisors(n) == want, n
+    assert len(zhu._divisors(kac_denominator)) == 19 * 4 * 11
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_integer_kernels_match_the_fraction_routines_on_singular_vectors(m):
+    level = (m + 1) * (m + 2)
+    (vec,) = singular_vectors(minimal_model(m).c, 0, level, vacuum=True)
+    _check_integer_kernels(vec, level)
+    alpha_class = class_polynomial(vec)
+    for trunc in (level + 4, level + 6):
+        assert _ideal_min_poly(alpha_class, level, trunc) == _fraction_ideal_min_poly(alpha_class, level, trunc)
+
+
+def test_integer_kernels_match_the_fraction_routines_on_random_vacuum_vectors():
+    rng = random.Random(1996)
+    for _ in range(40):
+        level = rng.randint(2, 10)
+        _check_integer_kernels(_random_vacuum_vector(rng, level), level)
+
+
+def _from_roots(rng, roots, rest):
+    poly = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))]
+    for r in roots:
+        poly = _fraction_poly_mul(poly, [-r, Fraction(1)])
+    for factor in rest:
+        poly = _fraction_poly_mul(poly, [Fraction(co) for co in factor])
+    return tuple(poly)
+
+
+def test_integer_rational_roots_match_the_fraction_routine():
+    rng = random.Random(24)
+    pool = [Fraction(0), Fraction(-3), Fraction(5), Fraction(1, 2), Fraction(-7, 12),
+            Fraction(22, 5), Fraction(-1, 60), Fraction(137, 240)]
+    irreducible = ((-2, 0, 1), (1, 0, 1), (1, 1, 3), (-5, 0, 0, 2))
+    for _ in range(150):
+        roots = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+        rest = [rng.choice(irreducible) for _ in range(rng.randint(0, 2))]
+        poly = _from_roots(rng, roots, rest)
+        got = rational_roots(poly)
+        assert got == _fraction_rational_roots(poly), poly
+        want = sorted((r, roots.count(r)) for r in set(roots))
+        assert got == (want, sum(len(f) - 1 for f in rest)), poly
+    for poly in ((Fraction(0),), (Fraction(3),), (Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(1, 60))):
+        assert rational_roots(poly) == _fraction_rational_roots(poly)
 
 
 # ---------------------------------------------------------------------------
