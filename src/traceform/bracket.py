@@ -14,7 +14,6 @@ is bracket_coeffs(2, 1) = (1, 1/2, -1/6, 1/12, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,23 +37,8 @@ def _binom_row(w_minus_1: int, n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BracketCoeffTable:
-    """One row of the mode change of variables: v[m] = sum a_i v(m+i)."""
-
-    weight: int
-    m: int
-    coeffs: tuple[Fraction, ...]
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
 @lru_cache(maxsize=None)
-def bracket_coeffs(w: int, m: int, depth: int = 12) -> BracketCoeffTable:
+def bracket_coeffs(w: int, m: int, depth: int = 12) -> tuple[Fraction, ...]:
     """Row a_i = [z^(m+i)] (log(1+z))^m (1+z)^(w-1) for i = 0..depth-1.
 
     Factoring (log(1+z))^m = z^m (log(1+z)/z)^m shifts the extraction to
@@ -63,11 +47,11 @@ def bracket_coeffs(w: int, m: int, depth: int = 12) -> BracketCoeffTable:
     if depth < 1:
         raise ValueError("depth must be positive")
     unit_pow = PuiseuxSeries(0, _log1p_over_z(depth)).pow_rational(m)
-    return BracketCoeffTable(w, m, (unit_pow * PuiseuxSeries(0, _binom_row(w - 1, depth))).coeffs)
+    return (unit_pow * PuiseuxSeries(0, _binom_row(w - 1, depth))).coeffs
 
 
 @lru_cache(maxsize=None)
-def inverse_bracket_coeffs(w: int, n: int, depth: int = 12) -> BracketCoeffTable:
+def inverse_bracket_coeffs(w: int, n: int, depth: int = 12) -> tuple[Fraction, ...]:
     """Row b_i of the inverse change: v(n) = sum_{i>=0} b_i v[n+i].
 
     Solved by unitriangular back-substitution against the forward rows, so
@@ -75,14 +59,14 @@ def inverse_bracket_coeffs(w: int, n: int, depth: int = 12) -> BracketCoeffTable
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    rows = [bracket_coeffs(w, n + j, depth).coeffs for j in range(depth)]
+    rows = [bracket_coeffs(w, n + j, depth) for j in range(depth)]
     b = [Fraction(1)]
     for t in range(1, depth):
         acc = Fraction(0)
         for j in range(t):
             acc += b[j] * rows[j][t - j]
         b.append(-acc)
-    return BracketCoeffTable(w, n, tuple(b))
+    return tuple(b)
 
 
 def square_mode_action(v: VermaVector, m: int, u: VermaVector) -> VermaVector:
@@ -101,7 +85,7 @@ def square_mode_action(v: VermaVector, m: int, u: VermaVector) -> VermaVector:
         if top >= 0:
             row = bracket_coeffs(w, m, top + 1)
             terms += [(a, virasoro.mode_action(piece, m + i, u))
-                      for i, a in enumerate(row.coeffs) if a != 0]
+                      for i, a in enumerate(row) if a != 0]
     return _sum_scaled(u, terms)
 
 
@@ -117,7 +101,7 @@ def square_virasoro_action(n: int, u: VermaVector) -> VermaVector:
     terms = []
     if top >= 0:
         row = bracket_coeffs(2, n + 1, top + 1)
-        terms = [(a, virasoro.l_action(n + i, u)) for i, a in enumerate(row.coeffs) if a != 0]
+        terms = [(a, virasoro.l_action(n + i, u)) for i, a in enumerate(row) if a != 0]
     if n == -2:
         terms.append((-u.c / 24, u))
     return _sum_scaled(u, terms)

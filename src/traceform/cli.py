@@ -22,12 +22,7 @@ from pathlib import Path
 
 from . import elliptic, mde, qseries, virasoro, zhu
 from .bracket import bracket_coeffs, inverse_bracket_coeffs
-from .qseries import PuiseuxSeries
-
-
-def _rat(x: Fraction | int) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+from .qseries import PuiseuxSeries, _fmt_frac
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -84,9 +79,9 @@ def _run_check(name: str, fn, tolerance: str | None = None) -> Report:
 
 def _series_payload(series: PuiseuxSeries) -> dict:
     return {
-        "lambda": _rat(series.lam),
-        "weight": None if series.weight is None else _rat(series.weight),
-        "coeffs": [_rat(c) for c in series.coeffs],
+        "lambda": _fmt_frac(series.lam),
+        "weight": None if series.weight is None else _fmt_frac(series.weight),
+        "coeffs": [_fmt_frac(c) for c in series.coeffs],
     }
 
 
@@ -115,7 +110,7 @@ def _checks_traces(terms: int) -> list[Report]:
 
         def eta_fn(case=case):
             rep = mde.eta_power_check(case, terms)
-            expected = f"eta^{_rat(power)} to {terms} coefficients"
+            expected = f"eta^{_fmt_frac(power)} to {terms} coefficients"
             if rep.match:
                 return True, expected, "exact match"
             return False, expected, f"first mismatch at coefficient {rep.first_mismatch}"
@@ -125,11 +120,11 @@ def _checks_traces(terms: int) -> list[Report]:
         def exp_fn(case=case):
             # h_u/12 is the leading exponent of eta^(2 h_u), an independent source
             computed = mde.leading_exponent(case)
-            actual = _rat(computed)
+            actual = _fmt_frac(computed)
             if computed != case.quoted_exponent:
-                actual += (f" (externally quoted {_rat(case.quoted_exponent)};"
+                actual += (f" (externally quoted {_fmt_frac(case.quoted_exponent)};"
                            " suspected misprint, flagged)")
-            return computed == case.h_u / 12, _rat(case.h_u / 12), actual
+            return computed == case.h_u / 12, _fmt_frac(case.h_u / 12), actual
 
         reports.append(_run_check(f"leading-exponent-m{case.m}", exp_fn))
     return reports
@@ -176,8 +171,8 @@ def _checks_bracket() -> list[Report]:
         for w in range(1, 7):
             row = bracket_coeffs(w, 0, 10)
             want = [Fraction(comb(w - 1, i)) if i <= w - 1 else Fraction(0) for i in range(10)]
-            if list(row.coeffs) != want:
-                return False, f"C({w}-1, i) row", f"w={w} row {[str(c) for c in row.coeffs]}"
+            if list(row) != want:
+                return False, f"C({w}-1, i) row", f"w={w} row {[str(c) for c in row]}"
         return True, "binomial rows for w = 1..6", "all equal"
 
     reports.append(_run_check("bracket-binomial-row", binom_fn))
@@ -185,16 +180,16 @@ def _checks_bracket() -> list[Report]:
     def l0_fn():
         row = bracket_coeffs(2, 1, 4)
         want = (Fraction(1), Fraction(1, 2), Fraction(-1, 6), Fraction(1, 12))
-        ok = row.coeffs == want
-        return ok, "(1, 1/2, -1/6, 1/12)", f"({', '.join(_rat(c) for c in row.coeffs)})"
+        ok = row == want
+        return ok, "(1, 1/2, -1/6, 1/12)", f"({', '.join(_fmt_frac(c) for c in row)})"
 
     reports.append(_run_check("bracket-l0-row", l0_fn))
 
     def roundtrip_fn():
         for w in (1, 2, 3, 5):
             for n in (-2, -1, 0, 1, 3):
-                fwd = [bracket_coeffs(w, n + j, 8).coeffs for j in range(8)]
-                inv = inverse_bracket_coeffs(w, n, 8).coeffs
+                fwd = [bracket_coeffs(w, n + j, 8) for j in range(8)]
+                inv = inverse_bracket_coeffs(w, n, 8)
                 for t in range(8):
                     acc = sum(inv[j] * fwd[j][t - j] for j in range(t + 1))
                     want = Fraction(1) if t == 0 else Fraction(0)
@@ -216,7 +211,7 @@ def _checks_virasoro() -> list[Report]:
             want = [[4 * h + c / 2, 6 * h], [6 * h, 4 * h * (2 * h + 1)]]
             got = [[g.entries[i][j] for j in range(2)] for i in range(2)]
             if got != want:
-                return False, f"[[4h+c/2, 6h], [6h, 4h(2h+1)]] at c={_rat(c)} h={_rat(h)}", f"{got}"
+                return False, f"[[4h+c/2, 6h], [6h, 4h(2h+1)]] at c={_fmt_frac(c)} h={_fmt_frac(h)}", f"{got}"
         return True, "level-2 Gram formula at the four trace cases", "all equal"
 
     reports.append(_run_check("gram-level2", gram_fn))
@@ -247,11 +242,9 @@ def _checks_zhu() -> list[Report]:
             zp = zhu.zhu_poly(m)
             kac = list(virasoro.minimal_model(m).distinct_weights())
             got = sorted(zp.root_set())
-            expected = "{" + ", ".join(_rat(x) for x in kac) + "}"
-            actual = "{" + ", ".join(_rat(x) for x in got) + "}"
-            ok = got == kac and zp.complete and zp.stabilized and zp.degree == len(kac)
-            if not zp.stabilized:
-                actual += " (truncation not stabilized)"
+            expected = "{" + ", ".join(_fmt_frac(x) for x in kac) + "}"
+            actual = "{" + ", ".join(_fmt_frac(x) for x in got) + "}"
+            ok = got == kac and zp.complete and zp.degree == len(kac)
             if not zp.complete:
                 actual += " (irrational factor left)"
             return ok, expected, actual
@@ -291,7 +284,7 @@ def _checks_modular(terms: int, taus: tuple[complex, ...]) -> list[Report]:
             ok = rep.max_modulus_error < 1e-6 and rep.max_spread < 1e-6
             expected = "|ratio| = 1 and constant across tau samples"
             actual = (f"|ratio|-1 max {rep.max_modulus_error:.3e}, "
-                      f"spread {rep.max_spread:.3e}, T-eigenvalue exp(2 pi i {_rat(case.h_w - case.c / 24)})")
+                      f"spread {rep.max_spread:.3e}, T-eigenvalue exp(2 pi i {_fmt_frac(case.h_w - case.c / 24)})")
             return ok, expected, actual
 
         reports.append(_run_check(f"modular-transform-m{case.m}", transform_fn, tolerance="1e-6"))
@@ -391,7 +384,7 @@ def _cmd_eta(args) -> int:
     stem = f"eta_p{args.power.numerator}_{args.power.denominator}_n{args.terms}"
     cached = _maybe_cache(series, args, stem)
     payload = {"series": _series_payload(series)}
-    lines = [f"eta^{_rat(args.power)} to {args.terms} terms (leading exponent {_rat(series.lam)}):",
+    lines = [f"eta^{_fmt_frac(args.power)} to {args.terms} terms (leading exponent {_fmt_frac(series.lam)}):",
              str(series)]
     if cached:
         payload["cache_file"] = cached
@@ -419,12 +412,12 @@ def _cmd_gram(args) -> int:
     g = virasoro.gram_matrix(args.c, args.h, args.level, vacuum)
     payload = {
         "basis": [",".join(map(str, mu)) for mu in g.basis],
-        "entries": [[_rat(x) for x in row] for row in g.entries],
+        "entries": [[_fmt_frac(x) for x in row] for row in g.entries],
         "rank": virasoro.level_coordinates(args.c, args.h, args.level, vacuum).dim,
     }
-    lines = [f"Gram matrix at level {args.level} for c={_rat(args.c)}, h={_rat(args.h)}"
+    lines = [f"Gram matrix at level {args.level} for c={_fmt_frac(args.c)}, h={_fmt_frac(args.h)}"
              f" (basis {payload['basis']}):"]
-    lines += ["  [" + ", ".join(_rat(x) for x in row) + "]" for row in g.entries]
+    lines += ["  [" + ", ".join(_fmt_frac(x) for x in row) + "]" for row in g.entries]
     lines.append(f"rank {payload['rank']}")
     return _emit_data(payload, args, lines)
 
@@ -434,11 +427,11 @@ def _cmd_singular(args) -> int:
     vacuum = _vacuum(args)
     found = virasoro.singular_vectors(args.c, args.h, args.level, vacuum=vacuum)
     payload = {"singular_vectors": [
-        {",".join(map(str, mu)): _rat(co) for mu, co in sorted(v.entries.items())}
+        {",".join(map(str, mu)): _fmt_frac(co) for mu, co in sorted(v.entries.items())}
         for v in found]}
     lines = [f"{len(found)} singular vector(s) at level {args.level}"]
     for v in found:
-        bits = [f"{_rat(co)} * L(-{')L(-'.join(map(str, mu))})v" for mu, co in sorted(v.entries.items())]
+        bits = [f"{_fmt_frac(co)} * L(-{')L(-'.join(map(str, mu))})v" for mu, co in sorted(v.entries.items())]
         lines.append("  " + "  +  ".join(bits))
     return _emit_data(payload, args, lines)
 
@@ -448,7 +441,7 @@ def _cmd_dims(args) -> int:
     vacuum = _vacuum(args)
     dims = virasoro.graded_dims(args.c, args.h, args.max_level, vacuum=vacuum)
     payload = {"graded_dims": dims}
-    lines = [f"graded dims of L({_rat(args.c)}, {_rat(args.h)}) through level {args.max_level}:",
+    lines = [f"graded dims of L({_fmt_frac(args.c)}, {_fmt_frac(args.h)}) through level {args.max_level}:",
              "  " + " ".join(map(str, dims))]
     return _emit_data(payload, args, lines)
 
@@ -459,28 +452,28 @@ def _cmd_cofinite(args) -> int:
     dims = fn(args.c, args.h, args.max_level)
     kind = "c20" if args.zero_modes else "c2"
     payload = {f"{kind}_quotient_dims": dims}
-    lines = [f"{kind} quotient dims for c={_rat(args.c)}, h={_rat(args.h)} through level {args.max_level}:",
+    lines = [f"{kind} quotient dims for c={_fmt_frac(args.c)}, h={_fmt_frac(args.h)} through level {args.max_level}:",
              "  " + " ".join(map(str, dims))]
     return _emit_data(payload, args, lines)
 
 
 def _cmd_zhu(args) -> int:
     try:
-        zp = zhu.zhu_poly(args.m, args.trunc)
+        zp = zhu.zhu_poly(args.m)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     payload = {
         "m": zp.m,
-        "c": _rat(zp.c),
+        "c": _fmt_frac(zp.c),
         "singular_level": zp.singular_level,
-        "coeffs": [_rat(x) for x in zp.coeffs],
-        "roots": [{"root": _rat(r), "multiplicity": mult} for r, mult in zp.roots],
+        "coeffs": [_fmt_frac(x) for x in zp.coeffs],
+        "roots": [{"root": _fmt_frac(r), "multiplicity": mult} for r, mult in zp.roots],
         "complete": zp.complete,
         "stabilized": zp.stabilized,
     }
-    lines = [f"Zhu polynomial for m={zp.m} (c={_rat(zp.c)}), singular level {zp.singular_level}:",
-             "  coefficients (ascending): " + " ".join(_rat(x) for x in zp.coeffs),
-             "  roots: " + ", ".join(f"{_rat(r)} (x{mult})" for r, mult in zp.roots),
+    lines = [f"Zhu polynomial for m={zp.m} (c={_fmt_frac(zp.c)}), singular level {zp.singular_level}:",
+             "  coefficients (ascending): " + " ".join(_fmt_frac(x) for x in zp.coeffs),
+             "  roots: " + ", ".join(f"{_fmt_frac(r)} (x{mult})" for r, mult in zp.roots),
              f"  complete: {zp.complete}  stabilized: {zp.stabilized}"]
     return _emit_data(payload, args, lines)
 
@@ -507,12 +500,12 @@ def _cmd_mde_derive(args) -> int:
         ode = mde.to_ode(rec)
         roots, rest = ode.indicial_roots()
         detail = (f"order {ode.order}; {ode}; indicial roots "
-                  + ", ".join(f"{_rat(r)} (x{mult})" for r, mult in roots)
+                  + ", ".join(f"{_fmt_frac(r)} (x{mult})" for r, mult in roots)
                   + ("" if rest == 0 else f"; non-rational factor of degree {rest}")
-                  + f"; weight bound {_rat(rec.weight_bound)}")
+                  + f"; weight bound {_fmt_frac(rec.weight_bound)}")
         return True, "a finite-order recursion", detail
 
-    report = _run_check(f"mde-derive-c{_rat(c)}-h{_rat(h)}", derive_fn)
+    report = _run_check(f"mde-derive-c{_fmt_frac(c)}-h{_fmt_frac(h)}", derive_fn)
     return _emit_reports([report], args)
 
 
@@ -525,7 +518,7 @@ def _cmd_mde_solve(args) -> int:
         ode = mde.to_ode(rec)
         roots, _ = ode.indicial_roots()
     except (ValueError, mde.ResonantExponentError) as exc:
-        report = Report(f"mde-solve-c{_rat(c)}-h{_rat(h)}", "error", "a solvable equation",
+        report = Report(f"mde-solve-c{_fmt_frac(c)}-h{_fmt_frac(h)}", "error", "a solvable equation",
                         f"{type(exc).__name__}: {exc}")
         return _emit_reports([report], args)
     wanted = [args.exponent] if args.exponent is not None else [r for r, _ in roots]
@@ -535,18 +528,18 @@ def _cmd_mde_solve(args) -> int:
         try:
             sol = mde.frobenius_solve(ode, lam, args.terms)
         except (ValueError, mde.ResonantExponentError) as exc:
-            report = Report(f"mde-solve-c{_rat(c)}-h{_rat(h)}", "error", "a series solution",
+            report = Report(f"mde-solve-c{_fmt_frac(c)}-h{_fmt_frac(h)}", "error", "a series solution",
                             f"{type(exc).__name__}: {exc}")
             return _emit_reports([report], args)
         series = sol.to_puiseux()
-        entry = {"exponent": _rat(lam), "series": _series_payload(series)}
+        entry = {"exponent": _fmt_frac(lam), "series": _series_payload(series)}
         cached = _maybe_cache(series, args,
                               f"mde_c{c.numerator}-{c.denominator}_h{h.numerator}-{h.denominator}"
                               f"_lam{lam.numerator}-{lam.denominator}_n{args.terms}")
         if cached:
             entry["cache_file"] = cached
         payload["solutions"].append(entry)
-        lines.append(f"lambda = {_rat(lam)}: {series}")
+        lines.append(f"lambda = {_fmt_frac(lam)}: {series}")
         if cached:
             lines.append(f"  written to {cached}")
     return _emit_data(payload, args, lines)
@@ -575,8 +568,16 @@ def _cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose parse errors print one line and exit 2; subparsers inherit it."""
+
+    def error(self, message: str):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="traceform",
         description="exact computations with trace functions of minimal model modules")
     mode = parser.add_mutually_exclusive_group()
@@ -621,7 +622,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zhu", help="Zhu polynomial of a minimal model")
     p.add_argument("--m", type=int, required=True, help="minimal model index")
-    p.add_argument("--trunc", type=int, default=None)
     p.set_defaults(handler=_cmd_zhu)
 
     p = sub.add_parser("mde", help="derive or solve the trace differential equation")

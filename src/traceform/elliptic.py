@@ -359,7 +359,7 @@ def verify_wp_structure(k_max: int = 5, terms: int = 9, z_max: int = 8) -> list[
 
 def _c_row(w: int, depth: int) -> list[Fraction]:
     """c_{-1}, c_0, c_1, ... of (1+z)^(w-1)/log(1+z); c_{-1} = 1."""
-    return list(bracket_coeffs(w, -1, depth).coeffs)
+    return list(bracket_coeffs(w, -1, depth))
 
 
 def p_shift_zcoeff(k: int, n: int, terms: int) -> PuiseuxSeries:
@@ -500,7 +500,7 @@ def verify_expansion_identity(w: int, terms: int = 6, i_max: int = 8,
     bad: list[tuple[str, str, str]] = []
     checked = 0
     pseries = [p_series(m + 1, terms, -n_max, n_max) for m in range(0, i_max + 1)]
-    rows = [bracket_coeffs(w, m, i_max - m + 1).coeffs for m in range(0, i_max + 1)]
+    rows = [bracket_coeffs(w, m, i_max - m + 1) for m in range(0, i_max + 1)]
     for i in range(0, i_max + 1):
         for n in list(range(-n_max, 0)) + list(range(1, n_max + 1)):
             scale = _gbinom(w - 1 + n, i)

@@ -16,7 +16,9 @@ primes by the Chinese remainder theorem, each pass replaying the pivots of
 the first (the modular frame of Dixon, Numer. Math. 1982, with CRT in place
 of p-adic lifting).
 
-_frac and _RationalLike are the rational coercion every layer shares.
+_frac and _RationalLike are the rational coercion every layer shares, and
+_cleared brings a list of rationals to integer numerators over their least
+common denominator for the integer kernels here and in zhu.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ _RationalLike = Fraction | int
 
 def _frac(x: _RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _cleared(values: Iterable[_RationalLike]) -> tuple[list[int], int]:
+    """Integer numerators of values over their least common denominator, and that denominator."""
+    values = list(values)
+    denom = lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def solve_dense(rows: Iterable[Sequence[Fraction | int]],
@@ -203,8 +212,8 @@ def sparse_nullspace(rows: Iterable[Mapping[int, Fraction | int]],
     """
     work = []
     for row in rows:
-        denom = lcm(*(v.denominator for v in row.values()))
-        cleared = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
+        nums, _ = _cleared(row.values())
+        cleared = {c: v for c, v in zip(row, nums) if v}
         if cleared:
             work.append(cleared)
 
@@ -256,8 +265,8 @@ def _certified(work: list[dict[int, int]], free: list[int], pivot_cols: list[int
                 if q is None:
                     return None
                 vec[col] = q
-        denom = lcm(*(q.denominator for q in vec.values()))
-        scaled = {c: q.numerator * (denom // q.denominator) for c, q in vec.items()}
+        nums, _ = _cleared(vec.values())
+        scaled = dict(zip(vec, nums))
         for row in work:
             if sum(v * scaled.get(c, 0) for c, v in row.items()):
                 return None

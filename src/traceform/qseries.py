@@ -43,7 +43,8 @@ from os import PathLike
 from .linalg import _RationalLike, _frac
 
 
-def _fmt_frac(x: Fraction) -> str:
+def _fmt_frac(x: _RationalLike) -> str:
+    """x as "num/den", the form of cache files and CLI output; an int prints over 1."""
     return f"{x.numerator}/{x.denominator}"
 
 

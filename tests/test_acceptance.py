@@ -91,14 +91,14 @@ def test_criterion_05_bracket_rows_and_round_trip():
     with budget("criterion 5: binomial row, conformal row, depth-8 round trip", 1):
         for w in range(1, 7):
             row = bracket_coeffs(w, 0, 10)
-            assert row.coeffs == tuple(
+            assert row == tuple(
                 Fraction(comb(w - 1, i)) if i <= w - 1 else Fraction(0) for i in range(10))
-        assert bracket_coeffs(2, 1, 4).coeffs == (
+        assert bracket_coeffs(2, 1, 4) == (
             Fraction(1), Fraction(1, 2), Fraction(-1, 6), Fraction(1, 12))
         for w in (1, 2, 3, 5):
             for n in (-2, -1, 0, 1, 3):
-                inv = inverse_bracket_coeffs(w, n, 8).coeffs
-                fwd = [bracket_coeffs(w, n + j, 8).coeffs for j in range(8)]
+                inv = inverse_bracket_coeffs(w, n, 8)
+                fwd = [bracket_coeffs(w, n + j, 8) for j in range(8)]
                 for t in range(8):
                     acc = sum(inv[j] * fwd[j][t - j] for j in range(t + 1))
                     assert acc == (1 if t == 0 else 0), f"(w={w}, n={n}) slot {t}"

@@ -212,7 +212,7 @@ def test_solving_at_a_non_root_reports_an_error(capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["zhu", "--m", "0"], "m must be a positive integer"),
-    (["zhu", "--m", "1", "--trunc", "3"], "truncation 3 is below the singular level 6"),
+    (["mde", "derive", "--m", "0", "--h", "0"], "m must be a positive integer"),
     (["eta", "--terms", "0"], "terms must be positive"),
     (["eisenstein", "--weight", "3"], "even integer >= 2, got 3"),
     (["cofinite", "--c", "1/2", "--h", "0", "--max-level", "-2"], "--max-level must be >= 0"),
@@ -234,6 +234,24 @@ def test_bad_values_exit_two_with_one_line(capsys, argv, message):
     code = cli.run(argv)
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["zhu", "--m", "1", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+    (["zhu", "--m", "1", "--trunc", "3"], "unrecognized arguments: --trunc 3"),
+    (["modular-check", "--tau", "0.3,-1"], "tau must lie in the upper half plane"),
+    (["mde", "derive", "--c", "-22/5", "--h", "0"], "argument --c: expected one argument"),
+    (["no-such-command"], "invalid choice: 'no-such-command'"),
+    (["mde"], "required: action"),
+])
+def test_parse_errors_exit_two_with_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and message in captured.err

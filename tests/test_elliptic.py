@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from traceform import elliptic
-from traceform.bracket import BracketCoeffTable, bracket_coeffs
+from traceform.bracket import bracket_coeffs
 from traceform.elliptic import (
     BivariateLaurent,
     p_series,
@@ -183,9 +183,9 @@ def test_bracket_rows_are_prefixes_of_deeper_rows():
     for w in range(1, 7):
         for m in range(-2, 9):
             for d in range(1, 13):
-                deep = bracket_coeffs(w, m, d).coeffs
+                deep = bracket_coeffs(w, m, d)
                 for k in range(1, d + 1):
-                    assert deep[:k] == bracket_coeffs(w, m, k).coeffs, (w, m, k, d)
+                    assert deep[:k] == bracket_coeffs(w, m, k), (w, m, k, d)
 
 
 def test_binomial_mode_expansion_catches_a_perturbed_bracket_row(monkeypatch):
@@ -193,7 +193,7 @@ def test_binomial_mode_expansion_catches_a_perturbed_bracket_row(monkeypatch):
         row = bracket_coeffs(w, m, depth)
         if m != 2 or depth < 2:
             return row
-        return BracketCoeffTable(row.weight, row.m, (row[0], row[1] + 1) + row.coeffs[2:])
+        return (row[0], row[1] + 1) + row[2:]
 
     monkeypatch.setattr(elliptic, "bracket_coeffs", perturbed)
     for w in range(1, 6):

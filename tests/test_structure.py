@@ -11,7 +11,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "traceform"
 
-SHARED_HELPERS = ("_frac", "_RationalLike", "_gbinom")
+SHARED_HELPERS = ("_frac", "_RationalLike", "_gbinom", "_cleared", "_fmt_frac")
 RETIRED_FROM_LINALG = ("rref_dense", "rank_dense", "_as_fraction_matrix")
 
 
@@ -36,6 +36,52 @@ def test_each_shared_helper_is_defined_in_one_module():
     for name in SHARED_HELPERS:
         owners = [module for module, names in defs.items() if name in names]
         assert len(owners) == 1, f"{name} is defined in {owners}"
+
+
+def _functions(stem: str):
+    """(enclosing top-level function name, node) for every node of a module."""
+    for top in ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8")).body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            yield name, node
+
+
+def test_denominators_are_cleared_in_one_place():
+    # every lcm of denominators goes through linalg._cleared
+    sites = [(stem, fn) for stem in _definitions_by_module() for fn, node in _functions(stem)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lcm"]
+    assert sites == [("linalg", "_cleared")], sites
+
+
+def test_num_den_is_formatted_in_one_place():
+    # an f-string "{x.numerator}/{x.denominator}" is the num/den format of
+    # cache files and CLI output; int.denominator is 1, so one helper serves both
+    def formats_num_den(node):
+        parts = node.values
+        return any(isinstance(a, ast.FormattedValue) and getattr(a.value, "attr", None) == "numerator"
+                   and isinstance(b, ast.Constant) and b.value == "/"
+                   and isinstance(c, ast.FormattedValue) and getattr(c.value, "attr", None) == "denominator"
+                   for a, b, c in zip(parts, parts[1:], parts[2:]))
+
+    sites = [(stem, fn) for stem in _definitions_by_module() for fn, node in _functions(stem)
+             if isinstance(node, ast.JoinedStr) and formats_num_den(node)]
+    assert sites == [("qseries", "_fmt_frac")], sites
+    assert "_rat" not in _definitions_by_module()["cli"]
+
+
+def test_zhu_keeps_no_ideal_span_and_no_truncation():
+    # every descendant class is [alpha] times a polynomial, so the span's
+    # least element is g by construction and needs no echelon to find it
+    defined = _definitions_by_module()["zhu"]
+    retired = {"_span_generator", "_ideal_min_poly", "_ideal_min_poly_by_l_action"}
+    assert not defined & retired, sorted(defined & retired)
+    (zhu_poly,) = [fn for name, fn in _functions("zhu")
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "zhu_poly"]
+    assert [a.arg for a in zhu_poly.args.args + zhu_poly.args.kwonlyargs] == ["m"]
+
+
+def test_bracket_rows_are_plain_tuples():
+    assert "BracketCoeffTable" not in _definitions_by_module()["bracket"]
 
 
 def test_linalg_defines_no_dense_eliminator():

@@ -4,15 +4,16 @@ The two routes to the same answer are kept deliberately separate: the
 closed-form reduction of PBW strings to polynomials in the conformal class
 x, and the concrete span of o(a, u) elements inside the irreducible vacuum
 algebra. The minimal model spectrum test checks both against the Kac
-weight table. zhu_poly itself takes the fast routes (the predicted
-singular level, closed-form descendant classes); the slow routes they
-replace, a level-by-level scan and the l_action construction of the
-descendant classes (zhu._ideal_min_poly_by_l_action), are kept as oracles.
+weight table. zhu_poly itself takes the fast route (one solve at the
+predicted singular level, reduced in closed form); the slow routes are
+kept as oracles: a level-by-level scan for singular vectors, and each
+descendant L(-mu) alpha of the singular vector built by l_action, whose
+class must equal the closed form's [alpha] times one factor per part.
 
-class_polynomial, _ideal_min_poly and rational_roots run over integers;
-the _fraction_* routines below are the earlier versions over Fraction, kept
-to check them against on singular vectors, random vacuum vectors and
-polynomials with known roots.
+class_polynomial and rational_roots run over integers; the _fraction_*
+routines below are the earlier versions over Fraction, kept to check them
+against on singular vectors, random vacuum vectors and polynomials with
+known roots.
 """
 
 import os
@@ -24,7 +25,7 @@ from math import comb, gcd, isqrt
 import pytest
 
 from traceform import zhu
-from traceform.linalg import RowSpan
+from traceform.linalg import RowSpan, _cleared
 from traceform.virasoro import (
     VermaVector,
     highest_weight_vector,
@@ -38,8 +39,6 @@ from traceform.virasoro import (
 from traceform.zhu import (
     OSpace,
     ZhuPoly,
-    _ideal_min_poly,
-    _ideal_min_poly_by_l_action,
     _monic,
     a_dot_u,
     class_polynomial,
@@ -210,19 +209,6 @@ def _fraction_class_polynomial(vec):
     return _fraction_trim(acc)
 
 
-def _fraction_ideal_min_poly(alpha_class, level, trunc):
-    span = RowSpan()
-    for extra in range(trunc - level + 1):
-        for mu in partitions_of(extra):
-            poly = _fraction_descend(alpha_class, mu, level)
-            span.add({i: co for i, co in enumerate(poly) if co != 0})
-    best = min(span.pivot_keys)
-    out = [Fraction(0)] * (best + 1)
-    for i, co in span.pivot_row(best).items():
-        out[i] = co
-    return tuple(out)
-
-
 def _fraction_rational_roots(poly):
     def divisors(n):
         n = abs(n)
@@ -273,8 +259,6 @@ def _check_integer_kernels(vec, level):
     assert got == _fraction_class_polynomial(vec), vec
     assert all(type(co) is Fraction for co in got)
     if any(got):
-        for trunc in (level, level + 3):
-            assert _ideal_min_poly(got, level, trunc) == _fraction_ideal_min_poly(got, level, trunc)
         g = _monic(got)
         assert rational_roots(g) == _fraction_rational_roots(g)
 
@@ -294,9 +278,6 @@ def test_integer_kernels_match_the_fraction_routines_on_singular_vectors(m):
     level = (m + 1) * (m + 2)
     (vec,) = singular_vectors(minimal_model(m).c, 0, level, vacuum=True)
     _check_integer_kernels(vec, level)
-    alpha_class = class_polynomial(vec)
-    for trunc in (level + 4, level + 6):
-        assert _ideal_min_poly(alpha_class, level, trunc) == _fraction_ideal_min_poly(alpha_class, level, trunc)
 
 
 def test_integer_kernels_match_the_fraction_routines_on_random_vacuum_vectors():
@@ -383,12 +364,23 @@ def test_second_model_zhu_polynomial():
 # ---------------------------------------------------------------------------
 
 def _assert_ideal_matches_l_action(zp):
-    """The closed-form ideal generators equal the l_action route's, and g itself."""
+    """Each descendant class spanning the ideal of alpha equals the l_action route's.
+
+    For every partition mu with |mu| <= 6, the class of L(-mu) alpha built
+    by l_action must be the closed form: [alpha] times one reduction factor
+    per part of mu (zhu._descend).
+    """
     alpha = zhu._find_vacuum_singular(zp.m)
-    assert sorted(zp.stabilization) == [zp.trunc, zp.trunc + 2]
-    for trunc, generator in zp.stabilization.items():
-        assert generator == zp.coeffs
-        assert _ideal_min_poly_by_l_action(alpha, zp.singular_level, trunc) == generator
+    alpha_class = class_polynomial(alpha)
+    assert _monic(alpha_class) == zp.coeffs
+    nums, denom = _cleared(alpha_class)
+    for extra in range(7):
+        for mu in partitions_of(extra):
+            vec = alpha
+            for part in reversed(mu):
+                vec = l_action(-part, vec)
+            closed = zhu._poly_trim(zhu._descend(nums, mu, zp.singular_level))
+            assert class_polynomial(vec) == [Fraction(a, denom) for a in closed], (zp.m, mu)
 
 
 def _assert_no_vacuum_singular_vector_below(m, level):
@@ -409,11 +401,16 @@ def test_no_vacuum_singular_vector_below_the_predicted_level(m):
     assert len(singular_vectors(minimal_model(m).c, 0, level, vacuum=True)) == 1
 
 
-def test_truncation_below_the_singular_level_is_refused():
-    with pytest.raises(ValueError, match="below the singular level 6"):
-        zhu_poly(1, trunc=5)
+def test_nonpositive_m_is_refused():
     with pytest.raises(ValueError, match="positive"):
         zhu_poly(0)
+
+
+def test_a_singular_vector_of_zero_class_is_refused(monkeypatch):
+    # o(omega, omega) lies in O(V), so its class is 0 and has no monic form
+    monkeypatch.setattr(zhu, "_find_vacuum_singular", lambda m: o_elem(vac(2), vac(2)))
+    with pytest.raises(AssertionError, match="zero class"):
+        zhu_poly(1)
 
 
 @pytest.mark.skipif(not os.environ.get("TRACEFORM_SLOW"),
