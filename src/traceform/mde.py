@@ -28,9 +28,12 @@ there; the recursion records the bound the span reached. Relations,
 and the vectors reduced against them, are plain {(level, index, a4, a6):
 Fraction} dicts as graded_vector returns them, held in a RowSpan. to_ode
 then turns the recursion into a monic order-m equation in iterated Serre
-derivatives with modular coefficients; frobenius_solve produces its exact
-q-expansions. The numeric helpers evaluate truncated series on the upper
-half plane to check modular transformation behaviour of the solutions.
+derivatives with modular coefficients. ModularODE.theta_form expands that
+equation once in powers of theta = q d/dq with coefficients in
+Q[E2, E4, E6]; the indicial polynomial is its value at q = 0, and
+frobenius_solve reads its q-expansions to produce exact solutions. The
+numeric helpers evaluate truncated series on the upper half plane to check
+modular transformation behaviour of the solutions.
 
 derive_recursion is memoised on its normalised arguments, so the eta check
 and the modular check of one trace case share one derivation. The Frobenius
@@ -462,47 +465,33 @@ class ModularODE:
     order: int
     serre_coeffs: tuple[QuasiModularPoly, ...]
 
+    def theta_form(self) -> tuple[QuasiModularPoly, ...]:
+        """P_t with sum_j H_j d^(j) = sum_t P_t theta^t, t = 0..order.
+
+        d^(j+1) = D_w d^(j) with w = h + 2j, and D_w (a theta^t) =
+        a.serre(w) theta^t + a theta^(t+1) by the Leibniz rule.
+        """
+        zero = QuasiModularPoly()
+        form = [zero] * (self.order + 1)
+        op = [QuasiModularPoly.constant(1)]          # d^(j) in powers of theta
+        for j, hj in enumerate(self.serre_coeffs):
+            if j:
+                w = self.h + 2 * (j - 1)
+                op = [a.serre(w) + b for a, b in zip(op + [zero], [zero] + op)]
+            for t, a in enumerate(op):
+                form[t] = form[t] + hj * a
+        return tuple(form)
+
     def indicial_polynomial(self) -> tuple[Fraction, ...]:
-        """P(lam) = sum_j H_j(0) prod_{t<j} (lam - (h+2t)/12), ascending."""
-        poly = [Fraction(0)]
-        factor = [Fraction(1)]
-        for j in range(self.order + 1):
-            cj = self.serre_coeffs[j].constant_term()
-            width = max(len(poly), len(factor))
-            poly = [(poly[t] if t < len(poly) else Fraction(0))
-                    + cj * (factor[t] if t < len(factor) else Fraction(0))
-                    for t in range(width)]
-            root = (self.h + 2 * j) * Fraction(1, 12)
-            nxt = [Fraction(0)] * (len(factor) + 1)
-            for t, co in enumerate(factor):
-                nxt[t + 1] += co
-                nxt[t] -= root * co
-            factor = nxt
-        return tuple(poly)
+        """P(lam) = sum_t P_t(0) lam^t, ascending: the theta form at q^0."""
+        return tuple(p.constant_term() for p in self.theta_form())
 
     def indicial_roots(self) -> tuple[list[tuple[Fraction, int]], int]:
         return rational_roots(self.indicial_polynomial())
 
     def theta_operator(self, terms: int) -> tuple[PuiseuxSeries, ...]:
         """Coefficients A_t(q) with the equation written as sum_t A_t theta^t."""
-        e2 = eisenstein(2, terms)
-        one = PuiseuxSeries(Fraction(0), (Fraction(1),) + (Fraction(0),) * (terms - 1))
-        zero = PuiseuxSeries(Fraction(0), (Fraction(0),) * terms)
-        ops: list[list[PuiseuxSeries]] = [[one]]
-        for j in range(self.order):
-            w = self.h + 2 * j
-            cur = ops[-1]
-            nxt = [zero] * (len(cur) + 1)
-            for t, a in enumerate(cur):
-                nxt[t + 1] = nxt[t + 1] + a
-                nxt[t] = nxt[t] + a.theta() + w * (e2 * a)
-            ops.append(nxt)
-        total = [zero] * (self.order + 1)
-        for j in range(self.order + 1):
-            hq = self.serre_coeffs[j].to_series(terms)
-            for t, a in enumerate(ops[j]):
-                total[t] = total[t] + hq * a
-        return tuple(total)
+        return tuple(p.to_series(terms) for p in self.theta_form())
 
     def __str__(self) -> str:
         bits = [f"D^{self.order}"]
@@ -521,33 +510,28 @@ def to_ode(rec: TraceRecursion) -> ModularODE:
     is forced when everything upstream is consistent.
     """
     c, h, m = rec.c, rec.h, rec.order
-    tables: list[dict[int, QuasiModularPoly]] = [{0: QuasiModularPoly.constant(1)}]
+    zero = QuasiModularPoly()
+    tables: list[list[QuasiModularPoly]] = [[QuasiModularPoly.constant(1)]]
     for i in range(m):
-        nxt: dict[int, QuasiModularPoly] = {}
-
-        def bump(j: int, poly: QuasiModularPoly) -> None:
-            if not poly.is_zero():
-                nxt[j] = nxt.get(j, QuasiModularPoly()) + poly
-
-        for j, g in tables[i].items():
-            bump(j + 1, g)
-            bump(j, g.serre(2 * (i - j)))
+        # T_i[j] has weight 2(i - j); the step is the Leibniz rule of
+        # ModularODE.theta_form with d^(j+1) in place of theta^(j+1)
+        cur = tables[i]
+        nxt = [a.serre(2 * (i - j)) + b for j, (a, b) in enumerate(zip(cur + [zero], [zero] + cur))]
         for k in range(2, i + 2):
             mu = _string_mode_scalar(c, h, i, k)
             if mu == 0:
                 continue
             epoly = eisenstein_modular_poly(2 * k)
-            for j, g in tables[i - k + 1].items():
-                bump(j, mu * (epoly * g))
+            for j, g in enumerate(tables[i - k + 1]):
+                nxt[j] = nxt[j] + mu * (epoly * g)
         tables.append(nxt)
-    coeffs = []
-    for j in range(m + 1):
-        acc = tables[m].get(j, QuasiModularPoly())
-        for i in range(m):
-            acc = acc + rec.coefficients[i] * tables[i].get(j, QuasiModularPoly())
+    coeffs = list(tables[m])
+    for r, table in zip(rec.coefficients, tables):
+        for j, g in enumerate(table):
+            coeffs[j] = coeffs[j] + r * g
+    for j, acc in enumerate(coeffs):
         if acc.has_e2:
             raise AssertionError(f"E2 survived in the order-{j} coefficient: {acc}")
-        coeffs.append(acc)
     if coeffs[m] != QuasiModularPoly.constant(1):
         raise AssertionError("leading coefficient is not 1")
     return ModularODE(c, h, m, tuple(coeffs))
@@ -596,14 +580,16 @@ def frobenius_solve(ode: ModularODE, exponent: _RationalLike, terms: int = 30) -
     A = ode.theta_operator(terms)
     if any(series.lam != 0 or series.terms != terms for series in A):
         raise AssertionError("theta-operator coefficients must be power series with all terms")
-    # Write A_t = sum_i a[i][t] q^i / D with integers a[i][t], lam = p/q and
+    # A_t is the q-expansion of the theta form's P_t, so the q^0 row a[0]
+    # below is the indicial polynomial, read from the same expansion. Write
+    # A_t = sum_i a[i][t] q^i / D with integers a[i][t], lam = p/q and
     # T = order. Then sum_t A_t[i] (lam + r)^t = sum_t a[i][t] xs[r][t] / (D q^T)
     # with xs[r][t] = (p + r q)^t q^(T-t). With coefficient r = sol.nums[r] /
     # sol.den, step n needs sum_t sum_{r<n} a[n-r][t] ys[t][r] for
     # ys[t][r] = sol.nums[r] xs[r][t]: one dot product per column t, of the
     # column read from q^(terms-1) down to q^1 (rcols) against ys[t]. Columns
-    # that vanish past q^0 drop out; at order 1 the theta column is the
-    # constant 1. ys is rescaled whenever sol.den grows.
+    # that vanish past q^0 drop out; the monic theta^T column is the constant
+    # 1. ys is rescaled whenever sol.den grows.
     width = len(A)
     ints = _CommonDenominator(c for row in zip(*(series.coeffs for series in A)) for c in row)
     a = [ints.nums[i * width:(i + 1) * width] for i in range(terms)]

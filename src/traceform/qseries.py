@@ -191,8 +191,9 @@ class PuiseuxSeries:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def pow_rational(self, r: _RationalLike) -> "PuiseuxSeries":
@@ -393,15 +394,6 @@ def serre_derivative(f: PuiseuxSeries, k: _RationalLike) -> PuiseuxSeries:
     return PuiseuxSeries(out.lam, out.coeffs, weight=k + 2)
 
 
-def serre_derivative_iterated(f: PuiseuxSeries, k: _RationalLike, j: int) -> PuiseuxSeries:
-    """j-fold Serre derivative starting at weight k: d_{k+2(j-1)} ... d_k f."""
-    k = _frac(k)
-    out = f
-    for t in range(j):
-        out = serre_derivative(out, k + 2 * t)
-    return out
-
-
 # -- series cache files -------------------------------------------------------
 
 def write_series(path: str | PathLike, series: PuiseuxSeries) -> None:
@@ -427,9 +419,15 @@ def read_series(path: str | PathLike) -> PuiseuxSeries:
         lam = Fraction(fields["lambda"])
         terms = int(fields["terms"])
         weight = None if fields["weight"] == "none" else Fraction(fields["weight"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{path}: bad header {raw[0]!r}") from exc
     body = raw[1:]
     if len(body) != terms:
         raise ValueError(f"{path}: header promises {terms} coefficients, file has {len(body)}")
-    return PuiseuxSeries(lam, [Fraction(ln) for ln in body], weight)
+    coeffs = []
+    for ln in body:
+        try:
+            coeffs.append(Fraction(ln))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{path}: bad coefficient {ln!r}") from exc
+    return PuiseuxSeries(lam, coeffs, weight)

@@ -12,6 +12,12 @@ frobenius_solve runs its recurrence on integer numerators over one common
 denominator. _reference_frobenius_solve below is the earlier loop over
 Fraction, which the integer kernel must reproduce exactly, resonances
 included.
+
+ModularODE.theta_form expands an equation once in Q[E2, E4, E6], and the
+indicial polynomial and the theta columns are read from it. The earlier
+routes are kept below as references: the indicial product over the Serre
+constants, the theta columns assembled on Fraction series, and to_ode's
+dict tables.
 """
 
 import cmath
@@ -41,7 +47,7 @@ from traceform.mde import (
     trace_case_ode,
     trace_case_solution,
 )
-from traceform.qseries import eisenstein, eta_power
+from traceform.qseries import PuiseuxSeries, eisenstein, eta_power
 from traceform.virasoro import graded_dims, highest_weight_vector, verma_monomial
 
 
@@ -210,15 +216,112 @@ def test_trace_ode_coefficients_are_e2_free():
 # indicial data and series solving
 # ---------------------------------------------------------------------------
 
+def _hand_built_order_two(h1):
+    """H_0 = 0, H_1 = h1, H_2 = 1 at c = 1/2, h = 0."""
+    return ModularODE(Fraction(1, 2), Fraction(0), 2,
+                      (QuasiModularPoly(), QuasiModularPoly.constant(h1),
+                       QuasiModularPoly.constant(1)))
+
+
 def test_indicial_polynomial_of_a_hand_built_equation():
     # H_0 = 0, H_1 = -5/6, H_2 = 1 at h = 0 gives P(x) = x^2 - x
-    ode = ModularODE(Fraction(1, 2), Fraction(0), 2,
-                     (QuasiModularPoly(), QuasiModularPoly.constant(Fraction(-5, 6)),
-                      QuasiModularPoly.constant(1)))
+    ode = _hand_built_order_two(Fraction(-5, 6))
     assert ode.indicial_polynomial() == (Fraction(0), Fraction(-1), Fraction(1))
     roots, rest = ode.indicial_roots()
     assert roots == [(Fraction(0), 1), (Fraction(1), 1)]
     assert rest == 0
+
+
+def _reference_indicial_polynomial(ode):
+    """sum_j H_j(0) prod_{t<j} (lam - (h+2t)/12), multiplied out."""
+    poly = [Fraction(0)]
+    factor = [Fraction(1)]
+    for j in range(ode.order + 1):
+        cj = ode.serre_coeffs[j].constant_term()
+        width = max(len(poly), len(factor))
+        poly = [(poly[t] if t < len(poly) else Fraction(0))
+                + cj * (factor[t] if t < len(factor) else Fraction(0))
+                for t in range(width)]
+        root = (ode.h + 2 * j) * Fraction(1, 12)
+        nxt = [Fraction(0)] * (len(factor) + 1)
+        for t, co in enumerate(factor):
+            nxt[t + 1] += co
+            nxt[t] -= root * co
+        factor = nxt
+    return tuple(poly)
+
+
+def _reference_theta_operator(ode, terms):
+    """The theta columns assembled on Fraction series from the H_j series."""
+    e2 = eisenstein(2, terms)
+    one = PuiseuxSeries(Fraction(0), (Fraction(1),) + (Fraction(0),) * (terms - 1))
+    zero = PuiseuxSeries(Fraction(0), (Fraction(0),) * terms)
+    ops = [[one]]
+    for j in range(ode.order):
+        w = ode.h + 2 * j
+        cur = ops[-1]
+        nxt = [zero] * (len(cur) + 1)
+        for t, a in enumerate(cur):
+            nxt[t + 1] = nxt[t + 1] + a
+            nxt[t] = nxt[t] + a.theta() + w * (e2 * a)
+        ops.append(nxt)
+    total = [zero] * (ode.order + 1)
+    for j in range(ode.order + 1):
+        hq = ode.serre_coeffs[j].to_series(terms)
+        for t, a in enumerate(ops[j]):
+            total[t] = total[t] + hq * a
+    return tuple(total)
+
+
+def _reference_to_ode(rec):
+    """to_ode with sparse dict tables T_i = {j: poly}."""
+    c, h, m = rec.c, rec.h, rec.order
+    tables = [{0: QuasiModularPoly.constant(1)}]
+    for i in range(m):
+        nxt = {}
+
+        def bump(j, poly):
+            if not poly.is_zero():
+                nxt[j] = nxt.get(j, QuasiModularPoly()) + poly
+
+        for j, g in tables[i].items():
+            bump(j + 1, g)
+            bump(j, g.serre(2 * (i - j)))
+        for k in range(2, i + 2):
+            mu = mde._string_mode_scalar(c, h, i, k)
+            if mu == 0:
+                continue
+            epoly = eisenstein_modular_poly(2 * k)
+            for j, g in tables[i - k + 1].items():
+                bump(j, mu * (epoly * g))
+        tables.append(nxt)
+    coeffs = []
+    for j in range(m + 1):
+        acc = tables[m].get(j, QuasiModularPoly())
+        for i in range(m):
+            acc = acc + rec.coefficients[i] * tables[i].get(j, QuasiModularPoly())
+        coeffs.append(acc)
+    return ModularODE(c, h, m, tuple(coeffs))
+
+
+def test_theta_form_matches_the_reference_routes():
+    recs = [derive_recursion(case.c, case.h_u) for case in TRACE_CASES]
+    recs += [derive_recursion(Fraction(c), Fraction(h)) for c, h in
+             (("1/2", "0"), ("7/10", "3/5"), ("7/10", "3/2"))]
+    assert [rec.order for rec in recs] == [1, 1, 1, 1, 3, 3, 2]
+    odes = []
+    for rec in recs:
+        ode = to_ode(rec)
+        assert ode == _reference_to_ode(rec), (rec.c, rec.h)
+        odes.append(ode)
+    odes += [_hand_built_order_two(Fraction(-5, 6)), _hand_built_order_two(Fraction(-17, 6))]
+    for ode in odes:
+        assert ode.indicial_polynomial() == _reference_indicial_polynomial(ode), (ode.c, ode.h)
+        for terms in (1, 40, 300):
+            assert ode.theta_operator(terms) == _reference_theta_operator(ode, terms), (ode.c, ode.h, terms)
+        form = ode.theta_form()
+        assert len(form) == ode.order + 1
+        assert form[-1] == QuasiModularPoly.constant(1)
 
 
 def _reference_frobenius_solve(ode, exponent, terms):
@@ -273,9 +376,7 @@ def test_integer_frobenius_kernel_matches_the_fraction_loop():
 def test_integer_frobenius_kernel_resonates_at_the_same_step():
     # P(x) = x^2 - 3x at h = 0: from the root 0 the recurrence runs through
     # steps 1 and 2 and meets the other root at step 3
-    ode = ModularODE(Fraction(1, 2), Fraction(0), 2,
-                     (QuasiModularPoly(), QuasiModularPoly.constant(Fraction(-17, 6)),
-                      QuasiModularPoly.constant(1)))
+    ode = _hand_built_order_two(Fraction(-17, 6))
     assert ode.indicial_polynomial() == (Fraction(0), Fraction(-3), Fraction(1))
     for solve in (frobenius_solve, _reference_frobenius_solve):
         with pytest.raises(ResonantExponentError) as err:
@@ -285,9 +386,7 @@ def test_integer_frobenius_kernel_resonates_at_the_same_step():
 
 
 def test_resonant_exponents_raise_instead_of_guessing():
-    ode = ModularODE(Fraction(1, 2), Fraction(0), 2,
-                     (QuasiModularPoly(), QuasiModularPoly.constant(Fraction(-5, 6)),
-                      QuasiModularPoly.constant(1)))
+    ode = _hand_built_order_two(Fraction(-5, 6))
     with pytest.raises(ResonantExponentError):
         frobenius_solve(ode, 0, terms=6)
     sol = frobenius_solve(ode, 1, terms=6)

@@ -31,7 +31,6 @@ from traceform.qseries import (
     eta_power,
     read_series,
     serre_derivative,
-    serre_derivative_iterated,
     sigma,
     write_series,
 )
@@ -113,6 +112,27 @@ def test_integer_power_matches_repeated_multiplication():
     f = q_poly(2, 1, -3, 5)
     assert f ** 3 == f * f * f
     assert f.pow_rational(3) == f * f * f
+
+
+def test_integer_power_squares_only_while_bits_remain(monkeypatch):
+    # binary powering: one product per set bit and one square per bit after
+    # the first, so popcount(n) + bit_length(n) - 1 products in all
+    f = q_poly(2, 1, -3, 5)
+    powers = [q_poly(1, 0, 0, 0)]
+    for _ in range(8):
+        powers.append(powers[-1] * f)
+    calls = []
+    original = PuiseuxSeries.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", counting)
+    for n in range(1, 9):
+        calls.clear()
+        assert f ** n == powers[n], n
+        assert len(calls) == bin(n).count("1") + n.bit_length() - 1, n
 
 
 @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=4),
@@ -401,9 +421,6 @@ def test_serre_derivative_sends_e4_and_e6_to_modular_forms():
     e4, e6 = eisenstein(4, n), eisenstein(6, n)
     assert serre_derivative(e4, 4) == eisenstein(6, n) * 14
     assert serre_derivative(e6, 6) == e4 * e4 * Fraction(60, 7)
-    # twice-iterated derivative of E4 lands in weight 8
-    twice = serre_derivative_iterated(e4, 4, 2)
-    assert twice == serre_derivative(serre_derivative(e4, 4), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +493,21 @@ def test_cache_rejects_tampered_payload(tmp_path):
     body = path.read_text().replace("3", "x", 1)
     path.write_text(body)
     with pytest.raises(ValueError):
+        read_series(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("lambda=0/1", "lambda=1/0", "bad header"),
+    ("\n2/1\n", "\n1/0\n", "bad coefficient '1/0'"),
+    ("\n2/1\n", "\ntwo\n", "bad coefficient 'two'"),
+], ids=["zero-denominator-header", "zero-denominator-body", "non-rational-body"])
+def test_cache_rejects_unreadable_rationals_naming_the_file(tmp_path, old, new, message):
+    path = tmp_path / "probe.series"
+    write_series(path, q_poly(1, 2, 3))
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(ValueError, match=f"probe.series: {message}"):
         read_series(path)
 
 

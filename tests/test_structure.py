@@ -80,6 +80,23 @@ def test_zhu_keeps_no_ideal_span_and_no_truncation():
     assert [a.arg for a in zhu_poly.args.args + zhu_poly.args.kwonlyargs] == ["m"]
 
 
+def _called_names(node: ast.AST) -> set[str]:
+    """Names of everything called inside node, by plain name or attribute."""
+    return {call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def test_modular_ode_reads_indicial_data_and_theta_columns_from_one_theta_form():
+    # the equation is expanded once in Q[E2, E4, E6]; no second expansion
+    # works on Eisenstein q-series
+    (ode,) = [node for _, node in _functions("mde")
+              if isinstance(node, ast.ClassDef) and node.name == "ModularODE"]
+    methods = {fn.name: fn for fn in ode.body if isinstance(fn, ast.FunctionDef)}
+    for name in ("indicial_polynomial", "theta_operator"):
+        assert "theta_form" in _called_names(methods[name]), name
+    assert "eisenstein" not in _called_names(ode)
+
+
 def test_bracket_rows_are_plain_tuples():
     assert "BracketCoeffTable" not in _definitions_by_module()["bracket"]
 
