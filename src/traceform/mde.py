@@ -13,7 +13,14 @@ together with the derivative rule for square-bracket Virasoro strings,
 
     S(L[-2] x) = (theta + wt[x] E_2) S(x) + sum_{k>=2} E_{2k} S(L[2k-2] x).
 
-build_relation_space spans the first two families below a weight bound, and
+All three are computed in the round picture, through Zhu's isomorphism of
+(V, Y[ ], omega - c/24) with (V, Y, omega) (JAMS 1996, Thm 4.2.1): the map
+Phi: L(-mu) u -> L[-mu] u is an isomorphism of Verma modules with
+Phi(v(n) x) = sigma(v)[n] Phi(x), sigma being Phi on the vacuum module. Phi
+keeps the level filtration and the maximal submodule, so the strings
+L(-2)^i u and the relations v(0) x and v(-2) x + sum (2k-1) E_{2k} v(2k-2) x,
+homogeneous of weight h + level + 4 a4 + 6 a6, give the same recursion under
+every bound. build_relation_space spans those relations below a bound, and
 derive_recursion looks for the least m with
 
     [L[-2]^m u] + sum_{i<m} r_i [L[-2]^i u] = 0
@@ -47,10 +54,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul
 
-from . import bracket, virasoro
+from . import virasoro
 from .linalg import RowSpan, _RationalLike, _frac, solve_dense
 from .qseries import PuiseuxSeries, _CommonDenominator, eisenstein, eta_power
 from .virasoro import VermaVector, verma_monomial
@@ -60,9 +67,6 @@ from .zhu import rational_roots
 # ---------------------------------------------------------------------------
 # polynomials in E2, E4, E6
 # ---------------------------------------------------------------------------
-
-_E_AT_ZERO = {2: Fraction(-1, 12), 4: Fraction(1, 720), 6: Fraction(-1, 30240)}
-
 
 class QuasiModularPoly:
     """Exact polynomial in E2, E4, E6, keyed by exponent triples.
@@ -186,19 +190,22 @@ class QuasiModularPoly:
         return self.theta() + _frac(w) * QuasiModularPoly.e2() * self
 
     def constant_term(self) -> Fraction:
-        acc = Fraction(0)
-        for (a2, a4, a6), co in self.entries.items():
-            acc += co * _E_AT_ZERO[2] ** a2 * _E_AT_ZERO[4] ** a4 * _E_AT_ZERO[6] ** a6
-        return acc
+        return self.to_series(1).coefficient(0)
 
     def to_series(self, terms: int) -> PuiseuxSeries:
+        """q-expansion to the given number of terms; each E_k^p is built once per call."""
+        one = PuiseuxSeries(Fraction(0), (Fraction(1),) + (Fraction(0),) * (terms - 1))
+        powers = []                                  # powers[i][p] = E_k^p, k = 2, 4, 6
+        for i, k in enumerate((2, 4, 6)):
+            top = max((key[i] for key in self.entries), default=0)
+            row = [one, eisenstein(k, terms)] if top else [one]
+            while len(row) <= top:
+                row.append(row[-1] * row[1])
+            powers.append(row)
         out = PuiseuxSeries(Fraction(0), (Fraction(0),) * terms)
-        for (a2, a4, a6), co in self.entries.items():
-            term = PuiseuxSeries(Fraction(0), (Fraction(1),) + (Fraction(0),) * (terms - 1))
-            for k, power in ((2, a2), (4, a4), (6, a6)):
-                if power:
-                    term = term * (eisenstein(k, terms) ** power)
-            out = out + co * term
+        for key, co in self.entries.items():
+            factors = [row[p] for row, p in zip(powers, key) if p] or [one]
+            out = out + co * reduce(mul, factors[1:], factors[0])
         return out
 
     def __str__(self) -> str:
@@ -305,8 +312,8 @@ class RelationSpace:
             for a4, a6 in _monomials_of_weight(level - wg):
                 self._span.add({(lvl, idx, b4 + a4, b6 + a6): co
                                 for (lvl, idx, b4, b6), co in g.items()})
-        # v of level lv and u of level lu give v[0] u at level lv + lu - 1 and
-        # the E-tail of v[-2] u at level lv + lu + 1
+        # v of level lv and u of level lu give v(0) u at level lv + lu - 1 and
+        # the E-tail of v(-2) u at level lv + lu + 1
         for lv in range(2, level + 2):
             for vmu in virasoro.level_coordinates(c, Fraction(0), lv, vacuum=True).basis:
                 v = vmod.monomial(vmu)
@@ -315,9 +322,9 @@ class RelationSpace:
                         continue
                     for umu in ubasis[lu]:
                         u = umod.monomial(umu)
-                        g = graded_vector(bracket.square_mode_action(v, mode, u))
+                        g = graded_vector(virasoro.mode_action(v, mode, u))
                         for k in range(2, level // 2 + 1) if mode == -2 else ():
-                            x = bracket.square_mode_action(v, 2 * k - 2, u)
+                            x = virasoro.mode_action(v, 2 * k - 2, u)
                             if x.is_zero():
                                 continue
                             gx = graded_vector(x)
@@ -369,13 +376,6 @@ class TraceRecursion:
     weight_bound: Fraction
 
 
-def _square_strings(c: Fraction, h: Fraction, count: int) -> list[VermaVector]:
-    strings = [virasoro.highest_weight_vector(c, h, h == 0)]
-    for _ in range(count):
-        strings.append(bracket.square_virasoro_action(-2, strings[-1]))
-    return strings
-
-
 def derive_recursion(c: _RationalLike, h: _RationalLike,
                      weight_bound: _RationalLike | None = None,
                      max_order: int = 4) -> TraceRecursion:
@@ -404,7 +404,7 @@ def derive_recursion(c: _RationalLike, h: _RationalLike,
 def _derive_recursion(c: Fraction, h: Fraction, weight_bound: Fraction,
                       max_order: int) -> TraceRecursion:
     rel = build_relation_space(c, h, min(weight_bound, h + 2))
-    strings = _square_strings(c, h, max_order)
+    strings = [verma_monomial(c, h, (2,) * i, h == 0) for i in range(max_order + 1)]
     # grow until [L[-2] u] reduces to zero, which m = 1 below returns as the
     # order-1 recursion, or until the next level would pass the bound
     first = graded_vector(strings[1]) if max_order >= 1 else {}

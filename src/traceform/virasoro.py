@@ -371,9 +371,8 @@ def l_action(n: int, vec: VermaVector) -> VermaVector:
 def mode_action(a: VermaVector, n: int, u: VermaVector) -> VermaVector:
     """a(n) u for a vacuum-module vector a and a module vector u, same c.
 
-    In the square-bracket picture the same routine computes a[n] u, since the
-    square-bracket structure constants on identically labeled PBW monomials
-    agree with the round-bracket ones.
+    Read on square-bracket PBW labels it is a[n] u, by Zhu's isomorphism as
+    the traceform.mde docstring states it.
     """
     if not a.vacuum:
         raise ValueError("modes are defined for vectors of the vacuum vertex algebra")
@@ -558,9 +557,8 @@ def c2_quotient_dim(c: _RationalLike, h: _RationalLike, max_level: int) -> list[
 def c20_quotient_dim(c: _RationalLike, h: _RationalLike, max_level: int) -> list[int]:
     """Square-bracket analogue of c2_quotient_dim with zero modes included.
 
-    Quotients by both a[-2]u and a[0]u. On identically labeled PBW bases the
-    square-bracket modes have the same structure constants as the round ones,
-    so the a[-2] images coincide with the a(-2) ones; the a[0] images are the
-    genuinely new directions.
+    Quotients by both a[-2]u and a[0]u, computed as a(-2)u and a(0)u by Zhu's
+    isomorphism as the traceform.mde docstring states it; the zero modes are
+    the new directions.
     """
     return _quotient_dims(c, h, max_level, zero_modes=True)

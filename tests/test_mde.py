@@ -13,6 +13,11 @@ denominator. _reference_frobenius_solve below is the earlier loop over
 Fraction, which the integer kernel must reproduce exactly, resonances
 included.
 
+The relation span and the L[-2] strings are built from round modes, through
+Zhu's isomorphism. _square_picture_recursion below is the earlier derivation
+from square-bracket modes expanded in round ones; both must find the same
+recursion.
+
 ModularODE.theta_form expands an equation once in Q[E2, E4, E6], and the
 indicial polynomial and the theta columns are read from it. The earlier
 routes are kept below as references: the indicial product over the Serre
@@ -25,13 +30,16 @@ from fractions import Fraction
 
 import pytest
 
-from traceform import cli, mde
+from traceform import cli, mde, virasoro
 from traceform.bracket import square_mode_action, square_virasoro_action
+from traceform.linalg import solve_dense
 from traceform.mde import (
     TRACE_CASES,
     ModularODE,
     QuasiModularPoly,
+    RelationSpace,
     ResonantExponentError,
+    TraceRecursion,
     build_relation_space,
     case_transform_report,
     derive_recursion,
@@ -48,7 +56,7 @@ from traceform.mde import (
     trace_case_solution,
 )
 from traceform.qseries import PuiseuxSeries, eisenstein, eta_power
-from traceform.virasoro import graded_dims, highest_weight_vector, verma_monomial
+from traceform.virasoro import graded_dims, highest_weight_vector, mode_action, verma_monomial
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +96,38 @@ def test_higher_eisenstein_polys_expand_correctly():
         assert poly.to_series(12) == eisenstein(two_k, 12)
 
 
+def _reference_to_series(poly, terms):
+    """The earlier expansion, rebuilding eisenstein(k, terms) ** power per monomial."""
+    out = PuiseuxSeries(Fraction(0), (Fraction(0),) * terms)
+    for (a2, a4, a6), co in poly.entries.items():
+        term = PuiseuxSeries(Fraction(0), (Fraction(1),) + (Fraction(0),) * (terms - 1))
+        for k, power in ((2, a2), (4, a4), (6, a6)):
+            if power:
+                term = term * (eisenstein(k, terms) ** power)
+        out = out + co * term
+    return out
+
+
+def test_to_series_expands_each_eisenstein_power_once(monkeypatch):
+    ode = to_ode(derive_recursion(Fraction(7, 10), Fraction(3, 5)))
+    polys = list(ode.theta_form()) + [
+        QuasiModularPoly(), QuasiModularPoly.constant(3),
+        QuasiModularPoly({(2, 1, 3): Fraction(-5, 7), (0, 4, 0): 2, (1, 0, 0): 1})]
+    for poly in polys:
+        for terms in (1, 7, 40):
+            assert poly.to_series(terms) == _reference_to_series(poly, terms), (poly, terms)
+    # E_k(0) is read from qseries.eisenstein, whose normalisation gives these
+    assert [p.constant_term() for p in (QuasiModularPoly.e2(), QuasiModularPoly.e4(),
+                                        QuasiModularPoly.e6())] == [
+        Fraction(-1, 12), Fraction(1, 720), Fraction(-1, 30240)]
+    # E2 and E4 occur in two monomials each, to several powers: still one
+    # expansion per weight
+    built = []
+    monkeypatch.setattr(mde, "eisenstein", lambda k, terms: built.append(k) or eisenstein(k, terms))
+    polys[-1].to_series(40)
+    assert sorted(built) == [2, 4, 6]
+
+
 # ---------------------------------------------------------------------------
 # the relation span
 # ---------------------------------------------------------------------------
@@ -99,7 +139,7 @@ def test_relation_space_contains_the_zero_mode_traces():
     x = highest_weight_vector(c, h)
     # the trace of a zero mode acting on x vanishes; its graded image must
     # already lie in the span the derivation reduces against
-    gv = graded_vector(square_mode_action(omega, 0, x))
+    gv = graded_vector(mode_action(omega, 0, x))
     assert rel.contains(gv)
     assert rel.rank > 0
 
@@ -121,7 +161,7 @@ def test_trace_cases_stop_at_the_first_order_one_closure():
         assert rec.weight_bound == case.h_u + 2, case.m
         # the span at the default bound h + 8 contains the smaller one, so it
         # also reduces [L[-2] u] to zero
-        string = square_virasoro_action(-2, highest_weight_vector(case.c, case.h_u))
+        string = verma_monomial(case.c, case.h_u, (2,))
         assert build_relation_space(case.c, case.h_u).contains(graded_vector(string)), case.m
         for bound in (case.h_u + 1, case.h_u + Fraction(3, 2)):
             with pytest.raises(ValueError, match="no room"):
@@ -131,6 +171,100 @@ def test_trace_cases_stop_at_the_first_order_one_closure():
 def test_derivation_fails_honestly_for_generic_weights():
     with pytest.raises(ValueError):
         derive_recursion(Fraction(1, 2), Fraction(1, 3))
+
+
+class _SquareRelationSpace(RelationSpace):
+    """The earlier span: v[0] u and the E-tail of v[-2] u, square modes expanded in round ones."""
+
+    def grow(self):
+        level = self.level_bound + 1
+        c, h = self.c, self.h
+        vmod, umod = virasoro.verma_module(c, Fraction(0), True), virasoro.verma_module(c, h, h == 0)
+        ubasis = [virasoro.level_coordinates(c, h, lu, h == 0).basis for lu in range(level)]
+        for wg, g in self._gens:
+            for a4, a6 in mde._monomials_of_weight(level - wg):
+                self._span.add({(lvl, idx, b4 + a4, b6 + a6): co
+                                for (lvl, idx, b4, b6), co in g.items()})
+        for lv in range(2, level + 2):
+            for vmu in virasoro.level_coordinates(c, Fraction(0), lv, vacuum=True).basis:
+                v = vmod.monomial(vmu)
+                for lu, mode in ((level + 1 - lv, 0), (level - 1 - lv, -2)):
+                    for umu in ubasis[lu] if lu >= 0 else ():
+                        u = umod.monomial(umu)
+                        g = graded_vector(square_mode_action(v, mode, u))
+                        for k in range(2, level // 2 + 1) if mode == -2 else ():
+                            gx = graded_vector(square_mode_action(v, 2 * k - 2, u))
+                            for (_, a4, a6), co in eisenstein_modular_poly(2 * k).entries.items():
+                                for (lvl, idx, _, _), val in gx.items():
+                                    virasoro._acc(g, (lvl, idx, a4, a6), (2 * k - 1) * co * val)
+                        if g:
+                            self._gens.append((level, g))
+                            self._span.add(g)
+        self.level_bound = level
+
+
+def _square_picture_recursion(c, h, weight_bound, max_order=4):
+    """The earlier derivation, on the square span and the strings L[-2]^i u."""
+    rel = _SquareRelationSpace(c, h, min(weight_bound, h + 2))
+    strings = [highest_weight_vector(c, h, h == 0)]
+    for _ in range(max_order):
+        strings.append(square_virasoro_action(-2, strings[-1]))
+    while rel.weight_bound + 1 <= weight_bound and not rel.contains(graded_vector(strings[1])):
+        rel.grow()
+    for m in range(1, max_order + 1):
+        if h + 2 * m > weight_bound:
+            break
+        target = rel.reduce(graded_vector(strings[m]))
+        cands, labels = [], []
+        for i in range(m):
+            for a4, a6 in mde._monomials_of_weight(2 * (m - i)):
+                cands.append(rel.reduce(graded_vector(strings[i], e4=a4, e6=a6)))
+                labels.append((i, a4, a6))
+        if not cands:
+            if not target:
+                return TraceRecursion(c, h, m, (QuasiModularPoly(),) * m, rel.weight_bound)
+            continue
+        keys = sorted(set(target) | {k for cv in cands for k in cv})
+        rho = solve_dense([[cv.get(k, Fraction(0)) for cv in cands] for k in keys],
+                          [-target.get(k, Fraction(0)) for k in keys])
+        if rho is None:
+            continue
+        rs = [QuasiModularPoly() for _ in range(m)]
+        for (i, a4, a6), val in zip(labels, rho):
+            rs[i] = rs[i] + QuasiModularPoly({(0, a4, a6): val})
+        return TraceRecursion(c, h, m, tuple(rs), rel.weight_bound)
+    raise ValueError(f"no recursion of order <= {max_order} under weight bound {weight_bound}")
+
+
+def test_round_picture_derivation_matches_the_square_picture(monkeypatch):
+    # Zhu's isomorphism L(-mu) u -> L[-mu] u keeps the level filtration and the
+    # maximal submodule, so both pictures find the same recursion at every bound
+    cases = [(case.c, case.h_u, case.h_u + 8) for case in TRACE_CASES] + [
+        (Fraction(c), Fraction(h), Fraction(h) + b) for c, h, b in (
+            ("7/10", "3/5", 6), ("1/2", "0", 6), ("7/10", "3/2", 8),
+            ("1/2", "1/16", 8), ("-22/5", "-1/5", 8))]
+    for c, h, bound in cases:
+        assert derive_recursion(c, h, bound) == _square_picture_recursion(c, h, bound), (c, h)
+    for derive in (derive_recursion, _square_picture_recursion):
+        with pytest.raises(ValueError, match="no recursion"):
+            derive(Fraction(1, 2), Fraction(1, 3), Fraction(25, 3))
+    # each round relation is homogeneous: every key of a relation grown at
+    # level L has level + 4 a4 + 6 a6 = L
+    rel = build_relation_space(Fraction(7, 10), Fraction(3, 2))
+    assert rel._gens
+    assert all(lvl + 4 * a4 + 6 * a6 == wg for wg, g in rel._gens for lvl, _, a4, a6 in g)
+    # the strings are graded in the module the span is built on, which at
+    # h = 0 is the vacuum quotient; the Verma module has the same irreducible
+    # coordinates, so only the module tells the two apart
+    modules = set()
+
+    def recording(vec, e4=0, e6=0):
+        modules.add(vec.module)
+        return graded_vector(vec, e4, e6)
+
+    monkeypatch.setattr(mde, "graded_vector", recording)
+    mde._derive_recursion.__wrapped__(Fraction(1, 2), Fraction(0), Fraction(6), 4)
+    assert modules == {virasoro.verma_module(Fraction(1, 2), Fraction(0), True)}
 
 
 def test_each_trace_equation_is_derived_once_per_process(monkeypatch):

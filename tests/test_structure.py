@@ -97,6 +97,21 @@ def test_modular_ode_reads_indicial_data_and_theta_columns_from_one_theta_form()
     assert "eisenstein" not in _called_names(ode)
 
 
+def test_mde_derives_in_the_round_picture_only():
+    # through Zhu's isomorphism the relation span and the L[-2] strings are
+    # built from round modes; the square-bracket expansion is a test reference
+    tree = ast.parse((PACKAGE / "mde.py").read_text(encoding="utf-8"))
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imports += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imports += [alias.name for alias in node.names]
+    assert not [name for name in imports if name.split(".")[-1] == "bracket"], imports
+    called = sorted(name for name in _called_names(tree) if name and name.startswith("square_"))
+    assert not called, called
+
+
 def test_bracket_rows_are_plain_tuples():
     assert "BracketCoeffTable" not in _definitions_by_module()["bracket"]
 
