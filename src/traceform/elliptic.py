@@ -42,6 +42,13 @@ for i >= m and the verifier sums a short stabilized range:
 
 verify_expansion_identity checks the mode expansion of (w-1+n choose i)
 against the bracket coefficient tables and the z^n entries of P_{m+1}.
+
+Every z^n row of P_k(z, q) and of P_k(zq, q) is n^(k-1)/(k-1)! times a 0/+-1
+pattern, so _p_row keeps it as integer numerators over (k-1)!, built once
+per (k, n, terms). The residue sums, the right-hand sides of the mode
+expansion and the divisor sums of p_series_at_exp run over int, with the
+c-row and the bracket rows cleared to one denominator; only the results and
+the mismatch reports are Fractions.
 """
 
 from __future__ import annotations
@@ -49,11 +56,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 from operator import sub
 
 from .bracket import bracket_coeffs
-from .linalg import _RationalLike, _frac
+from .linalg import _cleared, _RationalLike, _frac
 from .qseries import PuiseuxSeries, bernoulli, eisenstein
 from .virasoro import _gbinom
 
@@ -173,24 +181,25 @@ class BivariateLaurent:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _geo_coeffs(n: int, terms: int) -> list[Fraction]:
-    """1/(1 - q^n) expanded inside the unit q-disk, n != 0."""
-    out = [Fraction(0)] * terms
-    if n > 0:
-        for i in range(0, terms, n):
-            out[i] = Fraction(1)
-    else:
-        for i in range(-n, terms, -n):
-            out[i] = Fraction(-1)
-    return out
+@lru_cache(maxsize=None)
+def _p_row(k: int, n: int, terms: int, shifted: bool) -> tuple[int, ...]:
+    """Integer numerators over (k-1)! of the z^n q-series of P_k(z, q), n != 0.
+
+    shifted gives the row of P_k(zq, q) instead, the unshifted one moved by q^n.
+    """
+    if n == 0:
+        raise ValueError("P_k has no z^0 entry")
+    out = [0] * terms
+    value = n ** (k - 1) if n > 0 else -n ** (k - 1)
+    for i in range(abs(n) if (n > 0) == shifted else 0, terms, abs(n)):
+        out[i] = value
+    return tuple(out)
 
 
 def p_zcoeff(k: int, n: int, terms: int) -> PuiseuxSeries:
     """Coefficient q-series of z^n in P_k(z, q), n != 0."""
-    if n == 0:
-        raise ValueError("P_k has no z^0 entry")
-    scalar = Fraction(n ** (k - 1), factorial(k - 1))
-    return PuiseuxSeries(0, [scalar * c if c else c for c in _geo_coeffs(n, terms)])
+    den = factorial(k - 1)
+    return PuiseuxSeries(0, [Fraction(c, den) for c in _p_row(k, n, terms, False)])
 
 
 def p_series(k: int, terms: int, z_min: int = -8, z_max: int = 8) -> BivariateLaurent:
@@ -233,23 +242,17 @@ def p_series_at_exp(k: int, terms: int, z_max: int = 8) -> BivariateLaurent:
             g[r] = -b / factorial(r + 1)
     for _ in range(k - 1):
         g = {e - 1: co * e for e, co in g.items() if e != 0 and co != 0}
-    inv_fac = Fraction(1, factorial(k - 1))
-    rows: dict[int, list[Fraction]] = {}
-    for e in range(-k, z_max + 1):
-        rows[e] = [Fraction(0)] * terms
-        if e in g:
-            rows[e][0] = g[e] * inv_fac
-    for l in range(1, terms):
-        d = 1
-        while d <= l:
-            if l % d == 0:
-                dk = Fraction(d ** (k - 1), factorial(k - 1))
-                flip = -1 if (k - 1) % 2 == 0 else 1
-                for j in range(0, z_max + 1):
-                    # e^{dz} contributes d^j/j!, e^{-dz} contributes (-d)^j/j!
-                    term = dk * Fraction(d ** j, factorial(j))
-                    rows[j][l] += term + flip * term * ((-1) ** j)
-            d += 1
+    # q^l, l >= 1: the divisor sum of the module docstring has z^e coefficient
+    # 2 sigma_{k-1+e}(l) / ((k-1)! e!) when e >= 0 and k + e is even, else 0
+    den = factorial(k - 1)
+    divisors = [[d for d in range(1, l + 1) if l % d == 0] for l in range(1, terms)]
+    rows = {e: [g.get(e, Fraction(0)) / den] for e in range(-k, z_max + 1)}
+    for e, row in rows.items():
+        if e < 0 or (k + e) % 2:
+            row += [Fraction(0)] * (terms - 1)
+        else:
+            row += [Fraction(2 * sum(d ** (k - 1 + e) for d in ds), den * factorial(e))
+                    for ds in divisors]
     entries = {e: PuiseuxSeries(0, coeffs) for e, coeffs in rows.items()}
     return BivariateLaurent(entries, -k, z_max, terms)
 
@@ -280,6 +283,14 @@ class ResidueReport:
         return f"ResidueReport({self.identity}, {self.params}, checked={self.checked}: {state})"
 
 
+def _require_sizes(**sizes: tuple[int, int]) -> None:
+    """Raise ValueError unless each named size reaches its least value, so no
+    report passes after checking nothing."""
+    for name, (value, least) in sizes.items():
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def _series_mismatches(label: str, got: PuiseuxSeries, want: PuiseuxSeries) -> list[tuple[str, str, str]]:
     bad = []
     n = min(len(got.coeffs), len(want.coeffs))
@@ -296,6 +307,7 @@ def verify_p_wp_relations(k_max: int = 5, terms: int = 9, z_max: int = 8) -> lis
     q^0..q^(terms-1) on both sides of the closed-form identities quoted in
     the module docstring.
     """
+    _require_sizes(k_max=(k_max, 1), terms=(terms, 1))
     reports = []
     for k in range(1, k_max + 1):
         start = time.perf_counter()
@@ -323,6 +335,7 @@ def verify_wp_structure(k_max: int = 5, terms: int = 9, z_max: int = 8) -> list[
     expansion from the previous one, and z d/dz P_k = k P_{k+1} does the
     same on the q-series side.
     """
+    _require_sizes(k_max=(k_max, 1), terms=(terms, 1))
     reports = []
     start = time.perf_counter()
     parity_bad: list[tuple[str, str, str]] = []
@@ -364,41 +377,32 @@ def _c_row(w: int, depth: int) -> list[Fraction]:
 
 def p_shift_zcoeff(k: int, n: int, terms: int) -> PuiseuxSeries:
     """Coefficient q-series of z^n in P_k(zq, q), n != 0: the q^n-shifted row."""
-    if n == 0:
-        raise ValueError("P_k has no z^0 entry")
-    scalar = Fraction(n ** (k - 1), factorial(k - 1))
-    out = [Fraction(0)] * terms
-    if n > 0:
-        for i in range(n, terms, n):
-            out[i] = scalar
-    else:
-        for i in range(0, terms, -n):
-            out[i] = -scalar
-    return PuiseuxSeries(0, out)
+    den = factorial(k - 1)
+    return PuiseuxSeries(0, [Fraction(c, den) for c in _p_row(k, n, terms, True)])
 
 
-def _residue_term(i: int, w: int, func, shifted_side: bool, terms: int) -> list[Fraction]:
+def _residue_term(i: int, w: int, func, shifted_side: bool, terms: int) -> list[int]:
     """Residue in w of (w-z)^i z^(w-1-i) w^(-w) times a z-diagonal integrand.
 
-    func(n) returns the q-series multiplying z^n in the integrand (None for
-    no contribution). shifted_side chooses the |z| > |w| expansion of the
-    i = -1 pole; for i >= 0 both expansions are the same polynomial. The
-    q-coefficients are accumulated in one list, over the nonzero entries of
-    each func(n) only.
+    func(n) returns the integer row multiplying z^n in the integrand (None
+    for no contribution). shifted_side chooses the |z| > |w| expansion of
+    the i = -1 pole; for i >= 0 both expansions are the same polynomial. The
+    q-coefficients are accumulated in one integer list, over the nonzero
+    entries of each row only.
     """
     if i >= 0:
-        pairs = [(i - j - w + 1, _gbinom(i, j) * (-1) ** j) for j in range(i + 1)]
+        pairs = [(i - j - w + 1, comb(i, j) * (-1) ** j) for j in range(i + 1)]
     elif not shifted_side:
         # (w - z)^(-1) = sum_j z^j w^(-1-j) for |w| > |z|
         pairs = [(-j - w, 1) for j in range(terms + w + 1)]
     else:
         # (-z + w)^(-1) = -sum_j z^(-1-j) w^j for |z| > |w|
         pairs = [(j - w + 1, -1) for j in range(terms + w + 1)]
-    total = [Fraction(0)] * terms
+    total = [0] * terms
     for n, beta in pairs:
-        val = func(n)
-        if val is not None:
-            for k, co in enumerate(val.coeffs):
+        row = func(n)
+        if row is not None:
+            for k, co in enumerate(row):
                 if co:
                     total[k] += co * beta
     return total
@@ -407,10 +411,10 @@ def _residue_term(i: int, w: int, func, shifted_side: bool, terms: int) -> list[
 def _residue_identity_value(w: int, m: int | None, terms: int) -> PuiseuxSeries:
     """Total sum_i c_i (A_i - B_i) for integrand P_m (m=None: bare 1, m=1: P_1 - 1).
 
-    The i-sum is accumulated in one coefficient list; one series is built
-    for the total.
+    The rows are integers over (m-1)! and the c-row is cleared to integers,
+    so the i-sum runs over int; one series is built for the total.
     """
-    one = _const_series(Fraction(1), terms)
+    one = (1,) + (0,) * (terms - 1)
     if m is None:
         def afunc(n):
             return one if n == 0 else None
@@ -419,20 +423,17 @@ def _residue_identity_value(w: int, m: int | None, terms: int) -> PuiseuxSeries:
         i_top = 2
     else:
         def afunc(n):
-            return p_zcoeff(m, n, terms) if n != 0 else None
+            return _p_row(m, n, terms, False) if n != 0 else None
 
-        if m == 1:
-            def bfunc(n):
-                if n == 0:
-                    return -one
-                return p_shift_zcoeff(m, n, terms)
-        else:
-            def bfunc(n):
-                return p_shift_zcoeff(m, n, terms) if n != 0 else None
+        def bfunc(n):
+            if n != 0:
+                return _p_row(m, n, terms, True)
+            return tuple(-co for co in one) if m == 1 else None
 
         i_top = m + 2
-    c = _c_row(w, i_top + 2)
-    total = [Fraction(0)] * terms
+    c, den = _cleared(_c_row(w, i_top + 2))
+    den *= factorial(m - 1) if m else 1
+    total = [0] * terms
     tail: list[bool] = []
     for i in range(-1, i_top + 1):
         delta = list(map(sub, _residue_term(i, w, afunc, False, terms),
@@ -443,7 +444,7 @@ def _residue_identity_value(w: int, m: int | None, terms: int) -> PuiseuxSeries:
         tail.append(not any(delta))
     if not (tail[-1] and tail[-2]):
         raise AssertionError(f"residue i-sum did not stabilize for w={w}, m={m}")
-    return PuiseuxSeries(0, total)
+    return PuiseuxSeries(0, [Fraction(t, den) for t in total])
 
 
 def verify_residue_identities(w: int, terms: int = 6,
@@ -454,8 +455,7 @@ def verify_residue_identities(w: int, terms: int = 6,
     constant -1/2, and P_m (m >= 2) to the Eisenstein series E_m, which is 0
     for odd m.
     """
-    if w < 1:
-        raise ValueError("w must be a positive integer")
+    _require_sizes(w=(w, 1), terms=(terms, 1))
     reports = []
     start = time.perf_counter()
     got = _residue_identity_value(w, None, terms)
@@ -490,28 +490,28 @@ def verify_expansion_identity(w: int, terms: int = 6, i_max: int = 8,
     the q-series C(w-1+n, i)/(1-q^n) must equal
     sum_{m=0}^{i} (z^n entry of P_{m+1}) * b_{i-m}, where b is the
     bracket_coeffs(w, m) row. Exact in every retained q-power. Rows are
-    prefixes of deeper rows, so each m takes one row of depth i_max - m + 1;
-    each right-hand side is accumulated in one coefficient list over the
-    nonzero entries of P_{m+1}.
+    prefixes of deeper rows, so each m takes one row of depth i_max - m + 1.
+    For each i the entries b_{i-m}/m! are cleared to one denominator, so each
+    right-hand side is an integer sum over the nonzero entries of the
+    P_{m+1} rows; 1/(1-q^n) is the z^n row of P_1.
     """
-    if w < 1:
-        raise ValueError("w must be a positive integer")
+    _require_sizes(w=(w, 1), terms=(terms, 1), i_max=(i_max, 0), n_max=(n_max, 1))
     start = time.perf_counter()
     bad: list[tuple[str, str, str]] = []
     checked = 0
-    pseries = [p_series(m + 1, terms, -n_max, n_max) for m in range(0, i_max + 1)]
     rows = [bracket_coeffs(w, m, i_max - m + 1) for m in range(0, i_max + 1)]
     for i in range(0, i_max + 1):
+        beta, den = _cleared(rows[m][i - m] / factorial(m) for m in range(0, i + 1))
         for n in list(range(-n_max, 0)) + list(range(1, n_max + 1)):
-            scale = _gbinom(w - 1 + n, i)
-            lhs = PuiseuxSeries(0, [co * scale for co in _geo_coeffs(n, terms)])
-            rhs = [Fraction(0)] * terms
-            for m in range(0, i + 1):
-                b = rows[m][i - m]
-                for k, co in enumerate(pseries[m].entry(n).coeffs):
+            scale = int(_gbinom(w - 1 + n, i))
+            rhs = [0] * terms
+            for m, b in enumerate(beta):
+                for k, co in enumerate(_p_row(m + 1, n, terms, False)):
                     if co:
                         rhs[k] += co * b
+            for k, g in enumerate(_p_row(1, n, terms, False)):
+                if g * scale * den != rhs[k]:
+                    bad.append((f"i={i} n={n} q^{k}", str(g * scale), str(Fraction(rhs[k], den))))
             checked += terms
-            bad.extend(_series_mismatches(f"i={i} n={n}", lhs, PuiseuxSeries(0, rhs)))
     return ResidueReport("binomial-mode-expansion", {"w": w, "terms": terms},
                          checked, tuple(bad), time.perf_counter() - start)

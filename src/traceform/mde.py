@@ -38,9 +38,10 @@ then turns the recursion into a monic order-m equation in iterated Serre
 derivatives with modular coefficients. ModularODE.theta_form expands that
 equation once in powers of theta = q d/dq with coefficients in
 Q[E2, E4, E6]; the indicial polynomial is its value at q = 0, and
-frobenius_solve reads its q-expansions to produce exact solutions. The
-numeric helpers evaluate truncated series on the upper half plane to check
-modular transformation behaviour of the solutions.
+frobenius_solve reads its q-expansions, made once per theta form and
+number of terms, to produce exact solutions. The numeric helpers evaluate
+truncated series on the upper half plane to check modular transformation
+behaviour of the solutions.
 
 derive_recursion is memoised on its normalised arguments, so the eta check
 and the modular check of one trace case share one derivation. The Frobenius
@@ -490,8 +491,12 @@ class ModularODE:
         return rational_roots(self.indicial_polynomial())
 
     def theta_operator(self, terms: int) -> tuple[PuiseuxSeries, ...]:
-        """Coefficients A_t(q) with the equation written as sum_t A_t theta^t."""
-        return tuple(p.to_series(terms) for p in self.theta_form())
+        """Coefficients A_t(q) with the equation written as sum_t A_t theta^t.
+
+        The q-expansion is memoised on the theta form and terms, so the roots
+        of one equation share it.
+        """
+        return _theta_series(self.theta_form(), terms)
 
     def __str__(self) -> str:
         bits = [f"D^{self.order}"]
@@ -499,6 +504,11 @@ class ModularODE:
             if not self.serre_coeffs[j].is_zero():
                 bits.append(f"[{self.serre_coeffs[j]}] D^{j}")
         return " + ".join(bits) + " = 0"
+
+
+@lru_cache(maxsize=None)
+def _theta_series(form: tuple[QuasiModularPoly, ...], terms: int) -> tuple[PuiseuxSeries, ...]:
+    return tuple(p.to_series(terms) for p in form)
 
 
 def to_ode(rec: TraceRecursion) -> ModularODE:

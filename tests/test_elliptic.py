@@ -5,6 +5,11 @@ n, and wp_k is the pole 1/z^k plus an Eisenstein tail. The exact identity
 suites are asserted wholesale; on top of that, the windows are evaluated
 numerically at concrete (x, q) points and compared against the convergent
 double sums, which does not share any code with the series constructors.
+
+The residue sums, the mode-expansion right-hand sides and the divisor sums
+of p_series_at_exp run over int, on rows that elliptic._p_row builds once.
+The earlier loops over Fraction are kept below as references, and the
+integer rows are perturbed through _p_row to show the suites see them.
 """
 
 import math
@@ -25,7 +30,7 @@ from traceform.elliptic import (
     verify_wp_structure,
     wp_expansion,
 )
-from traceform.qseries import PuiseuxSeries, eisenstein
+from traceform.qseries import PuiseuxSeries, bernoulli, eisenstein
 
 
 def assert_all_pass(reports):
@@ -203,23 +208,221 @@ def test_binomial_mode_expansion_catches_a_perturbed_bracket_row(monkeypatch):
         assert {label.split()[0] for label, _, _ in rep.mismatches} == {"i=3"}, w
 
 
+_P_ROW = elliptic._p_row
+
+
+def _perturb_row(monkeypatch, k, n, shifted, q_power):
+    """Add 1 to the numerator of q^q_power in the (k, n) row of P_k(z, q) or P_k(zq, q)."""
+    def perturbed(kk, nn, terms, sh):
+        row = _P_ROW(kk, nn, terms, sh)
+        if (kk, nn, sh) != (k, n, shifted):
+            return row
+        return row[:q_power] + (row[q_power] + 1,) + row[q_power + 1:]
+
+    monkeypatch.setattr(elliptic, "_p_row", perturbed)
+
+
 def test_residue_identities_catch_a_perturbed_shifted_row(monkeypatch):
     # residue-p3 expects E_3 = 0, which an empty sum would also give, so a
     # perturbed term of the shifted P_3 row must show up as a mismatch
-    real = elliptic.p_shift_zcoeff
     for w, n, q_power in [(w, 6, 1) for w in range(1, 7)] + [(6, 1, 3)]:
-        def perturbed(k, m, terms, n=n, q_power=q_power):
-            s = real(k, m, terms)
-            if (k, m) != (3, n):
-                return s
-            coeffs = list(s.coeffs)
-            coeffs[q_power] += 1
-            return PuiseuxSeries(s.lam, coeffs)
-
-        monkeypatch.setattr(elliptic, "p_shift_zcoeff", perturbed)
+        _perturb_row(monkeypatch, 3, n, True, q_power)
         unit, p2, p3 = verify_residue_identities(w, terms=6, ms=(2, 3))
         assert unit.passed and p2.passed
         assert not p3.passed and [label for label, _, _ in p3.mismatches] == [f" q^{q_power}"], (w, n)
+
+
+def test_identities_catch_a_perturbed_unshifted_row(monkeypatch):
+    # z^-6 of P_3 enters the residue sum only through the i = -1 pole, with
+    # c_{-1} = 1, and the mode expansion from z^2 on, with b_0 = 1
+    for w, q_power in [(w, 1) for w in range(1, 6)] + [(5, 0), (2, 4)]:
+        _perturb_row(monkeypatch, 3, -6, False, q_power)
+        unit, p2, p3 = verify_residue_identities(w, terms=6, ms=(2, 3))
+        assert unit.passed and p2.passed
+        assert [label for label, _, _ in p3.mismatches] == [f" q^{q_power}"], (w, q_power)
+        rep = verify_expansion_identity(w, terms=6, i_max=8, n_max=6)
+        assert not rep.passed and rep.checked == 648
+        labels = {tuple(label.split()) for label, _, _ in rep.mismatches}
+        assert {(n, q) for _, n, q in labels} == {("n=-6", f"q^{q_power}")}, (w, q_power)
+        assert ("i=2", "n=-6", f"q^{q_power}") in labels
+
+
+def test_substitution_identities_catch_a_perturbed_divisor_sum(monkeypatch):
+    # z^2 q^3 of P_2(e^z, q) is the divisor sum 2 sigma_3(3) / 2!
+    real = elliptic.p_series_at_exp
+
+    def perturbed(k, terms, z_max=8):
+        window = real(k, terms, z_max)
+        if k != 2:
+            return window
+        return window.with_entry_added(2, PuiseuxSeries(0, [0, 0, 0, 1] + [0] * (terms - 4)))
+
+    assert real(2, 9).coefficient(2, 3) == 28
+    monkeypatch.setattr(elliptic, "p_series_at_exp", perturbed)
+    reports = verify_p_wp_relations(k_max=5, terms=9, z_max=8)
+    assert [rep.params["k"] for rep in reports if not rep.passed] == [2]
+    assert reports[1].mismatches == (("z^2 q^3", "29", "28"),)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_residue_identities(1, terms=0),
+    lambda: verify_expansion_identity(1, terms=0),
+    lambda: verify_expansion_identity(1, i_max=-1),
+    lambda: verify_expansion_identity(1, n_max=0),
+    lambda: verify_p_wp_relations(k_max=0),
+    lambda: verify_p_wp_relations(terms=0),
+    lambda: verify_wp_structure(k_max=0),
+    lambda: verify_wp_structure(terms=0),
+])
+def test_identity_suites_reject_sizes_that_check_nothing(call):
+    with pytest.raises(ValueError, match="must be at least"):
+        call()
+
+
+def test_smallest_sizes_still_check_something():
+    assert verify_expansion_identity(1, terms=1, i_max=0, n_max=1).checked == 2
+    (rep,) = verify_p_wp_relations(k_max=1, terms=1)
+    assert rep.passed and rep.checked == 10
+    (parity,) = verify_wp_structure(k_max=1, terms=1)
+    assert parity.passed and parity.checked > 0
+    assert all(rep.checked == 1 for rep in verify_residue_identities(1, terms=1))
+
+
+# ---------------------------------------------------------------------------
+# the integer loops against the earlier Fraction loops
+# ---------------------------------------------------------------------------
+
+def _reference_zcoeff(k, n, terms, shifted):
+    """z^n of P_k(z, q), or of P_k(zq, q) if shifted, as a Fraction list."""
+    scalar = Fraction(n ** (k - 1), math.factorial(k - 1))
+    out = [Fraction(0)] * terms
+    if n > 0:
+        for i in range(n if shifted else 0, terms, n):
+            out[i] = scalar
+    else:
+        for i in range(0 if shifted else -n, terms, -n):
+            out[i] = -scalar
+    return out
+
+
+def _reference_residue_term(i, w, func, shifted_side, terms):
+    if i >= 0:
+        pairs = [(i - j - w + 1, Fraction(math.comb(i, j) * (-1) ** j)) for j in range(i + 1)]
+    elif not shifted_side:
+        pairs = [(-j - w, 1) for j in range(terms + w + 1)]
+    else:
+        pairs = [(j - w + 1, -1) for j in range(terms + w + 1)]
+    total = [Fraction(0)] * terms
+    for n, beta in pairs:
+        val = func(n)
+        if val is not None:
+            for k, co in enumerate(val):
+                if co:
+                    total[k] += co * beta
+    return total
+
+
+def _reference_residue_identity_value(w, m, terms):
+    """The earlier i-sum of c_i (A_i - B_i), in Fraction arithmetic throughout."""
+    one = [Fraction(1)] + [Fraction(0)] * (terms - 1)
+    if m is None:
+        afunc = bfunc = lambda n: one if n == 0 else None
+        i_top = 2
+    else:
+        afunc = lambda n: _reference_zcoeff(m, n, terms, False) if n else None
+        minus = [-co for co in one] if m == 1 else None
+        bfunc = lambda n: _reference_zcoeff(m, n, terms, True) if n else minus
+        i_top = m + 2
+    c = list(bracket_coeffs(w, -1, i_top + 2))
+    total = [Fraction(0)] * terms
+    for i in range(-1, i_top + 1):
+        a = _reference_residue_term(i, w, afunc, False, terms)
+        b = _reference_residue_term(i, w, bfunc, True, terms)
+        for k in range(terms):
+            total[k] += (a[k] - b[k]) * c[i + 1]
+    return PuiseuxSeries(0, total)
+
+
+def _reference_expansion_identity(w, terms, i_max, n_max):
+    """(checked, mismatches) of the earlier Fraction loop of verify_expansion_identity."""
+    bad, checked = [], 0
+    rows = [elliptic.bracket_coeffs(w, m, i_max - m + 1) for m in range(i_max + 1)]
+    for i in range(i_max + 1):
+        for n in list(range(-n_max, 0)) + list(range(1, n_max + 1)):
+            scale = Fraction(math.prod(w - 1 + n - t for t in range(i)), math.factorial(i))
+            lhs = [co * scale for co in _reference_zcoeff(1, n, terms, False)]
+            rhs = [Fraction(0)] * terms
+            for m in range(i + 1):
+                for k, co in enumerate(_reference_zcoeff(m + 1, n, terms, False)):
+                    rhs[k] += co * rows[m][i - m]
+            checked += terms
+            bad += [(f"i={i} n={n} q^{k}", str(a), str(b))
+                    for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b]
+    return checked, tuple(bad)
+
+
+def _reference_p_series_at_exp(k, terms, z_max):
+    """The earlier window: q^0 from Bernoulli numbers, q^l by Fraction divisor sums."""
+    g = {-1: Fraction(-1), 0: Fraction(-1, 2)}
+    for r in range(1, z_max + k):
+        g[r] = -bernoulli(r + 1) / math.factorial(r + 1)
+    for _ in range(k - 1):
+        g = {e - 1: co * e for e, co in g.items() if e != 0 and co != 0}
+    rows = {e: [g.get(e, Fraction(0)) / math.factorial(k - 1)] + [Fraction(0)] * (terms - 1)
+            for e in range(-k, z_max + 1)}
+    for l in range(1, terms):
+        for d in range(1, l + 1):
+            if l % d == 0:
+                dk = Fraction(d ** (k - 1), math.factorial(k - 1))
+                flip = -1 if (k - 1) % 2 == 0 else 1
+                for j in range(z_max + 1):
+                    term = dk * Fraction(d ** j, math.factorial(j))
+                    rows[j][l] += term + flip * term * (-1) ** j
+    return BivariateLaurent({e: PuiseuxSeries(0, co) for e, co in rows.items()}, -k, z_max, terms)
+
+
+def test_integer_residue_sums_match_the_fraction_loop():
+    for m in (None, 1, 2, 3, 4, 5, 6):
+        for w in range(1, 9):
+            for terms in range(1, 11):
+                got = elliptic._residue_identity_value(w, m, terms)
+                assert got == _reference_residue_identity_value(w, m, terms), (w, m, terms)
+
+
+def test_integer_mode_expansion_matches_the_fraction_loop(monkeypatch):
+    sizes = [(6, 8, 6), (1, 0, 1), (9, 3, 8), (4, 10, 2)]
+    for w in range(1, 7):
+        for terms, i_max, n_max in sizes:
+            rep = verify_expansion_identity(w, terms, i_max, n_max)
+            assert rep.passed
+            assert (rep.checked, rep.mismatches) == _reference_expansion_identity(w, terms, i_max, n_max)
+
+    # mismatch rows are reported with the same labels and values
+    def perturbed(w, m, depth=12):
+        row = bracket_coeffs(w, m, depth)
+        return row if depth < 2 else (row[0], row[1] + Fraction(1, 3)) + row[2:]
+
+    monkeypatch.setattr(elliptic, "bracket_coeffs", perturbed)
+    for w in range(1, 4):
+        rep = verify_expansion_identity(w, terms=6, i_max=8, n_max=6)
+        assert rep.mismatches and (rep.checked, rep.mismatches) == _reference_expansion_identity(w, 6, 8, 6)
+
+
+def test_integer_divisor_sums_match_the_fraction_loop():
+    for k in range(1, 7):
+        for terms, z_max in ((1, 0), (9, 8), (13, 5)):
+            assert p_series_at_exp(k, terms, z_max) == _reference_p_series_at_exp(k, terms, z_max), (k, terms)
+
+
+def test_integer_rows_are_built_once_per_argument():
+    elliptic._p_row.cache_clear()
+    for w in range(1, 6):
+        verify_expansion_identity(w, terms=6, i_max=8, n_max=6)
+    info = elliptic._p_row.cache_info()
+    # rows of P_1 .. P_9 at 12 values of n, the nine windows shared by all w
+    assert (info.currsize, info.misses) == (9 * 12, 9 * 12)
+    assert p_zcoeff(3, -2, 5).coeffs == tuple(Fraction(c, 2) for c in (0, 0, -4, 0, -4))
+    assert elliptic.p_shift_zcoeff(3, -2, 5).coeffs == tuple(Fraction(c, 2) for c in (-4, 0, -4, 0, -4))
 
 
 def test_identity_suites_reject_nonpositive_weight():

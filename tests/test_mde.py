@@ -26,6 +26,7 @@ dict tables.
 """
 
 import cmath
+import json
 from fractions import Fraction
 
 import pytest
@@ -456,6 +457,27 @@ def test_theta_form_matches_the_reference_routes():
         form = ode.theta_form()
         assert len(form) == ode.order + 1
         assert form[-1] == QuasiModularPoly.constant(1)
+
+
+def test_a_multi_root_solve_expands_the_theta_operator_once(monkeypatch, capsys):
+    # mde solve calls frobenius_solve once per indicial root; the roots of
+    # one equation share one q-expansion of its theta form
+    ode = to_ode(derive_recursion(Fraction(1, 2), Fraction(0)))
+    assert len(ode.indicial_roots()[0]) == 3
+    mde._theta_series.cache_clear()
+    expanded = []
+    original = QuasiModularPoly.to_series
+
+    def counting(self, terms):
+        if terms > 1:                       # constant_term reads to_series(1)
+            expanded.append(terms)
+        return original(self, terms)
+
+    monkeypatch.setattr(QuasiModularPoly, "to_series", counting)
+    assert cli.run(["--json", "mde", "solve", "--c", "1/2", "--h", "0", "--terms", "12"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["solutions"]) == 3
+    assert expanded == [12] * (ode.order + 1)
+    assert ode.theta_operator(12) is ode.theta_operator(12)
 
 
 def _reference_frobenius_solve(ode, exponent, terms):
