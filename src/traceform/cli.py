@@ -296,8 +296,7 @@ def _checks_modular(terms: int, taus: tuple[complex, ...]) -> list[Report]:
     reports.append(_run_check("e2-inversion", e2_fn, tolerance="1e-6"))
 
     def branch_fn():
-        worst = max(mde.sl2_branch_check(case.h_u, taus=taus, tolerance=float("inf"))
-                    for case in mde.TRACE_CASES)
+        worst = max(mde.sl2_branch_check(case.h_u, taus) for case in mde.TRACE_CASES)
         return worst < 1e-10, "automorphy factor loops equal 1", f"worst deviation {worst:.3e}"
 
     reports.append(_run_check("branch-identities", branch_fn, tolerance="1e-10"))
@@ -488,15 +487,16 @@ def _resolve_ch(args) -> tuple[Fraction, Fraction]:
         c = args.c
     else:
         raise _UsageError("one of --m or --c is required")
+    if args.weight_bound is not None and args.weight_bound < args.h + 2:
+        raise _UsageError(f"--weight-bound must be >= h + 2 = {args.h + 2}, got {args.weight_bound}")
     return c, args.h
 
 
 def _cmd_mde_derive(args) -> int:
-    _require_at_least(args.max_order, "--max-order", 1)
     c, h = _resolve_ch(args)
 
     def derive_fn():
-        rec = mde.derive_recursion(c, h, args.weight_bound, args.max_order)
+        rec = mde.derive_recursion(c, h, args.weight_bound)
         ode = mde.to_ode(rec)
         roots, rest = ode.indicial_roots()
         detail = (f"order {ode.order}; {ode}; indicial roots "
@@ -510,11 +510,10 @@ def _cmd_mde_derive(args) -> int:
 
 
 def _cmd_mde_solve(args) -> int:
-    _require_at_least(args.max_order, "--max-order", 1)
     _require_at_least(args.terms, "--terms", 1)
     c, h = _resolve_ch(args)
     try:
-        rec = mde.derive_recursion(c, h, args.weight_bound, args.max_order)
+        rec = mde.derive_recursion(c, h, args.weight_bound)
         ode = mde.to_ode(rec)
         roots, _ = ode.indicial_roots()
     except (ValueError, mde.ResonantExponentError) as exc:
@@ -632,8 +631,8 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--c", type=_parse_rat, default=None, help="central charge (alternative to --m)")
         q.add_argument("--h", type=_parse_rat, required=True, help="highest weight of the module")
         q.add_argument("--weight-bound", type=_parse_rat, default=None,
-                       help="cap on the relation span weight (default h + 8)")
-        q.add_argument("--max-order", type=int, default=4)
+                       help="cap on the relation span weight, and so on the order: the "
+                            "order-m string sits at weight h + 2m (default h + 8)")
         if action == "solve":
             q.add_argument("--exponent", type=_parse_rat, default=None,
                            help="indicial root to expand at (default: every rational root)")

@@ -375,12 +375,6 @@ def _c_row(w: int, depth: int) -> list[Fraction]:
     return list(bracket_coeffs(w, -1, depth))
 
 
-def p_shift_zcoeff(k: int, n: int, terms: int) -> PuiseuxSeries:
-    """Coefficient q-series of z^n in P_k(zq, q), n != 0: the q^n-shifted row."""
-    den = factorial(k - 1)
-    return PuiseuxSeries(0, [Fraction(c, den) for c in _p_row(k, n, terms, True)])
-
-
 def _residue_term(i: int, w: int, func, shifted_side: bool, terms: int) -> list[int]:
     """Residue in w of (w-z)^i z^(w-1-i) w^(-w) times a z-diagonal integrand.
 

@@ -224,8 +224,10 @@ def test_solving_at_a_non_root_reports_an_error(capsys):
     (["verify", "traces", "--terms", "0"], "--terms must be >= 1, got 0"),
     (["elliptic-identities", "--terms", "0"], "--terms must be >= 1, got 0"),
     (["mde", "solve", "--m", "1", "--h", "1/2", "--terms", "0"], "--terms must be >= 1, got 0"),
-    (["mde", "derive", "--m", "1", "--h", "1/2", "--max-order", "0"], "--max-order must be >= 1, got 0"),
-    (["mde", "solve", "--m", "1", "--h", "1/2", "--max-order", "0"], "--max-order must be >= 1, got 0"),
+    (["mde", "derive", "--m", "1", "--h", "1/2", "--weight-bound", "1"],
+     "--weight-bound must be >= h + 2 = 5/2, got 1"),
+    (["mde", "solve", "--m", "1", "--h", "1/2", "--weight-bound", "2"],
+     "--weight-bound must be >= h + 2 = 5/2, got 2"),
     (["gram", "--c", "1/2", "--h", "1/2", "--level", "4", "--vacuum"], "only at h = 0, got h = 1/2"),
     (["singular", "--c", "1/2", "--h", "1/2", "--level", "4", "--vacuum"], "only at h = 0, got h = 1/2"),
     (["dims", "--c", "1/2", "--h", "1/2", "--max-level", "4", "--vacuum"], "only at h = 0, got h = 1/2"),

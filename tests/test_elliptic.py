@@ -422,7 +422,8 @@ def test_integer_rows_are_built_once_per_argument():
     # rows of P_1 .. P_9 at 12 values of n, the nine windows shared by all w
     assert (info.currsize, info.misses) == (9 * 12, 9 * 12)
     assert p_zcoeff(3, -2, 5).coeffs == tuple(Fraction(c, 2) for c in (0, 0, -4, 0, -4))
-    assert elliptic.p_shift_zcoeff(3, -2, 5).coeffs == tuple(Fraction(c, 2) for c in (-4, 0, -4, 0, -4))
+    # the shifted row over (k-1)! = 2: P_3(zq, q) at z^-2 starts at q^0
+    assert elliptic._p_row(3, -2, 5, True) == (-4, 0, -4, 0, -4)
 
 
 def test_identity_suites_reject_nonpositive_weight():

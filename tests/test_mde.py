@@ -204,17 +204,16 @@ class _SquareRelationSpace(RelationSpace):
         self.level_bound = level
 
 
-def _square_picture_recursion(c, h, weight_bound, max_order=4):
+def _square_picture_recursion(c, h, weight_bound):
     """The earlier derivation, on the square span and the strings L[-2]^i u."""
     rel = _SquareRelationSpace(c, h, min(weight_bound, h + 2))
+    top = (weight_bound - h) // 2
     strings = [highest_weight_vector(c, h, h == 0)]
-    for _ in range(max_order):
+    for _ in range(top):
         strings.append(square_virasoro_action(-2, strings[-1]))
     while rel.weight_bound + 1 <= weight_bound and not rel.contains(graded_vector(strings[1])):
         rel.grow()
-    for m in range(1, max_order + 1):
-        if h + 2 * m > weight_bound:
-            break
+    for m in range(1, top + 1):
         target = rel.reduce(graded_vector(strings[m]))
         cands, labels = [], []
         for i in range(m):
@@ -234,7 +233,7 @@ def _square_picture_recursion(c, h, weight_bound, max_order=4):
         for (i, a4, a6), val in zip(labels, rho):
             rs[i] = rs[i] + QuasiModularPoly({(0, a4, a6): val})
         return TraceRecursion(c, h, m, tuple(rs), rel.weight_bound)
-    raise ValueError(f"no recursion of order <= {max_order} under weight bound {weight_bound}")
+    raise ValueError(f"no recursion of order <= {top} under weight bound {weight_bound}")
 
 
 def test_round_picture_derivation_matches_the_square_picture(monkeypatch):
@@ -264,7 +263,7 @@ def test_round_picture_derivation_matches_the_square_picture(monkeypatch):
         return graded_vector(vec, e4, e6)
 
     monkeypatch.setattr(mde, "graded_vector", recording)
-    mde._derive_recursion.__wrapped__(Fraction(1, 2), Fraction(0), Fraction(6), 4)
+    mde._derive_recursion.__wrapped__(Fraction(1, 2), Fraction(0), Fraction(6))
     assert modules == {virasoro.verma_module(Fraction(1, 2), Fraction(0), True)}
 
 
@@ -283,10 +282,10 @@ def test_each_trace_equation_is_derived_once_per_process(monkeypatch):
     assert len(calls) == 4
     assert {(c, h) for c, h, _ in calls} == {(case.c, case.h_u) for case in TRACE_CASES}
 
-    # the memo key is the normalised (c, h, weight bound, max order)
+    # the memo key is the normalised (c, h, weight bound)
     c = Fraction(-22, 5)
     first = derive_recursion(c, 1)
-    for args in ((c, Fraction(1)), (c, 1, Fraction(9)), (c, Fraction(1), 9), (c, 1, None, 4)):
+    for args in ((c, Fraction(1)), (c, 1, Fraction(9)), (c, Fraction(1), 9), (c, 1, None)):
         assert derive_recursion(*args) is first
     assert len(calls) == 5
     assert mde._derive_recursion.cache_info().currsize == 5
@@ -296,6 +295,28 @@ def test_each_trace_equation_is_derived_once_per_process(monkeypatch):
         with pytest.raises(ValueError, match="no recursion"):
             derive_recursion(0, 1)
     assert len(calls) == 7
+
+
+def test_the_weight_bound_caps_the_order():
+    # [L[-2]^m u] sits at weight h + 2m, so h + 12 reaches order 6 with no
+    # other cap, and the c = 7/10 vacuum closes there
+    rec = derive_recursion(Fraction(7, 10), 0, 12)
+    assert (rec.order, rec.weight_bound) == (6, 12)
+    assert [p.entries for p in rec.coefficients] == [
+        {(0, 0, 2): Fraction(-89012746179, 1331200), (0, 3, 0): Fraction(53425803501, 1664000)},
+        {(0, 1, 1): Fraction(14640625071, 140800)},
+        {(0, 2, 0): Fraction(46410489, 6400)},
+        {(0, 0, 1): Fraction(-659667, 160)},
+        {(0, 1, 0): Fraction(-22941, 40)},
+        {}]
+    roots, rest = to_ode(rec).indicial_roots()
+    assert rest == 0
+    assert [r for r, _ in roots] == sorted(
+        Fraction(hw) - Fraction(7, 240) for hw in ("0", "1/10", "3/5", "3/2", "3/80", "7/16"))
+    # the error names the cap that the bound sets; the Ising vacuum is order 3
+    for bound, top in ((Fraction(5, 2), 1), (Fraction(7, 2), 1), (4, 2)):
+        with pytest.raises(ValueError, match=f"no recursion of order <= {top} under weight bound {bound}$"):
+            derive_recursion(Fraction(1, 2), 0, bound)
 
 
 def test_ising_vacuum_equation_is_third_order():

@@ -112,6 +112,21 @@ def test_mde_derives_in_the_round_picture_only():
     assert not called, called
 
 
+def test_the_weight_bound_is_the_only_order_cap():
+    # the order-m string [L[-2]^m u] sits at weight h + 2m, so the weight
+    # bound already decides which orders are tried; a second cap on the
+    # order would have to be kept in step with it
+    params = [(stem, node.name) for stem in ("mde", "cli") for _, node in _functions(stem)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and "max_order" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}]
+    assert not params, params
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    uses = [ast.unparse(node) for node in ast.walk(tree)
+            if (isinstance(node, ast.Constant) and node.value in ("--max-order", "max_order"))
+            or (isinstance(node, ast.Attribute) and node.attr == "max_order")]
+    assert not uses, uses
+
+
 def test_bracket_rows_are_plain_tuples():
     assert "BracketCoeffTable" not in _definitions_by_module()["bracket"]
 
