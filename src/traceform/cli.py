@@ -4,16 +4,17 @@ Subcommands either dump exact data (series, Gram matrices, graded
 dimensions, Zhu polynomials, derived differential equations) or run named
 verification checks that emit one report per check. Reports carry
 check_name, status, expected, actual, tolerance (only for numeric checks)
-and runtime_ms; JSON output has fixed key order with every rational printed
-as "num/den", so identical flags give byte-identical output once
---stable-json zeroes the timings. The process exits 0 only if every check
-passes, 2 on usage errors.
+and runtime_ms (whole milliseconds, rounded up); JSON output has fixed key
+order with every rational printed as "num/den", so identical flags give
+byte-identical output once --stable-json zeroes the timings. The process
+exits 0 only if every check passes, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -65,6 +66,11 @@ class Report:
         return out
 
 
+def _ms(seconds: float) -> int:
+    """Whole milliseconds, rounded up, so a check that did any work never reads 0 ms."""
+    return math.ceil(seconds * 1000)
+
+
 def _run_check(name: str, fn, tolerance: str | None = None) -> Report:
     """Run fn() -> (ok, expected, actual); errors become error reports."""
     start = time.perf_counter()
@@ -73,7 +79,7 @@ def _run_check(name: str, fn, tolerance: str | None = None) -> Report:
         status = "pass" if ok else "fail"
     except Exception as exc:  # noqa: BLE001 - the report is the error channel
         status, expected, actual = "error", "", f"{type(exc).__name__}: {exc}"
-    ms = int((time.perf_counter() - start) * 1000)
+    ms = _ms(time.perf_counter() - start)
     return Report(name, status, expected, actual, tolerance, ms)
 
 
@@ -131,7 +137,7 @@ def _checks_traces(terms: int) -> list[Report]:
 
 
 def _residue_report_to_check(rep: elliptic.ResidueReport, name: str) -> Report:
-    ms = int(rep.runtime_s * 1000)
+    ms = _ms(rep.runtime_s)
     if rep.passed:
         return Report(name, "pass", "exact identity", f"{rep.checked} coefficients equal", runtime_ms=ms)
     label, got, want = rep.mismatches[0]
@@ -151,7 +157,7 @@ def _checks_elliptic(terms: int) -> list[Report]:
             else:
                 reports.append(_residue_report_to_check(rep, f"{rep.identity}-k{rep.params['k']}"))
     except Exception as exc:  # noqa: BLE001
-        ms = int((time.perf_counter() - start) * 1000)
+        ms = _ms(time.perf_counter() - start)
         reports.append(Report("weierstrass-expansion", "error", "", f"{type(exc).__name__}: {exc}",
                               None, ms))
     for w in range(1, 7):
@@ -546,6 +552,10 @@ def _cmd_mde_solve(args) -> int:
 
 def _cmd_modular_check(args) -> int:
     _require_at_least(args.terms, "--terms", 1)
+    distinct = len(set(args.tau or ()))
+    if args.tau and distinct < 2:
+        # the transform ratio must be constant across the samples, which one sample cannot show
+        raise _UsageError(f"--tau needs at least two distinct sample points, got {distinct}")
     taus = tuple(args.tau) if args.tau else mde.TAU_SAMPLES
     return _emit_reports(_checks_modular(args.terms, taus), args)
 
@@ -641,7 +651,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modular-check", help="numeric modular transformation checks")
     p.add_argument("--tau", type=_parse_tau, action="append",
-                   help="sample point a,b meaning a+bi; repeatable")
+                   help="sample point a,b meaning a+bi; give two or more")
     p.add_argument("--terms", type=int, default=80)
     p.set_defaults(handler=_cmd_modular_check)
 

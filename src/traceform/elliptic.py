@@ -10,8 +10,9 @@ expansions
 
     wp_k(z, q) = z^(-k) + (-1)^k sum_{n>=1} C(2n+1, k-1) E_{2n+2}(q) z^(2n+2-k),
 
-both stored as BivariateLaurent: a finite window of z-powers, each carrying
-an exact q-series. Outside the window coefficients are unknown, not zero.
+both held as windows: a dict from each z-power of a finite range to the
+tuple of its exact q-coefficients, zero rows included. A z-power without a
+key lies outside the window, where coefficients are unknown, not zero.
 
 Substituting z -> e^z into P_k needs care: termwise composition puts an
 infinite geometric sum into every z-power of the q^0 part. The resummed q^0
@@ -45,10 +46,11 @@ against the bracket coefficient tables and the z^n entries of P_{m+1}.
 
 Every z^n row of P_k(z, q) and of P_k(zq, q) is n^(k-1)/(k-1)! times a 0/+-1
 pattern, so _p_row keeps it as integer numerators over (k-1)!, built once
-per (k, n, terms). The residue sums, the right-hand sides of the mode
-expansion and the divisor sums of p_series_at_exp run over int, with the
-c-row and the bracket rows cleared to one denominator; only the results and
-the mismatch reports are Fractions.
+per (k, n, terms); p_series reads its rows from there. The residue sums and
+the right-hand sides of the mode expansion run over int, with the c-row and
+the bracket rows cleared to one denominator, and the divisor sums of
+p_series_at_exp are qseries.sigma; only the results and the mismatch
+reports are Fractions.
 """
 
 from __future__ import annotations
@@ -58,12 +60,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from operator import sub
+from operator import add, sub
 
 from .bracket import bracket_coeffs
-from .linalg import _cleared, _RationalLike, _frac
-from .qseries import PuiseuxSeries, bernoulli, eisenstein
+from .linalg import _CommonDenominator
+from .qseries import PuiseuxSeries, bernoulli, eisenstein, sigma
 from .virasoro import _gbinom
+
+
+Window = dict[int, tuple[Fraction, ...]]
 
 
 def _zero_series(terms: int) -> PuiseuxSeries:
@@ -72,109 +77,6 @@ def _zero_series(terms: int) -> PuiseuxSeries:
 
 def _const_series(value: Fraction, terms: int) -> PuiseuxSeries:
     return PuiseuxSeries(0, [value] + [Fraction(0)] * (terms - 1))
-
-
-class BivariateLaurent:
-    """Finite window of z-powers with an exact q-series on each.
-
-    entries maps z-exponent -> PuiseuxSeries on the integer lattice with
-    leading exponent 0 and a common truncation. Absent exponents inside
-    [z_min, z_max] are zero; exponents outside the window are unknown.
-    """
-
-    __slots__ = ("entries", "z_min", "z_max", "qterms")
-
-    def __init__(self, entries: dict[int, PuiseuxSeries], z_min: int, z_max: int, qterms: int):
-        if z_min > z_max:
-            raise ValueError("empty z-window")
-        for e, s in entries.items():
-            if not z_min <= e <= z_max:
-                raise ValueError(f"entry z^{e} outside window [{z_min}, {z_max}]")
-            if s.lam != 0 or len(s.coeffs) != qterms:
-                raise ValueError(f"entry z^{e} must sit on the integer lattice with {qterms} terms")
-        self.entries = {e: s for e, s in entries.items() if not s.is_zero()}
-        self.z_min = z_min
-        self.z_max = z_max
-        self.qterms = qterms
-
-    def entry(self, zexp: int) -> PuiseuxSeries:
-        if not self.z_min <= zexp <= self.z_max:
-            raise ValueError(f"z^{zexp} is outside the window [{self.z_min}, {self.z_max}]")
-        series = self.entries.get(zexp)
-        return _zero_series(self.qterms) if series is None else series
-
-    def coefficient(self, zexp: int, qexp: _RationalLike) -> Fraction:
-        return self.entry(zexp).coefficient(qexp)
-
-    def __add__(self, other):
-        if not isinstance(other, BivariateLaurent):
-            return NotImplemented
-        z_min = max(self.z_min, other.z_min)
-        z_max = min(self.z_max, other.z_max)
-        qterms = min(self.qterms, other.qterms)
-        out: dict[int, PuiseuxSeries] = {}
-        for e in range(z_min, z_max + 1):
-            s = (self.entry(e) + other.entry(e)).truncate(qterms)
-            out[e] = s
-        return BivariateLaurent(out, z_min, z_max, qterms)
-
-    def __neg__(self):
-        return BivariateLaurent({e: -s for e, s in self.entries.items()},
-                                self.z_min, self.z_max, self.qterms)
-
-    def __sub__(self, other):
-        if not isinstance(other, BivariateLaurent):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return BivariateLaurent({e: s * _frac(scalar) for e, s in self.entries.items()},
-                                self.z_min, self.z_max, self.qterms)
-
-    __rmul__ = __mul__
-
-    def with_entry_added(self, zexp: int, series: PuiseuxSeries) -> "BivariateLaurent":
-        """Add a single q-series at one z-power, window unchanged."""
-        out = dict(self.entries)
-        out[zexp] = self.entry(zexp) + series.truncate(self.qterms)
-        return BivariateLaurent(out, self.z_min, self.z_max, self.qterms)
-
-    def d_dz(self) -> "BivariateLaurent":
-        """d/dz: shifts the window down by one."""
-        out = {e - 1: s * e for e, s in self.entries.items() if e != 0}
-        return BivariateLaurent(out, self.z_min - 1, self.z_max - 1, self.qterms)
-
-    def z_d_dz(self) -> "BivariateLaurent":
-        """z d/dz: window unchanged."""
-        out = {e: s * e for e, s in self.entries.items() if e != 0}
-        return BivariateLaurent(out, self.z_min, self.z_max, self.qterms)
-
-    def mismatches(self, other: "BivariateLaurent") -> list[tuple[str, str, str]]:
-        """Per-coefficient differences over the common window, as report rows."""
-        if not isinstance(other, BivariateLaurent):
-            raise TypeError("can only compare BivariateLaurent objects")
-        z_min = max(self.z_min, other.z_min)
-        z_max = min(self.z_max, other.z_max)
-        qterms = min(self.qterms, other.qterms)
-        bad: list[tuple[str, str, str]] = []
-        for e in range(z_min, z_max + 1):
-            a, b = self.entry(e), other.entry(e)
-            for n in range(qterms):
-                if a.coeffs[n] != b.coeffs[n]:
-                    bad.append((f"z^{e} q^{n}", str(a.coeffs[n]), str(b.coeffs[n])))
-        return bad
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariateLaurent):
-            return NotImplemented
-        return (self.z_min, self.z_max, self.qterms) == (other.z_min, other.z_max, other.qterms) \
-            and not self.mismatches(other)
-
-    def __repr__(self):
-        return (f"BivariateLaurent(z^{self.z_min}..z^{self.z_max}, qterms={self.qterms}, "
-                f"{len(self.entries)} nonzero entries)")
 
 
 # ---------------------------------------------------------------------------
@@ -196,41 +98,36 @@ def _p_row(k: int, n: int, terms: int, shifted: bool) -> tuple[int, ...]:
     return tuple(out)
 
 
-def p_zcoeff(k: int, n: int, terms: int) -> PuiseuxSeries:
-    """Coefficient q-series of z^n in P_k(z, q), n != 0."""
-    den = factorial(k - 1)
-    return PuiseuxSeries(0, [Fraction(c, den) for c in _p_row(k, n, terms, False)])
-
-
-def p_series(k: int, terms: int, z_min: int = -8, z_max: int = 8) -> BivariateLaurent:
-    """P_k(z, q) over a finite z-window."""
+def p_series(k: int, terms: int, z_min: int = -8, z_max: int = 8) -> Window:
+    """P_k(z, q) over the z-powers z_min..z_max."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    entries = {n: p_zcoeff(k, n, terms) for n in range(z_min, z_max + 1) if n != 0}
-    return BivariateLaurent(entries, z_min, z_max, terms)
+    den = factorial(k - 1)
+    zero = (Fraction(0),) * terms
+    return {n: tuple(Fraction(c, den) for c in _p_row(k, n, terms, False)) if n else zero
+            for n in range(z_min, z_max + 1)}
 
 
-def wp_expansion(k: int, terms: int, z_max: int = 8) -> BivariateLaurent:
-    """wp_k: pole z^(-k) plus Eisenstein coefficients at z^(2n+2-k), n >= 1.
+def wp_expansion(k: int, terms: int, z_max: int = 8) -> Window:
+    """wp_k over z^-k..z^z_max: the pole z^(-k) plus Eisenstein coefficients
+    at z^(2n+2-k), n >= 1.
 
-    Only exponents congruent to -k mod 2 appear; in particular wp_2 has
-    z^2 coefficient 3 E_4 and no z^0 term.
+    Only exponents congruent to -k mod 2 carry nonzero rows; in particular
+    wp_2 has z^2 coefficient 3 E_4 and a zero z^0 row.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    entries: dict[int, PuiseuxSeries] = {-k: _const_series(Fraction(1), terms)}
     sign = -1 if k % 2 else 1
-    n = 1
-    while 2 * n + 2 - k <= z_max:
-        coeff = _gbinom(2 * n + 1, k - 1) * sign
-        if coeff != 0:
-            entries[2 * n + 2 - k] = eisenstein(2 * n + 2, terms) * coeff
-        n += 1
-    return BivariateLaurent(entries, -k, z_max, terms)
+    rows = {e: (Fraction(0),) * terms for e in range(-k, z_max + 1)}
+    rows[-k] = (Fraction(1),) + rows[-k][1:]
+    for n in range(1, (z_max + k) // 2):
+        coeff = comb(2 * n + 1, k - 1) * sign
+        rows[2 * n + 2 - k] = tuple(c * coeff for c in eisenstein(2 * n + 2, terms).coeffs)
+    return rows
 
 
-def p_series_at_exp(k: int, terms: int, z_max: int = 8) -> BivariateLaurent:
-    """P_k(e^z, q) with the q^0 tail resummed through Bernoulli numbers."""
+def p_series_at_exp(k: int, terms: int, z_max: int = 8) -> Window:
+    """P_k(e^z, q) over z^-k..z^z_max, the q^0 tail resummed through Bernoulli numbers."""
     if k < 1:
         raise ValueError("k must be >= 1")
     # Laurent coefficients of e^z/(1-e^z) from z^-1 up to z^(z_max + k - 1)
@@ -245,16 +142,14 @@ def p_series_at_exp(k: int, terms: int, z_max: int = 8) -> BivariateLaurent:
     # q^l, l >= 1: the divisor sum of the module docstring has z^e coefficient
     # 2 sigma_{k-1+e}(l) / ((k-1)! e!) when e >= 0 and k + e is even, else 0
     den = factorial(k - 1)
-    divisors = [[d for d in range(1, l + 1) if l % d == 0] for l in range(1, terms)]
-    rows = {e: [g.get(e, Fraction(0)) / den] for e in range(-k, z_max + 1)}
-    for e, row in rows.items():
+    rows = {}
+    for e in range(-k, z_max + 1):
         if e < 0 or (k + e) % 2:
-            row += [Fraction(0)] * (terms - 1)
+            tail = (Fraction(0),) * (terms - 1)
         else:
-            row += [Fraction(2 * sum(d ** (k - 1 + e) for d in ds), den * factorial(e))
-                    for ds in divisors]
-    entries = {e: PuiseuxSeries(0, coeffs) for e, coeffs in rows.items()}
-    return BivariateLaurent(entries, -k, z_max, terms)
+            tail = tuple(Fraction(2 * sigma(k - 1 + e, l), den * factorial(e)) for l in range(1, terms))
+        rows[e] = (g.get(e, Fraction(0)) / den,) + tail
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +195,13 @@ def _series_mismatches(label: str, got: PuiseuxSeries, want: PuiseuxSeries) -> l
     return bad
 
 
+def _window_mismatches(got: Window, want: Window) -> list[tuple[str, str, str]]:
+    """Per-coefficient differences over the z-powers and q-terms both windows hold, as report rows."""
+    return [(f"z^{e} q^{n}", str(a), str(b))
+            for e in sorted(got.keys() & want.keys())
+            for n, (a, b) in enumerate(zip(got[e], want[e])) if a != b]
+
+
 def verify_p_wp_relations(k_max: int = 5, terms: int = 9, z_max: int = 8) -> list[ResidueReport]:
     """Check P_k(e^z, q) against the Weierstrass expansions, exactly.
 
@@ -309,21 +211,21 @@ def verify_p_wp_relations(k_max: int = 5, terms: int = 9, z_max: int = 8) -> lis
     """
     _require_sizes(k_max=(k_max, 1), terms=(terms, 1))
     reports = []
+    e2 = eisenstein(2, terms).coeffs
     for k in range(1, k_max + 1):
         start = time.perf_counter()
         lhs = p_series_at_exp(k, terms, z_max)
-        wp = wp_expansion(k, terms, z_max)
+        rhs = {e: tuple(-c for c in row) if k % 2 else row
+               for e, row in wp_expansion(k, terms, z_max).items()}
         if k == 1:
-            rhs = (-wp).with_entry_added(1, eisenstein(2, terms)) \
-                       .with_entry_added(0, _const_series(Fraction(-1, 2), terms))
+            rhs[1] = tuple(map(add, rhs[1], e2))
+            rhs[0] = (rhs[0][0] - Fraction(1, 2),) + rhs[0][1:]
         elif k == 2:
-            rhs = wp.with_entry_added(0, eisenstein(2, terms))
-        else:
-            rhs = wp * ((-1) ** k)
-        bad = lhs.mismatches(rhs)
+            rhs[0] = tuple(map(add, rhs[0], e2))
         checked = (z_max + k + 1) * terms
         reports.append(ResidueReport("p-series-weierstrass", {"k": k, "terms": terms, "z_max": z_max},
-                                     checked, tuple(bad), time.perf_counter() - start))
+                                     checked, tuple(_window_mismatches(lhs, rhs)),
+                                     time.perf_counter() - start))
     return reports
 
 
@@ -333,35 +235,41 @@ def verify_wp_structure(k_max: int = 5, terms: int = 9, z_max: int = 8) -> list[
     The wp_k window only carries z-powers of the same parity as k, the
     derivative recursion wp_{k+1} = -(1/k) d/dz wp_k reproduces each
     expansion from the previous one, and z d/dz P_k = k P_{k+1} does the
-    same on the q-series side.
+    same on the q-series side. Each wp_k(z_max) window serves both the
+    parity and the derivative check, and each P_k window both of its
+    derivative checks.
     """
     _require_sizes(k_max=(k_max, 1), terms=(terms, 1))
     reports = []
     start = time.perf_counter()
+    wps = {k: wp_expansion(k, terms, z_max) for k in range(1, k_max + 1)}
     parity_bad: list[tuple[str, str, str]] = []
     parity_checked = 0
-    for k in range(1, k_max + 1):
-        wp = wp_expansion(k, terms, z_max)
-        for e in wp.entries:
-            parity_checked += 1
-            if (e - k) % 2:
-                parity_bad.append((f"k={k} z^{e}", "nonzero entry", "parity forbids it"))
+    for k, wp in wps.items():
+        for e, row in wp.items():
+            if any(row):
+                parity_checked += 1
+                if (e - k) % 2:
+                    parity_bad.append((f"k={k} z^{e}", "nonzero entry", "parity forbids it"))
     reports.append(ResidueReport("wp-parity", {"k_max": k_max, "z_max": z_max},
                                  parity_checked, tuple(parity_bad), time.perf_counter() - start))
+    p_next = p_series(1, terms, -z_max, z_max)
     for k in range(1, k_max):
         start = time.perf_counter()
-        lhs = wp_expansion(k + 1, terms, z_max)
-        rhs = wp_expansion(k, terms, z_max + 1).d_dz() * Fraction(-1, k)
+        # -(1/k) d/dz of wp_k, one z-power wider so that it reaches z^z_max
+        rhs = {e - 1: tuple(c * Fraction(-e, k) for c in row)
+               for e, row in wp_expansion(k, terms, z_max + 1).items()}
         reports.append(ResidueReport("wp-derivative-recursion",
                                      {"k": k, "terms": terms, "z_max": z_max},
-                                     (z_max + k + 2) * terms, tuple(lhs.mismatches(rhs)),
+                                     (z_max + k + 2) * terms, tuple(_window_mismatches(wps[k + 1], rhs)),
                                      time.perf_counter() - start))
         start = time.perf_counter()
-        plhs = p_series(k, terms, -z_max, z_max).z_d_dz()
-        prhs = p_series(k + 1, terms, -z_max, z_max) * k
+        p_k, p_next = p_next, p_series(k + 1, terms, -z_max, z_max)
+        plhs = {e: tuple(c * e for c in row) for e, row in p_k.items()}
+        prhs = {e: tuple(c * k for c in row) for e, row in p_next.items()}
         reports.append(ResidueReport("p-z-derivative",
                                      {"k": k, "terms": terms, "z_max": z_max},
-                                     2 * z_max * terms, tuple(plhs.mismatches(prhs)),
+                                     2 * z_max * terms, tuple(_window_mismatches(plhs, prhs)),
                                      time.perf_counter() - start))
     return reports
 
@@ -425,8 +333,8 @@ def _residue_identity_value(w: int, m: int | None, terms: int) -> PuiseuxSeries:
             return tuple(-co for co in one) if m == 1 else None
 
         i_top = m + 2
-    c, den = _cleared(_c_row(w, i_top + 2))
-    den *= factorial(m - 1) if m else 1
+    c_row = _CommonDenominator(_c_row(w, i_top + 2))
+    c, den = c_row.nums, c_row.den * (factorial(m - 1) if m else 1)
     total = [0] * terms
     tail: list[bool] = []
     for i in range(-1, i_top + 1):
@@ -495,7 +403,8 @@ def verify_expansion_identity(w: int, terms: int = 6, i_max: int = 8,
     checked = 0
     rows = [bracket_coeffs(w, m, i_max - m + 1) for m in range(0, i_max + 1)]
     for i in range(0, i_max + 1):
-        beta, den = _cleared(rows[m][i - m] / factorial(m) for m in range(0, i + 1))
+        cleared = _CommonDenominator(rows[m][i - m] / factorial(m) for m in range(0, i + 1))
+        beta, den = cleared.nums, cleared.den
         for n in list(range(-n_max, 0)) + list(range(1, n_max + 1)):
             scale = int(_gbinom(w - 1 + n, i))
             rhs = [0] * terms

@@ -17,8 +17,8 @@ the first (the modular frame of Dixon, Numer. Math. 1982, with CRT in place
 of p-adic lifting).
 
 _frac and _RationalLike are the rational coercion every layer shares, and
-_cleared brings a list of rationals to integer numerators over their least
-common denominator for the integer kernels here and in zhu.
+_CommonDenominator brings a list of rationals to integer numerators over
+their least common denominator for every integer kernel of the package.
 """
 
 from __future__ import annotations
@@ -35,11 +35,32 @@ def _frac(x: _RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _cleared(values: Iterable[_RationalLike]) -> tuple[list[int], int]:
-    """Integer numerators of values over their least common denominator, and that denominator."""
-    values = list(values)
-    denom = lcm(*(v.denominator for v in values))
-    return [v.numerator * (denom // v.denominator) for v in values], denom
+class _CommonDenominator:
+    """Rationals held as integer numerators nums over one denominator den.
+
+    The constructor clears a batch to its least common denominator with one
+    lcm. Series products, the integer kernels here and in zhu and elliptic,
+    and the recurrences of qseries.pow_rational and mde.frobenius_solve take
+    integer dot products of these numerators instead of normalising a
+    Fraction at every step. append() extends a recurrence by one value,
+    rescaling the numerators already held when its denominator does not
+    divide den.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, values: Iterable[_RationalLike]) -> None:
+        values = list(values)
+        self.den = lcm(*(v.denominator for v in values))
+        self.nums = [v.numerator * (self.den // v.denominator) for v in values]
+
+    def append(self, x: _RationalLike) -> None:
+        d = x.denominator
+        if self.den % d:
+            scale = d // gcd(self.den, d)
+            self.nums = [v * scale for v in self.nums]
+            self.den *= scale
+        self.nums.append(x.numerator * (self.den // d))
 
 
 def solve_dense(rows: Iterable[Sequence[Fraction | int]],
@@ -212,8 +233,7 @@ def sparse_nullspace(rows: Iterable[Mapping[int, Fraction | int]],
     """
     work = []
     for row in rows:
-        nums, _ = _cleared(row.values())
-        cleared = {c: v for c, v in zip(row, nums) if v}
+        cleared = {c: v for c, v in zip(row, _CommonDenominator(row.values()).nums) if v}
         if cleared:
             work.append(cleared)
 
@@ -265,8 +285,7 @@ def _certified(work: list[dict[int, int]], free: list[int], pivot_cols: list[int
                 if q is None:
                     return None
                 vec[col] = q
-        nums, _ = _cleared(vec.values())
-        scaled = dict(zip(vec, nums))
+        scaled = dict(zip(vec, _CommonDenominator(vec.values()).nums))
         for row in work:
             if sum(v * scaled.get(c, 0) for c, v in row.items()):
                 return None

@@ -61,8 +61,8 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from . import virasoro
-from .linalg import RowSpan, _RationalLike, _frac, solve_dense
-from .qseries import PuiseuxSeries, _CommonDenominator, eisenstein, eta_power
+from .linalg import RowSpan, _CommonDenominator, _RationalLike, _frac, solve_dense
+from .qseries import PuiseuxSeries, eisenstein, eta_power
 from .virasoro import VermaVector, verma_monomial
 from .zhu import rational_roots
 
@@ -230,8 +230,14 @@ class QuasiModularPoly:
 def eisenstein_modular_poly(two_k: int) -> QuasiModularPoly:
     """E_{2k} for 2k >= 4 written in the ring Q[E4, E6].
 
-    Solved from q-expansions with more coefficients than monomials, so an
-    inconsistent system (which would mean a bug) raises instead of fitting.
+    From 2k = 8 on, by the classical recurrence of the Laurent coefficients
+    (2k-1) E_{2k} of wp_2,
+
+        (2k+1)(k-3)(2k-1) E_{2k}
+            = 3 sum_{p=2}^{k-2} (2p-1)(2k-2p-1) E_{2p} E_{2k-2p},
+
+    which is homogeneous of weight 2k and so holds for the normalization
+    E_{2k} = G_{2k} / (2 pi i)^{2k}.
     """
     if two_k % 2 or two_k < 4:
         raise ValueError("only even weights >= 4 are polynomial in E4 and E6")
@@ -239,18 +245,12 @@ def eisenstein_modular_poly(two_k: int) -> QuasiModularPoly:
         return QuasiModularPoly.e4()
     if two_k == 6:
         return QuasiModularPoly.e6()
-    monos = [(a4, a6) for a4 in range(two_k // 4 + 1)
-             for a6 in range(two_k // 6 + 1) if 4 * a4 + 6 * a6 == two_k]
-    terms = len(monos) + 3
-    target = eisenstein(two_k, terms)
-    cols = [(eisenstein(4, terms) ** a4) * (eisenstein(6, terms) ** a6)
-            for a4, a6 in monos]
-    rows = [[col.coefficient(n) for col in cols] for n in range(terms)]
-    rhs = [target.coefficient(n) for n in range(terms)]
-    sol = solve_dense(rows, rhs)
-    if sol is None:
-        raise AssertionError(f"E_{two_k} failed to reduce to E4 and E6")
-    return QuasiModularPoly({(0, a4, a6): co for (a4, a6), co in zip(monos, sol)})
+    k = two_k // 2
+    total = QuasiModularPoly()
+    for p in range(2, k - 1):
+        total = total + (2 * p - 1) * (2 * k - 2 * p - 1) * (
+            eisenstein_modular_poly(2 * p) * eisenstein_modular_poly(two_k - 2 * p))
+    return total * Fraction(3, (2 * k + 1) * (k - 3) * (2 * k - 1))
 
 
 # ---------------------------------------------------------------------------

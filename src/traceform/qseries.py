@@ -22,9 +22,9 @@ Coefficients are stored as Fraction, but the hot kernels run over int. A
 sum aligns the two windows by integer offsets and adds coefficient by
 coefficient. A product and the power recurrence of pow_rational (and so
 eta_power) hold each factor as integer numerators over one common
-denominator (_CommonDenominator), convolve those over the nonzero support
-of the factor with more zero numerators, and build one Fraction per output
-coefficient. The Euler product of eta comes from the pentagonal number
+denominator (linalg._CommonDenominator), convolve those over the nonzero
+support of the factor with more zero numerators, and build one Fraction per
+output coefficient. The Euler product of eta comes from the pentagonal number
 theorem in O(N). Results are exactly those of the plain Fraction loops,
 whichever order the factors come in. The constructor coerces coefficients
 only when some of them are not already Fraction.
@@ -33,45 +33,18 @@ only when some of them are not already Fraction.
 from __future__ import annotations
 
 import cmath
-from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial
 from operator import add
 from os import PathLike
 
-from .linalg import _RationalLike, _frac
+from .linalg import _CommonDenominator, _RationalLike, _frac
 
 
 def _fmt_frac(x: _RationalLike) -> str:
     """x as "num/den", the form of cache files and CLI output; an int prints over 1."""
     return f"{x.numerator}/{x.denominator}"
-
-
-class _CommonDenominator:
-    """Rationals held as integer numerators nums over one denominator den.
-
-    Series products and the recurrences of pow_rational and
-    mde.frobenius_solve take integer dot products of these numerators instead
-    of normalising a Fraction at every step. append() rescales the numerators
-    already held when the new value's denominator does not divide den.
-    """
-
-    __slots__ = ("nums", "den")
-
-    def __init__(self, values: Iterable[Fraction]) -> None:
-        self.nums: list[int] = []
-        self.den = 1
-        for x in values:
-            self.append(x)
-
-    def append(self, x: Fraction) -> None:
-        d = x.denominator
-        if self.den % d:
-            scale = d // gcd(self.den, d)
-            self.nums = [v * scale for v in self.nums]
-            self.den *= scale
-        self.nums.append(x.numerator * (self.den // d))
 
 
 class PuiseuxSeries:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from . import virasoro
-from .linalg import RowSpan, _RationalLike, _cleared, _frac
+from .linalg import RowSpan, _CommonDenominator, _RationalLike, _frac
 # l_action is read through this module by the benchmark's tracing test
 from .virasoro import VermaVector, _gbinom, _sum_scaled, l_action, mode_action, minimal_model  # noqa: F401
 
@@ -108,14 +108,14 @@ def class_polynomial(vec: VermaVector) -> list[Fraction]:
     cleared to one denominator, which divides out at the end.
     """
     _require_vacuum(vec)
-    nums, denom = _cleared(vec.entries.values())
+    cleared = _CommonDenominator(vec.entries.values())
     acc = [0]
-    for mu, num in zip(vec.entries, nums):
+    for mu, num in zip(vec.entries, cleared.nums):
         poly = _descend([num], mu, 0)
         acc.extend([0] * (len(poly) - len(acc)))
         for i, a in enumerate(poly):
             acc[i] += a
-    return [Fraction(a, denom) for a in _poly_trim(acc)]
+    return [Fraction(a, cleared.den) for a in _poly_trim(acc)]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def rational_roots(poly: tuple[Fraction, ...]) -> tuple[list[tuple[Fraction, int
     coefficient, each candidate is tested as an integer, and each root found
     is divided out over Z.
     """
-    work, _ = _cleared(_poly_trim(list(poly)))
+    work = _CommonDenominator(_poly_trim(list(poly))).nums
     roots: dict[Fraction, int] = {}
     while len(work) > 1 and work[0] == 0:
         roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1

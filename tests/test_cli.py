@@ -231,6 +231,8 @@ def test_solving_at_a_non_root_reports_an_error(capsys):
     (["gram", "--c", "1/2", "--h", "1/2", "--level", "4", "--vacuum"], "only at h = 0, got h = 1/2"),
     (["singular", "--c", "1/2", "--h", "1/2", "--level", "4", "--vacuum"], "only at h = 0, got h = 1/2"),
     (["dims", "--c", "1/2", "--h", "1/2", "--max-level", "4", "--vacuum"], "only at h = 0, got h = 1/2"),
+    (["modular-check", "--tau", "0.3,1.1"], "--tau needs at least two distinct sample points, got 1"),
+    (["modular-check", "--tau", "0.3,1.1", "--tau", "0.3,1.1"], "at least two distinct sample points, got 1"),
 ])
 def test_bad_values_exit_two_with_one_line(capsys, argv, message):
     code = cli.run(argv)

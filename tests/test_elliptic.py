@@ -6,10 +6,12 @@ suites are asserted wholesale; on top of that, the windows are evaluated
 numerically at concrete (x, q) points and compared against the convergent
 double sums, which does not share any code with the series constructors.
 
-The residue sums, the mode-expansion right-hand sides and the divisor sums
-of p_series_at_exp run over int, on rows that elliptic._p_row builds once.
-The earlier loops over Fraction are kept below as references, and the
-integer rows are perturbed through _p_row to show the suites see them.
+A window is a dict from z-power to its tuple of q-coefficients. The residue
+sums and the mode-expansion right-hand sides run over int, on rows that
+elliptic._p_row builds once, and the divisor sums of p_series_at_exp are
+qseries.sigma. The earlier loops over Fraction are kept below as
+references, and the integer rows are perturbed through _p_row to show the
+suites see them.
 """
 
 import math
@@ -20,10 +22,8 @@ import pytest
 from traceform import elliptic
 from traceform.bracket import bracket_coeffs
 from traceform.elliptic import (
-    BivariateLaurent,
     p_series,
     p_series_at_exp,
-    p_zcoeff,
     verify_expansion_identity,
     verify_p_wp_relations,
     verify_residue_identities,
@@ -40,48 +40,7 @@ def assert_all_pass(reports):
 
 def eval_window(window, x, q):
     """Evaluate a window numerically: sum over z-powers of x^e times the q-series."""
-    total = 0.0
-    for e in range(window.z_min, window.z_max + 1):
-        s = window.entry(e)
-        qval = sum(float(c) * q ** i for i, c in enumerate(s.coeffs))
-        total += x ** e * qval
-    return total
-
-
-# ---------------------------------------------------------------------------
-# window container behaviour
-# ---------------------------------------------------------------------------
-
-def test_window_constructor_rejects_entries_outside_the_window():
-    series = PuiseuxSeries(0, [Fraction(1), Fraction(2)])
-    with pytest.raises(ValueError):
-        BivariateLaurent({3: series}, -1, 2, 2)
-    with pytest.raises(ValueError):
-        BivariateLaurent({0: PuiseuxSeries(Fraction(1, 2), [1, 2])}, -1, 2, 2)
-
-
-def test_window_addition_intersects_windows_and_truncations():
-    a = BivariateLaurent({0: PuiseuxSeries(0, [1, 2, 3])}, -2, 3, 3)
-    b = BivariateLaurent({0: PuiseuxSeries(0, [5, 5])}, -1, 5, 2)
-    total = a + b
-    assert (total.z_min, total.z_max, total.qterms) == (-1, 3, 2)
-    assert total.entry(0).coeffs == (Fraction(6), Fraction(7))
-
-
-def test_window_derivative_shifts_and_scales():
-    f = BivariateLaurent({-2: PuiseuxSeries(0, [1]), 3: PuiseuxSeries(0, [7])}, -2, 3, 1)
-    df = f.d_dz()
-    assert df.entry(-3).coefficient(0) == -2
-    assert df.entry(2).coefficient(0) == 21
-    zdz = f.z_d_dz()
-    assert zdz.entry(-2).coefficient(0) == -2
-    assert zdz.entry(3).coefficient(0) == 21
-
-
-def test_entry_outside_the_window_raises():
-    f = BivariateLaurent({}, -1, 1, 2)
-    with pytest.raises(ValueError):
-        f.entry(2)
+    return sum(x ** e * sum(float(c) * q ** i for i, c in enumerate(row)) for e, row in window.items())
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +62,14 @@ def test_p_series_matches_the_analytic_double_sum():
 
 
 def test_p_zcoeff_has_the_geometric_q_structure():
-    # scalar n^(k-1)/(k-1)! = 3, support at multiples of 3 including q^0
-    s = p_zcoeff(2, 3, 10)
-    assert [s.coefficient(i) for i in range(10)] == [3, 0, 0, 3, 0, 0, 3, 0, 0, 3]
-    t = p_zcoeff(2, -3, 10)
-    assert [t.coefficient(i) for i in range(10)] == [0, 0, 0, 3, 0, 0, 3, 0, 0, 3]
+    # the z^n row of P_2(z, q): scalar n^(k-1)/(k-1)! = 3, support at
+    # multiples of 3 including q^0; the z^0 row is zero
+    window = p_series(2, 10)
+    assert list(window[3]) == [3, 0, 0, 3, 0, 0, 3, 0, 0, 3]
+    assert list(window[-3]) == [0, 0, 0, 3, 0, 0, 3, 0, 0, 3]
+    assert window[0] == (0,) * 10 and sorted(window) == list(range(-8, 9))
     with pytest.raises(ValueError):
-        p_zcoeff(2, 0, 4)
+        elliptic._p_row(2, 0, 4, False)
 
 
 def test_exponential_substitution_window_against_numeric_values():
@@ -117,8 +77,7 @@ def test_exponential_substitution_window_against_numeric_values():
     for k in (1, 2, 3):
         window = p_series_at_exp(k, 6, 8)
         # q^0 tail: the resummed (d/dz)^(k-1) of e^z/(1-e^z), scaled
-        got0 = sum(float(window.entry(e).coefficient(0)) * z0 ** e
-                   for e in range(-k, 9))
+        got0 = sum(float(window[e][0]) * z0 ** e for e in range(-k, 9))
         f = [math.exp(z0) / (1 - math.exp(z0)),
              math.exp(z0) / (1 - math.exp(z0)) ** 2,
              math.exp(z0) * (1 + math.exp(z0)) / (1 - math.exp(z0)) ** 3]
@@ -126,8 +85,7 @@ def test_exponential_substitution_window_against_numeric_values():
         assert abs(got0 - want0) < 1e-9, f"q^0 tail of P_{k}(e^z, q)"
         # q^4 slice: finite divisor sum of e^(d z) terms, Taylor-truncated
         # to the same z-window as the artifact
-        got4 = sum(float(window.entry(e).coefficient(4)) * z0 ** e
-                   for e in range(-k, 9))
+        got4 = sum(float(window[e][4]) * z0 ** e for e in range(-k, 9))
         taylor = lambda y: sum(y ** j / math.factorial(j) for j in range(9))
         want4 = sum(d ** (k - 1) * (taylor(d * z0) + (-1) ** k * taylor(-d * z0))
                     for d in (1, 2, 4)) / math.factorial(k - 1)
@@ -141,35 +99,65 @@ def test_exponential_substitution_window_against_numeric_values():
 def test_wp_has_a_unit_pole_and_an_eisenstein_tail():
     for k in (1, 2, 3, 4):
         wp = wp_expansion(k, 8, 8)
-        pole = wp.entry(-k)
-        assert pole.coefficient(0) == 1
-        assert all(c == 0 for c in pole.coeffs[1:])
+        assert sorted(wp) == list(range(-k, 9))
+        pole = wp[-k]
+        assert pole[0] == 1
+        assert all(c == 0 for c in pole[1:])
     wp2 = wp_expansion(2, 8, 8)
-    assert wp2.entry(2) == eisenstein(4, 8) * 3
-    assert wp2.entry(4) == eisenstein(6, 8) * 5
-    assert wp2.entry(0).is_zero()
+    assert wp2[2] == (eisenstein(4, 8) * 3).coeffs
+    assert wp2[4] == (eisenstein(6, 8) * 5).coeffs
+    assert not any(wp2[0])
     wp1 = wp_expansion(1, 8, 8)
-    assert wp1.entry(3) == -eisenstein(4, 8)
-    assert wp1.entry(5) == -eisenstein(6, 8)
-    assert wp1.entry(1).is_zero()
+    assert wp1[3] == (-eisenstein(4, 8)).coeffs
+    assert wp1[5] == (-eisenstein(6, 8)).coeffs
+    assert not any(wp1[1])
 
 
 def test_wp_windows_only_carry_one_parity():
     for k in (1, 2, 3, 4, 5):
-        for e in wp_expansion(k, 6, 8).entries:
-            assert (e - k) % 2 == 0
+        for e, row in wp_expansion(k, 6, 8).items():
+            assert (e - k) % 2 == 0 or not any(row)
 
 
 # ---------------------------------------------------------------------------
 # the exact identity suites
 # ---------------------------------------------------------------------------
 
+def test_window_mismatches_cover_the_common_window_in_order():
+    # the lowest z-power counts too; powers and q-terms only one side holds do not
+    one, two = Fraction(1), Fraction(2)
+    got = {-2: (one, one), -1: (one, one), 0: (one, two, two)}
+    want = {-2: (two, one), -1: (one, one), 0: (one, one), 1: (two, two)}
+    assert elliptic._window_mismatches(got, want) == [("z^-2 q^0", "1", "2"), ("z^0 q^1", "2", "1")]
+
+
+def test_each_wp_window_is_built_once_per_suite_call(monkeypatch):
+    calls = []
+    real = elliptic.wp_expansion
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(elliptic, "wp_expansion", counted)
+    verify_p_wp_relations(k_max=5, terms=9, z_max=8)
+    assert calls == [(k, 9, 8) for k in range(1, 6)]
+    calls.clear()
+    # wp_1 .. wp_5 at z_max serve the parity check and the left-hand sides
+    # of the recursion; wp_1 .. wp_4 one power wider give the right-hand sides
+    verify_wp_structure(k_max=5, terms=9, z_max=8)
+    assert sorted(calls) == sorted([(k, 9, 8) for k in range(1, 6)] + [(k, 9, 9) for k in range(1, 5)])
+
+
 def test_substitution_identities_hold_exactly():
     assert_all_pass(verify_p_wp_relations(k_max=5, terms=9, z_max=8))
 
 
 def test_structural_identities_hold_exactly():
-    assert_all_pass(verify_wp_structure(k_max=5, terms=9, z_max=8))
+    reports = verify_wp_structure(k_max=5, terms=9, z_max=8)
+    assert_all_pass(reports)
+    # the parity check counts the nonzero rows of wp_1 .. wp_5 only
+    assert (reports[0].identity, reports[0].checked) == ("wp-parity", 25)
 
 
 def test_residue_identities_hold_for_all_small_weights():
@@ -253,11 +241,12 @@ def test_substitution_identities_catch_a_perturbed_divisor_sum(monkeypatch):
 
     def perturbed(k, terms, z_max=8):
         window = real(k, terms, z_max)
-        if k != 2:
-            return window
-        return window.with_entry_added(2, PuiseuxSeries(0, [0, 0, 0, 1] + [0] * (terms - 4)))
+        if k == 2:
+            row = window[2]
+            window[2] = row[:3] + (row[3] + 1,) + row[4:]
+        return window
 
-    assert real(2, 9).coefficient(2, 3) == 28
+    assert real(2, 9)[2][3] == 28
     monkeypatch.setattr(elliptic, "p_series_at_exp", perturbed)
     reports = verify_p_wp_relations(k_max=5, terms=9, z_max=8)
     assert [rep.params["k"] for rep in reports if not rep.passed] == [2]
@@ -378,7 +367,7 @@ def _reference_p_series_at_exp(k, terms, z_max):
                 for j in range(z_max + 1):
                     term = dk * Fraction(d ** j, math.factorial(j))
                     rows[j][l] += term + flip * term * (-1) ** j
-    return BivariateLaurent({e: PuiseuxSeries(0, co) for e, co in rows.items()}, -k, z_max, terms)
+    return {e: tuple(co) for e, co in rows.items()}
 
 
 def test_integer_residue_sums_match_the_fraction_loop():
@@ -421,7 +410,7 @@ def test_integer_rows_are_built_once_per_argument():
     info = elliptic._p_row.cache_info()
     # rows of P_1 .. P_9 at 12 values of n, the nine windows shared by all w
     assert (info.currsize, info.misses) == (9 * 12, 9 * 12)
-    assert p_zcoeff(3, -2, 5).coeffs == tuple(Fraction(c, 2) for c in (0, 0, -4, 0, -4))
+    assert p_series(3, 5, -2, -2) == {-2: tuple(Fraction(c, 2) for c in (0, 0, -4, 0, -4))}
     # the shifted row over (k-1)! = 2: P_3(zq, q) at z^-2 starts at q^0
     assert elliptic._p_row(3, -2, 5, True) == (-4, 0, -4, 0, -4)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "traceform"
 
-SHARED_HELPERS = ("_frac", "_RationalLike", "_gbinom", "_cleared", "_fmt_frac")
+SHARED_HELPERS = ("_frac", "_RationalLike", "_gbinom", "_CommonDenominator", "_fmt_frac")
 RETIRED_FROM_LINALG = ("rref_dense", "rank_dense", "_as_fraction_matrix")
 
 
@@ -47,10 +47,19 @@ def _functions(stem: str):
 
 
 def test_denominators_are_cleared_in_one_place():
-    # every lcm of denominators goes through linalg._cleared
+    # every lcm of denominators goes through the batch constructor of
+    # linalg._CommonDenominator; the recurrences extend one with append()
     sites = [(stem, fn) for stem in _definitions_by_module() for fn, node in _functions(stem)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lcm"]
-    assert sites == [("linalg", "_cleared")], sites
+    assert sites == [("linalg", "_CommonDenominator")], sites
+
+
+def test_no_window_class_and_no_second_clearing_helper():
+    # a window of P_k or wp_k is a dict from z-power to its tuple of
+    # q-coefficients, and _CommonDenominator is the one denominator helper
+    defs = _definitions_by_module()
+    assert not defs["elliptic"] & {"BivariateLaurent", "p_zcoeff"}, sorted(defs["elliptic"])
+    assert not [module for module, names in defs.items() if "_cleared" in names]
 
 
 def test_num_den_is_formatted_in_one_place():

@@ -25,7 +25,7 @@ from math import comb, gcd, isqrt
 import pytest
 
 from traceform import zhu
-from traceform.linalg import RowSpan, _cleared
+from traceform.linalg import RowSpan, _CommonDenominator
 from traceform.virasoro import (
     VermaVector,
     highest_weight_vector,
@@ -373,14 +373,14 @@ def _assert_ideal_matches_l_action(zp):
     alpha = zhu._find_vacuum_singular(zp.m)
     alpha_class = class_polynomial(alpha)
     assert _monic(alpha_class) == zp.coeffs
-    nums, denom = _cleared(alpha_class)
+    cleared = _CommonDenominator(alpha_class)
     for extra in range(7):
         for mu in partitions_of(extra):
             vec = alpha
             for part in reversed(mu):
                 vec = l_action(-part, vec)
-            closed = zhu._poly_trim(zhu._descend(nums, mu, zp.singular_level))
-            assert class_polynomial(vec) == [Fraction(a, denom) for a in closed], (zp.m, mu)
+            closed = zhu._poly_trim(zhu._descend(cleared.nums, mu, zp.singular_level))
+            assert class_polynomial(vec) == [Fraction(a, cleared.den) for a in closed], (zp.m, mu)
 
 
 def _assert_no_vacuum_singular_vector_below(m, level):
