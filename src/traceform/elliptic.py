@@ -406,7 +406,7 @@ def verify_expansion_identity(w: int, terms: int = 6, i_max: int = 8,
         cleared = _CommonDenominator(rows[m][i - m] / factorial(m) for m in range(0, i + 1))
         beta, den = cleared.nums, cleared.den
         for n in list(range(-n_max, 0)) + list(range(1, n_max + 1)):
-            scale = int(_gbinom(w - 1 + n, i))
+            scale = _gbinom(w - 1 + n, i)
             rhs = [0] * terms
             for m, b in enumerate(beta):
                 for k, co in enumerate(_p_row(m + 1, n, terms, False)):

@@ -103,21 +103,28 @@ def _eliminate(work: list[dict[int, int]], p: int, replay: list[_Step] | None = 
                ) -> tuple[list[_Step], list[dict[int, int]]] | None:
     """Eliminate the integer rows modulo p; return the pivot steps and the rows.
 
-    Without replay, the pivot is the column with the fewest active rows, then
-    the shortest such row, then the column seen first in the input; within
-    the column the row is the shortest, then the lowest index. Each column
-    indexes its active rows, and its (count, shortest length) key sits in a
-    heap that is refreshed only for the columns whose key may have changed:
-    those of the pivot row and those of a row whose length changed. With
-    replay, the steps of an earlier pass are taken in order, and None is
-    returned if a pivot vanishes modulo p or an updated row comes out with
-    another length, that is, an entry vanished modulo one of the two primes
-    only. Since no input entry vanishes modulo either prime, equal lengths
-    also mean that no row is left over.
+    Without replay, the pivot is the column with the fewest active rows,
+    then the shortest such row, then the column seen first in the input;
+    within the column the row is the shortest, then the lowest index. Each
+    column indexes its active rows and keeps its chosen row, the least
+    (length, index) among them. The choice is recomputed with min only when
+    that row leaves the column or grows; a row that joins the column or
+    shrinks is compared with it in O(1). Only the pivot row leaves a chosen
+    place: a row that cancels out of a column shares it with the pivot row,
+    which comes before every row it updates. Whenever a column's (count,
+    shortest length) key changes, a fresh key goes on a heap, where stale
+    keys are skipped and a column that went empty drops out. With replay,
+    the steps of an earlier pass are taken in order, and None is returned if
+    a pivot vanishes modulo p or an updated row comes out with another
+    length, that is, an entry vanished modulo one of the two primes only.
+    Since no input entry vanishes modulo either prime, equal lengths also
+    mean that no row is left over.
 
     A pivot row is scaled to 1 at its pivot and frozen once chosen, so an
     update is one multiply-subtract modulo p per entry of the pivot row, and
-    only those entries change which active rows a column holds.
+    only those entries change which active rows a column holds. So there are
+    at most as many steps as rows; a search that picks more raises
+    AssertionError rather than loop.
     """
     rows = [{c: v % p for c, v in row.items()} for row in work]
     active_at: dict[int, set[int]] = {}   # column -> active rows holding it
@@ -129,11 +136,13 @@ def _eliminate(work: list[dict[int, int]], p: int, replay: list[_Step] | None = 
     row_key = [len(row) * stride + i for i, row in enumerate(rows)]  # orders (length, index)
 
     heap: list[tuple[int, int, int, int]] = []   # (count, shortest, order, column)
-    choice: dict[int, tuple[int, int, int]] = {}  # column -> (count, shortest, row)
-    dirty: set[int] = set() if replay else set(active_at)
+    keyed: dict[int, tuple[int, int]] = {}        # column -> its current (count, shortest)
+    best: dict[int, int] = {}                     # column -> its chosen active row
+    stale: set[int] = set() if replay else set(active_at)   # columns whose choice needs min
+    touched: set[int] = set(stale)                # columns whose key may have changed
     steps = iter(replay or ())
     pivots: list[_Step] = []
-    while True:
+    for _ in range(len(rows) + 1):   # each step freezes one row
         if replay:
             step = next(steps, None)
             if step is None:
@@ -142,42 +151,49 @@ def _eliminate(work: list[dict[int, int]], p: int, replay: list[_Step] | None = 
             if not rows[pr].get(col):
                 return None
         else:
-            for c in dirty:
+            for c in touched:
                 live = active_at[c]
-                if live:
-                    ri = min(live, key=row_key.__getitem__)
-                    key = (len(live), len(rows[ri]))
-                    choice[c] = key + (ri,)
+                if not live:
+                    best.pop(c, None)
+                    keyed.pop(c, None)
+                    continue
+                if c in stale:
+                    best[c] = min(live, key=row_key.__getitem__)
+                key = (len(live), len(rows[best[c]]))
+                if keyed.get(c) != key:
+                    keyed[c] = key
                     heappush(heap, key + (order[c], c))
-                else:
-                    choice.pop(c, None)
-            dirty.clear()
+            touched.clear()
+            stale.clear()
             while heap:
                 cnt, short, _, col = heap[0]
-                cur = choice.get(col)
-                if cur is not None and cur[0] == cnt and cur[1] == short:
+                if keyed.get(col) == (cnt, short):
                     break
                 heappop(heap)
             if not heap:
                 return pivots, rows
-            pr = choice[col][2]
+            pr = best[col]
         prow = rows[pr]
         inv = pow(prow[col], -1, p)
         if inv != 1:
             prow = rows[pr] = {c: v * inv % p for c, v in prow.items()}
         for c in prow:
             active_at[c].discard(pr)
-        dirty.update(prow)
+            if best.get(c) == pr:
+                stale.add(c)
+        touched.update(prow)
         updated = list(active_at[col])
         for i in updated:
             row = rows[i]
             before = len(row)
             f = p - row[col]
+            joined = []
             for c, v in prow.items():
                 old = row.get(c)
                 if old is None:   # fill-in: f v is a unit modulo p
                     row[c] = f * v % p
                     active_at[c].add(i)
+                    joined.append(c)
                 else:
                     w = (old + f * v) % p
                     if w:
@@ -185,13 +201,26 @@ def _eliminate(work: list[dict[int, int]], p: int, replay: list[_Step] | None = 
                     else:
                         del row[c]
                         active_at[c].discard(i)
-            if len(row) != before and not replay:
-                row_key[i] = len(row) * stride + i
-                dirty.update(row)
+            if replay:
+                continue
+            key = row_key[i] = len(row) * stride + i
+            if len(row) > before:
+                for c in row:
+                    if best[c] == i:
+                        stale.add(c)
+                        touched.add(c)
+            elif len(row) < before:
+                joined = row
+            # a stale column may take i here; its min overrides that
+            for c in joined:
+                if key <= row_key[best[c]]:   # equal only when i was the choice
+                    best[c] = i
+                    touched.add(c)
         after = tuple(len(rows[i]) for i in updated)
         if replay and after != lengths:
             return None
         pivots.append((col, pr, after))
+    raise AssertionError("more pivot steps than rows")
 
 
 def _rational(r: int, m: int, bound: int) -> Fraction | None:

@@ -748,8 +748,13 @@ def case_transform_report(case: TraceCase, terms: int = 80,
     """Numeric S-transform behaviour of a solved trace series.
 
     The ratio should be a constant of modulus one across sample points; the
-    T-eigenvalue exp(2 pi i lam) is exact from the leading exponent.
+    T-eigenvalue exp(2 pi i lam) is exact from the leading exponent. The
+    spread is 0 by construction at fewer than two distinct points, so those
+    raise ValueError.
     """
+    distinct = len(set(taus))
+    if distinct < 2:
+        raise ValueError(f"the transform check needs at least two distinct sample points, got {distinct}")
     sol = trace_case_solution(case, terms)
     series = sol.to_puiseux()
     ratios = tuple(modular_transform_ratio(series, case.h_u, case.h_u, tau)

@@ -17,6 +17,13 @@ verma_module(c, h, vacuum) returns the one VermaModule of a module; it
 memoises the tables keyed on partitions and levels only. Every vector
 carries its module, so no table is looked up by (c, h).
 
+The tables hold Python ints wherever a coefficient is an integer by
+construction: the normal-ordering coefficients of L(-m) L(-mu) v, the
+generalized binomials and the signs of the mode recursion. Fraction enters
+only through c and h, in the central term and in L(0)v = h v. What leaves
+the module is coerced once: VermaVector entries, Gram entries and
+coordinates are always Fractions.
+
 The contravariant (Shapovalov) form has <v_h, v_h> = 1 and adjoint
 L(n)^+ = L(-n). Gram matrix ranks give the graded dimensions of the
 irreducible quotient, kernels at the right levels expose singular vectors,
@@ -179,11 +186,12 @@ def verma_monomial(c: _RationalLike, h: _RationalLike, mu: Partition, vacuum: bo
 # the module object and its tables
 # ---------------------------------------------------------------------------
 
-_Terms = tuple[tuple[Partition, Fraction], ...]
+# (partition, coefficient) pairs; a coefficient is an int unless c or h reached it
+_Terms = tuple[tuple[Partition, _RationalLike], ...]
 
 
-def _acc(out: dict[Partition, Fraction], mu: Partition, co: Fraction) -> None:
-    new = out.get(mu, Fraction(0)) + co
+def _acc(out: dict[Partition, _RationalLike], mu: Partition, co: _RationalLike) -> None:
+    new = out.get(mu, 0) + co
     if new == 0:
         out.pop(mu, None)
     else:
@@ -203,9 +211,9 @@ def _sum_scaled(u: VermaVector, terms: Iterable[tuple[_RationalLike, VermaVector
 def _lower(m: int, mu: Partition) -> _Terms:
     """Normal ordering of L(-m) L(-mu) v as a PBW combination; pure combinatorics."""
     if not mu or m >= mu[0]:
-        return (((m,) + mu, Fraction(1)),)
+        return (((m,) + mu, 1),)
     head, rest = mu[0], mu[1:]
-    out: dict[Partition, Fraction] = {}
+    out: dict[Partition, int] = {}
     for nu, co in _lower(m, rest):
         for nu2, co2 in _lower(head, nu):
             _acc(out, nu2, co * co2)
@@ -215,15 +223,15 @@ def _lower(m: int, mu: Partition) -> _Terms:
 
 
 @lru_cache(maxsize=None)
-def _gbinom(m: int, i: int) -> Fraction:
+def _gbinom(m: int, i: int) -> int:
     """Generalized binomial C(m, i) for integer m of any sign."""
     num = 1
     for t in range(i):
         num *= m - t
-    return Fraction(num, factorial(i))
+    return num // factorial(i)
 
 
-def _strip_ones(entries: dict[Partition, Fraction]) -> dict[Partition, Fraction]:
+def _strip_ones(entries: dict[Partition, _RationalLike]) -> dict[Partition, _RationalLike]:
     return {mu: co for mu, co in entries.items() if not mu or mu[-1] != 1}
 
 
@@ -238,7 +246,8 @@ class VermaModule:
     _act (L(n) on the Verma module), _mode (modes of vacuum vectors),
     _pairing (the contravariant form) and _coordinates (per level). Each
     gets its own lru_cache in __init__ and the recursions go through self,
-    so clearing verma_module's cache drops every table.
+    so clearing verma_module's cache drops every table. _gram coerces the
+    pairings, which may be ints, to Fraction.
     """
 
     def __init__(self, c: _RationalLike, h: _RationalLike, vacuum: bool):
@@ -262,7 +271,7 @@ class VermaModule:
         if not mu:
             return (((), self.h),) if n == 0 and self.h != 0 else ()
         head, rest = mu[0], mu[1:]
-        out: dict[Partition, Fraction] = {}
+        out: dict[Partition, _RationalLike] = {}
         for nu, co in self._act(n, rest):
             for nu2, co2 in _lower(head, nu):
                 _acc(out, nu2, co * co2)
@@ -279,11 +288,11 @@ class VermaModule:
     def _mode(self, mu: Partition, r: int, nu: Partition) -> _Terms:
         """Coefficients of a(r) u for a = L(-mu) 1 and u = L(-nu) v_h."""
         if not mu:
-            return ((nu, Fraction(1)),) if r == -1 else ()
+            return ((nu, 1),) if r == -1 else ()
         M, b = mu[0], mu[1:]
         m_ = 1 - M
-        sign_m = Fraction(-1 if m_ % 2 else 1)
-        out: dict[Partition, Fraction] = {}
+        sign_m = -1 if m_ % 2 else 1
+        out: dict[Partition, _RationalLike] = {}
         imax = max(sum(nu) + sum(b) - 1 - r, sum(nu) + 1, 0)
         for i in range(imax + 1):
             coeff = _gbinom(m_, i)
@@ -307,23 +316,23 @@ class VermaModule:
             out = _strip_ones(out)
         return tuple(out.items())
 
-    def _pairing(self, mu: Partition, nu: Partition) -> Fraction:
+    def _pairing(self, mu: Partition, nu: Partition) -> _RationalLike:
         """<L(-mu) v, L(-nu) v> by peeling raising operators off the left of mu."""
-        vec: _Terms = ((nu, Fraction(1)),)
+        vec: _Terms = ((nu, 1),)
         for m in mu:
-            out: dict[Partition, Fraction] = {}
+            out: dict[Partition, _RationalLike] = {}
             for rho, co in vec:
                 for rho2, co2 in self._act(m, rho):
                     _acc(out, rho2, co * co2)
             vec = tuple(out.items())
-        return dict(vec).get((), Fraction(0))
+        return dict(vec).get((), 0)
 
     def _gram(self, level: int) -> GramMatrix:
         basis = _basis_at(level, self.vacuum)
         n = len(basis)
         # the form is symmetric: each pair is paired once, left index first
-        entries = tuple(tuple(self._pairing(basis[min(i, j)], basis[max(i, j)]) for j in range(n))
-                        for i in range(n))
+        entries = tuple(tuple(_frac(self._pairing(basis[min(i, j)], basis[max(i, j)]))
+                              for j in range(n)) for i in range(n))
         return GramMatrix(self.c, self.h, level, self.vacuum, basis, entries)
 
     def _coordinates(self, level: int) -> LevelCoordinates:
@@ -418,13 +427,13 @@ def graded_dims(c: _RationalLike, h: _RationalLike, max_level: int, vacuum: bool
 
 
 def _action_rows(c: Fraction, h: Fraction, level: int, vacuum: bool,
-                 basis: tuple[Partition, ...]) -> tuple[list[dict[int, Fraction]], int]:
+                 basis: tuple[Partition, ...]) -> tuple[list[dict[int, _RationalLike]], int]:
     """Stacked matrices of L(1) and L(2) off one level, rows indexed by targets."""
     act = verma_module(c, h, vacuum)._act
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, _RationalLike]] = []
     for n in (1, 2):
         targets = {mu: i for i, mu in enumerate(_basis_at(level - n, vacuum))}
-        block: list[dict[int, Fraction]] = [dict() for _ in targets]
+        block: list[dict[int, _RationalLike]] = [dict() for _ in targets]
         for j, mu in enumerate(basis):
             for nu, co in act(n, mu):
                 if vacuum and nu and nu[-1] == 1:

@@ -7,6 +7,12 @@ same key order: _reference_sparse_nullspace rescans every column on every
 pivot step, and _exact_sparse_nullspace eliminates gcd-normalised integer
 rows with the pivot keys in a heap.
 
+_eliminate's search pass keeps each column's chosen row and rescans a
+column only when that row leaves it or grows. _reference_eliminate is the
+full-refresh search it replaced, which rescans every column whose key may
+have changed; the two must return the same steps and rows, in the search
+and in the replay at the second prime.
+
 solve_dense and level_coordinates now eliminate through RowSpan.
 _reference_rref_dense is the dense Gauss-Jordan engine they used before;
 the reduced row echelon form is unique, so solutions (free variables set to
@@ -391,6 +397,131 @@ def test_nullity_zero_and_wide_kernels():
         assert all(_annihilated(rows, v) for v in got)
         seen.add(min(len(got), 2))
     assert seen == {0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# the incremental pivot search against the full refresh it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_eliminate(work, p, replay=None):
+    """_eliminate with the full-refresh search: every dirty column rescans its rows."""
+    rows = [{c: v % p for c, v in row.items()} for row in work]
+    active_at = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            active_at.setdefault(c, set()).add(i)
+    order = {c: t for t, c in enumerate(active_at)}
+    stride = len(rows) + 1
+    row_key = [len(row) * stride + i for i, row in enumerate(rows)]
+    heap, choice = [], {}
+    dirty = set() if replay else set(active_at)
+    steps = iter(replay or ())
+    pivots = []
+    while True:
+        if replay:
+            step = next(steps, None)
+            if step is None:
+                return pivots, rows
+            col, pr, lengths = step
+            if not rows[pr].get(col):
+                return None
+        else:
+            for c in dirty:
+                live = active_at[c]
+                if live:
+                    ri = min(live, key=row_key.__getitem__)
+                    key = (len(live), len(rows[ri]))
+                    choice[c] = key + (ri,)
+                    heappush(heap, key + (order[c], c))
+                else:
+                    choice.pop(c, None)
+            dirty.clear()
+            while heap:
+                cnt, short, _, col = heap[0]
+                cur = choice.get(col)
+                if cur is not None and cur[0] == cnt and cur[1] == short:
+                    break
+                heappop(heap)
+            if not heap:
+                return pivots, rows
+            pr = choice[col][2]
+        prow = rows[pr]
+        inv = pow(prow[col], -1, p)
+        if inv != 1:
+            prow = rows[pr] = {c: v * inv % p for c, v in prow.items()}
+        for c in prow:
+            active_at[c].discard(pr)
+        dirty.update(prow)
+        updated = list(active_at[col])
+        for i in updated:
+            row = rows[i]
+            before = len(row)
+            f = p - row[col]
+            for c, v in prow.items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = f * v % p
+                    active_at[c].add(i)
+                else:
+                    w = (old + f * v) % p
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+                        active_at[c].discard(i)
+            if len(row) != before and not replay:
+                row_key[i] = len(row) * stride + i
+                dirty.update(row)
+        after = tuple(len(rows[i]) for i in updated)
+        if replay and after != lengths:
+            return None
+        pivots.append((col, pr, after))
+
+
+def _cleared(rows):
+    """The integer rows sparse_nullspace hands to _eliminate."""
+    work = []
+    for row in rows:
+        cleared = {c: v for c, v in zip(row, linalg._CommonDenominator(row.values()).nums) if v}
+        if cleared:
+            work.append(cleared)
+    return work
+
+
+def _same_elimination(got, want):
+    if got is None or want is None:
+        return got is want
+    (steps, rows), (steps_want, rows_want) = got, want
+    return steps == steps_want and [list(r.items()) for r in rows] == [list(r.items()) for r in rows_want]
+
+
+def _assert_search_matches_the_full_refresh(work):
+    """Equal steps and rows at the first prime, and in the replay at the second."""
+    p, q = _PRIMES[0], _PRIMES[1]
+    got = linalg._eliminate(work, p)
+    assert _same_elimination(got, _reference_eliminate(work, p)), work
+    assert _same_elimination(linalg._eliminate(work, q, got[0]), _reference_eliminate(work, q, got[0])), work
+    return got
+
+
+def test_incremental_pivot_search_matches_the_full_refresh_on_random_matrices():
+    # the generator of test_random_sparse_matrices_match_the_reference, so
+    # the same 400 matrices; columns grow, shrink and empty along the way
+    rng = random.Random(20240917)
+    steps = 0
+    for _ in range(400):
+        ncols = rng.randint(1, 16)
+        rows = _random_rows(rng, rng.randint(0, 14), ncols, rng.uniform(0.1, 0.6))
+        steps += len(_assert_search_matches_the_full_refresh(_cleared(rows))[0])
+    assert steps > 1500
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_incremental_pivot_search_matches_the_full_refresh_on_the_vacuum_systems(m):
+    level = (m + 1) * (m + 2)   # (p - 1)(q - 1), where zhu_poly solves
+    rows, ncols = _action_rows(minimal_model(m).c, Fraction(0), level, True, _basis_at(level, True))
+    steps, _ = _assert_search_matches_the_full_refresh(_cleared(rows))
+    assert len(steps) == ncols - 1
 
 
 # ---------------------------------------------------------------------------

@@ -609,6 +609,15 @@ def test_transform_ratio_is_a_constant_of_modulus_one():
         assert rep.t_eigenvalue == cmath.exp(2j * cmath.pi * float(lam))
 
 
+def test_the_transform_check_needs_two_distinct_taus():
+    # one point, or one point repeated, makes the spread 0 by construction
+    for taus in ((), (0.3 + 1.1j,), (1j, 1j, 1j)):
+        with pytest.raises(ValueError, match="at least two distinct sample points"):
+            case_transform_report(TRACE_CASES[0], terms=20, taus=taus)
+    rep = case_transform_report(TRACE_CASES[0], terms=80, taus=(1j, 1j, 0.3 + 1.1j))
+    assert len(rep.ratios) == 3 and rep.max_spread < 1e-10
+
+
 def test_shift_by_one_multiplies_by_the_t_eigenvalue():
     case = TRACE_CASES[0]
     series = trace_case_solution(case, terms=60).to_puiseux()

@@ -62,6 +62,15 @@ def test_no_window_class_and_no_second_clearing_helper():
     assert not [module for module, names in defs.items() if "_cleared" in names]
 
 
+def test_normal_ordering_and_binomials_build_no_fraction():
+    # L(-m) L(-mu) v and C(m, i) are integers by construction; Fraction
+    # enters the Verma tables only through c and h
+    built = {fn for fn, node in _functions("virasoro")
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction"}
+    assert not {"_lower", "_gbinom"} & built, sorted(built, key=str)
+    assert {"_lower", "_gbinom"} <= _definitions_by_module()["virasoro"]
+
+
 def test_num_den_is_formatted_in_one_place():
     # an f-string "{x.numerator}/{x.denominator}" is the num/den format of
     # cache files and CLI output; int.denominator is 1, so one helper serves both

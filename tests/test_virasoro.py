@@ -8,6 +8,8 @@ used by the package.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial, prod
 
 import pytest
 
@@ -15,11 +17,13 @@ from traceform import cli, virasoro
 from traceform.linalg import RowSpan
 from traceform.virasoro import (
     GramMatrix,
+    VermaVector,
     c2_quotient_dim,
     c20_quotient_dim,
     gram_matrix,
     graded_dims,
     highest_weight_vector,
+    irreducible_coordinates,
     l_action,
     level_coordinates,
     minimal_model,
@@ -101,6 +105,101 @@ def test_vacuum_vector_acts_as_the_identity_mode():
     assert mode_action(one, -1, u) == u
     assert mode_action(one, 0, u).is_zero()
     assert mode_action(one, -2, u).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# integer tables inside, Fractions outside
+# ---------------------------------------------------------------------------
+
+def _fraction_tables(module):
+    """_lower and the module's _act as Fraction recursions, as first written."""
+
+    def add(out, mu, co):
+        out[mu] = out.get(mu, Fraction(0)) + co
+
+    @lru_cache(maxsize=None)
+    def lower(m, mu):
+        if not mu or m >= mu[0]:
+            return {(m,) + mu: Fraction(1)}
+        head, rest = mu[0], mu[1:]
+        out = {}
+        for nu, co in lower(m, rest).items():
+            for nu2, co2 in lower(head, nu).items():
+                add(out, nu2, co * co2)
+        for nu, co in lower(m + head, rest).items():
+            add(out, nu, (head - m) * co)
+        return {nu: co for nu, co in out.items() if co}
+
+    @lru_cache(maxsize=None)
+    def act(n, mu):
+        if not mu:
+            return {(): module.h} if n == 0 and module.h else {}
+        head, rest = mu[0], mu[1:]
+        out = {}
+        for nu, co in act(n, rest).items():
+            for nu2, co2 in lower(head, nu).items():
+                add(out, nu2, co * co2)
+        k = n - head
+        for nu, co in (act(k, rest) if k >= 0 else lower(-k, rest)).items():
+            add(out, nu, (n + head) * co)
+        if n == head:
+            add(out, rest, Fraction(n ** 3 - n, 12) * module.c)
+        return {nu: co for nu, co in out.items() if co}
+
+    return lower, act
+
+
+@pytest.mark.parametrize("c,h,vacuum", [(Fraction(7, 10), Fraction(0), True),
+                                        (Fraction(4, 5), Fraction(2, 3), False)])
+def test_integer_tables_agree_with_the_fraction_recursion(c, h, vacuum):
+    module = virasoro.verma_module(c, h, vacuum)
+    lower, act = _fraction_tables(module)
+    compared = 0
+    for level in range(9):
+        for mu in virasoro._basis_at(level, vacuum):
+            for m in range(1, 9 - level):
+                assert dict(virasoro._lower(m, mu)) == lower(m, mu), (m, mu)
+            for n in range(level + 1):
+                assert dict(module._act(n, mu)) == act(n, mu), (n, mu)
+                compared += 1
+    assert compared > 100
+
+
+def test_lower_and_gbinom_are_ints():
+    for level in range(9):
+        for mu in partitions_of(level):
+            for m in range(1, 9 - level):
+                assert all(type(co) is int for _, co in virasoro._lower(m, mu)), (m, mu)
+    for m in range(-6, 7):
+        for i in range(7):
+            got = virasoro._gbinom(m, i)
+            assert type(got) is int and got == Fraction(prod(m - t for t in range(i)), factorial(i))
+
+
+def _fractions_only(values):
+    return all(type(v) is Fraction for v in values)
+
+
+@pytest.mark.parametrize("c,h,vacuum", [(Fraction(1, 2), Fraction(0), True),
+                                        (Fraction(7, 10), Fraction(3, 80), False)])
+def test_every_result_leaves_the_module_as_fractions(c, h, vacuum):
+    for level in range(7):
+        gram = gram_matrix(c, h, level, vacuum)
+        assert _fractions_only(x for row in gram.entries for x in row), level
+        coords = level_coordinates(c, h, level, vacuum)
+        assert _fractions_only(p for col in coords._projection.values() for _, p in col), level
+    assert gram_matrix(c, h, 0, vacuum).entries == ((1,),)
+    omega = verma_monomial(c, 0, (2,), vacuum=True)
+    u = verma_monomial(c, h, (3, 2) if vacuum else (2, 1), vacuum)
+    w = VermaVector(c, h, {(2,): 3, (): 1}, vacuum)
+    vectors = [u, w, u + w, u - w, w * 2, 2 * w, -w, highest_weight_vector(c, h, vacuum)]
+    vectors += [l_action(n, u) for n in range(-2, 4)] + [mode_action(omega, n, u) for n in range(-2, 4)]
+    vectors += [piece for v in vectors for piece in v.level_components().values()]
+    for v in vectors:
+        assert _fractions_only(v.entries.values()), v
+        assert _fractions_only(irreducible_coordinates(v).values()), v
+    singular = singular_vectors(c, h, 6 if vacuum else 4, vacuum)
+    assert len(singular) == 1 and _fractions_only(singular[0].entries.values())
 
 
 # ---------------------------------------------------------------------------
