@@ -24,7 +24,6 @@ their least common denominator for every integer kernel of the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
 from math import gcd, isqrt, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -39,12 +38,10 @@ class _CommonDenominator:
     """Rationals held as integer numerators nums over one denominator den.
 
     The constructor clears a batch to its least common denominator with one
-    lcm. Series products, the integer kernels here and in zhu and elliptic,
-    and the recurrences of qseries.pow_rational and mde.frobenius_solve take
-    integer dot products of these numerators instead of normalising a
-    Fraction at every step. append() extends a recurrence by one value,
-    rescaling the numerators already held when its denominator does not
-    divide den.
+    lcm. Series products and q-expansions, the integer kernels here and in
+    zhu and elliptic, and the inputs of qseries.pow_rational and
+    mde.frobenius_solve take integer dot products of these numerators
+    instead of normalising a Fraction at every step.
     """
 
     __slots__ = ("nums", "den")
@@ -53,14 +50,6 @@ class _CommonDenominator:
         values = list(values)
         self.den = lcm(*(v.denominator for v in values))
         self.nums = [v.numerator * (self.den // v.denominator) for v in values]
-
-    def append(self, x: _RationalLike) -> None:
-        d = x.denominator
-        if self.den % d:
-            scale = d // gcd(self.den, d)
-            self.nums = [v * scale for v in self.nums]
-            self.den *= scale
-        self.nums.append(x.numerator * (self.den // d))
 
 
 def solve_dense(rows: Iterable[Sequence[Fraction | int]],
@@ -103,22 +92,14 @@ def _eliminate(work: list[dict[int, int]], p: int, replay: list[_Step] | None = 
                ) -> tuple[list[_Step], list[dict[int, int]]] | None:
     """Eliminate the integer rows modulo p; return the pivot steps and the rows.
 
-    Without replay, the pivot is the column with the fewest active rows,
-    then the shortest such row, then the column seen first in the input;
-    within the column the row is the shortest, then the lowest index. Each
-    column indexes its active rows and keeps its chosen row, the least
-    (length, index) among them. The choice is recomputed with min only when
-    that row leaves the column or grows; a row that joins the column or
-    shrinks is compared with it in O(1). Only the pivot row leaves a chosen
-    place: a row that cancels out of a column shares it with the pivot row,
-    which comes before every row it updates. Whenever a column's (count,
-    shortest length) key changes, a fresh key goes on a heap, where stale
-    keys are skipped and a column that went empty drops out. With replay,
-    the steps of an earlier pass are taken in order, and None is returned if
-    a pivot vanishes modulo p or an updated row comes out with another
-    length, that is, an entry vanished modulo one of the two primes only.
-    Since no input entry vanishes modulo either prime, equal lengths also
-    mean that no row is left over.
+    Without replay, each step scans the columns for the pivot: the column
+    with the fewest active rows, then the shortest such row, then the column
+    seen first in the input; within the column the row is the shortest, then
+    the lowest index. With replay, the steps of an earlier pass are taken in
+    order, and None is returned if a pivot vanishes modulo p or an updated
+    row comes out with another length, that is, an entry vanished modulo one
+    of the two primes only. Since no input entry vanishes modulo either
+    prime, equal lengths also mean that no row is left over.
 
     A pivot row is scaled to 1 at its pivot and frozen once chosen, so an
     update is one multiply-subtract modulo p per entry of the pivot row, and
@@ -127,19 +108,14 @@ def _eliminate(work: list[dict[int, int]], p: int, replay: list[_Step] | None = 
     AssertionError rather than loop.
     """
     rows = [{c: v % p for c, v in row.items()} for row in work]
-    active_at: dict[int, set[int]] = {}   # column -> active rows holding it
+    active_at: dict[int, set[int]] = {}   # column -> active rows holding it, in input order
     for i, row in enumerate(rows):
         for c in row:
             active_at.setdefault(c, set()).add(i)
-    order = {c: t for t, c in enumerate(active_at)}
-    stride = len(rows) + 1
-    row_key = [len(row) * stride + i for i, row in enumerate(rows)]  # orders (length, index)
 
-    heap: list[tuple[int, int, int, int]] = []   # (count, shortest, order, column)
-    keyed: dict[int, tuple[int, int]] = {}        # column -> its current (count, shortest)
-    best: dict[int, int] = {}                     # column -> its chosen active row
-    stale: set[int] = set() if replay else set(active_at)   # columns whose choice needs min
-    touched: set[int] = set(stale)                # columns whose key may have changed
+    def shortest(c: int) -> int:
+        return min(len(rows[i]) for i in active_at[c])
+
     steps = iter(replay or ())
     pivots: list[_Step] = []
     for _ in range(len(rows) + 1):   # each step freezes one row
@@ -151,49 +127,26 @@ def _eliminate(work: list[dict[int, int]], p: int, replay: list[_Step] | None = 
             if not rows[pr].get(col):
                 return None
         else:
-            for c in touched:
-                live = active_at[c]
-                if not live:
-                    best.pop(c, None)
-                    keyed.pop(c, None)
-                    continue
-                if c in stale:
-                    best[c] = min(live, key=row_key.__getitem__)
-                key = (len(live), len(rows[best[c]]))
-                if keyed.get(c) != key:
-                    keyed[c] = key
-                    heappush(heap, key + (order[c], c))
-            touched.clear()
-            stale.clear()
-            while heap:
-                cnt, short, _, col = heap[0]
-                if keyed.get(col) == (cnt, short):
-                    break
-                heappop(heap)
-            if not heap:
+            low = min(filter(None, map(len, active_at.values())), default=0)
+            if not low:
                 return pivots, rows
-            pr = best[col]
+            col = min((c for c, live in active_at.items() if len(live) == low), key=shortest)
+            pr = min(active_at[col], key=lambda i: (len(rows[i]), i))
         prow = rows[pr]
         inv = pow(prow[col], -1, p)
         if inv != 1:
             prow = rows[pr] = {c: v * inv % p for c, v in prow.items()}
         for c in prow:
             active_at[c].discard(pr)
-            if best.get(c) == pr:
-                stale.add(c)
-        touched.update(prow)
         updated = list(active_at[col])
         for i in updated:
             row = rows[i]
-            before = len(row)
             f = p - row[col]
-            joined = []
             for c, v in prow.items():
                 old = row.get(c)
                 if old is None:   # fill-in: f v is a unit modulo p
                     row[c] = f * v % p
                     active_at[c].add(i)
-                    joined.append(c)
                 else:
                     w = (old + f * v) % p
                     if w:
@@ -201,21 +154,6 @@ def _eliminate(work: list[dict[int, int]], p: int, replay: list[_Step] | None = 
                     else:
                         del row[c]
                         active_at[c].discard(i)
-            if replay:
-                continue
-            key = row_key[i] = len(row) * stride + i
-            if len(row) > before:
-                for c in row:
-                    if best[c] == i:
-                        stale.add(c)
-                        touched.add(c)
-            elif len(row) < before:
-                joined = row
-            # a stale column may take i here; its min overrides that
-            for c in joined:
-                if key <= row_key[best[c]]:   # equal only when i was the choice
-                    best[c] = i
-                    touched.add(c)
         after = tuple(len(rows[i]) for i in updated)
         if replay and after != lengths:
             return None

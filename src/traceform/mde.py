@@ -47,9 +47,11 @@ behaviour of the solutions.
 
 derive_recursion is memoised on its normalised arguments, so the eta check
 and the modular check of one trace case share one derivation. The Frobenius
-recurrence runs on integer numerators over one common denominator, one
-dot product per theta column and step; its coefficients come out as
-Fraction like everything else.
+recurrence runs on integer numerators over a running common denominator,
+one dot product per theta column and step, and keeps no list of numerators
+besides the inputs of those dot products; its coefficients come out as
+Fraction like everything else. The q-expansion of a theta form clears each
+Eisenstein series once and multiplies over the integers.
 """
 
 from __future__ import annotations
@@ -58,11 +60,12 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import mul
+from math import gcd
+from operator import add, mul
 
 from . import virasoro
 from .linalg import RowSpan, _CommonDenominator, _RationalLike, _frac, solve_dense
-from .qseries import PuiseuxSeries, eisenstein, eta_power
+from .qseries import PuiseuxSeries, _convolve, eisenstein, eta_power
 from .virasoro import VermaVector, verma_monomial
 from .zhu import rational_roots
 
@@ -196,20 +199,34 @@ class QuasiModularPoly:
         return self.to_series(1).coefficient(0)
 
     def to_series(self, terms: int) -> PuiseuxSeries:
-        """q-expansion to the given number of terms; each E_k^p is built once per call."""
-        one = PuiseuxSeries(Fraction(0), (Fraction(1),) + (Fraction(0),) * (terms - 1))
-        powers = []                                  # powers[i][p] = E_k^p, k = 2, 4, 6
+        """q-expansion to the given number of terms, over the integers.
+
+        Each E_k is cleared once to integer numerators over its denominator,
+        and its powers and the monomials are integer convolutions, so
+        E_k^p is built once per call. The scalars co / (denominator of the
+        monomial) go over one common denominator, and each coefficient is one
+        integer dot product over it.
+        """
+        one = [1] + [0] * (terms - 1)
+        powers = []                          # powers[i][p] = (nums, den) of E_k^p, k = 2, 4, 6
         for i, k in enumerate((2, 4, 6)):
             top = max((key[i] for key in self.entries), default=0)
-            row = [one, eisenstein(k, terms)] if top else [one]
+            row = [(one, 1)]
+            if top:
+                e = _CommonDenominator(eisenstein(k, terms).coeffs)
+                row.append((e.nums, e.den))
             while len(row) <= top:
-                row.append(row[-1] * row[1])
+                (nums, den), (e_nums, e_den) = row[-1], row[1]
+                row.append((_convolve(nums, e_nums), den * e_den))
             powers.append(row)
-        out = PuiseuxSeries(Fraction(0), (Fraction(0),) * terms)
-        for key, co in self.entries.items():
-            factors = [row[p] for row, p in zip(powers, key) if p] or [one]
-            out = out + co * reduce(mul, factors[1:], factors[0])
-        return out
+        monomials = [[row[p] for row, p in zip(powers, key) if p] for key in self.entries]
+        scalars = _CommonDenominator(co / reduce(mul, (den for _, den in factors), 1)
+                                     for co, factors in zip(self.entries.values(), monomials))
+        acc = [0] * terms
+        for x, factors in zip(scalars.nums, monomials):
+            nums = reduce(_convolve, (nums for nums, _ in factors), one)
+            acc = list(map(add, acc, map(x.__mul__, nums)))
+        return PuiseuxSeries(Fraction(0), [Fraction(v, scalars.den) for v in acc])
 
     def __str__(self) -> str:
         if not self.entries:
@@ -594,12 +611,13 @@ def frobenius_solve(ode: ModularODE, exponent: _RationalLike, terms: int = 30) -
     # below is the indicial polynomial, read from the same expansion. Write
     # A_t = sum_i a[i][t] q^i / D with integers a[i][t], lam = p/q and
     # T = order. Then sum_t A_t[i] (lam + r)^t = sum_t a[i][t] xs[r][t] / (D q^T)
-    # with xs[r][t] = (p + r q)^t q^(T-t). With coefficient r = sol.nums[r] /
-    # sol.den, step n needs sum_t sum_{r<n} a[n-r][t] ys[t][r] for
-    # ys[t][r] = sol.nums[r] xs[r][t]: one dot product per column t, of the
-    # column read from q^(terms-1) down to q^1 (rcols) against ys[t]. Columns
-    # that vanish past q^0 drop out; the monic theta^T column is the constant
-    # 1. ys is rescaled whenever sol.den grows.
+    # with xs[r][t] = (p + r q)^t q^(T-t). With coefficient r = num_r / den
+    # over the running denominator den, step n needs sum_t sum_{r<n}
+    # a[n-r][t] ys[t][r] for ys[t][r] = num_r xs[r][t]: one dot product per
+    # column t, of the column read from q^(terms-1) down to q^1 (rcols)
+    # against ys[t]. Columns that vanish past q^0 drop out; the monic theta^T
+    # column is the constant 1. Only ys reads the num_r, so the loop keeps den
+    # and the newest numerator, and rescales ys whenever den grows.
     width = len(A)
     ints = _CommonDenominator(c for row in zip(*(series.coeffs for series in A)) for c in row)
     a = [ints.nums[i * width:(i + 1) * width] for i in range(terms)]
@@ -615,21 +633,23 @@ def frobenius_solve(ode: ModularODE, exponent: _RationalLike, terms: int = 30) -
     live = [t for t in range(width) if any(a[i][t] for i in range(1, terms))]
     rcols = [[a[i][t] for i in range(terms - 1, 0, -1)] for t in live]
     coeffs = [Fraction(1)]
-    sol = _CommonDenominator(coeffs)
+    den = 1
     ys = [[xs[0][t]] for t in live]
     for n in range(1, terms):
         acc = sum(sum(map(mul, rcol[terms - 1 - n:], y)) for rcol, y in zip(rcols, ys))
         lead = indicial(n)
         if lead == 0:
             raise ResonantExponentError(lam, n)
-        den = sol.den
-        coeffs.append(Fraction(-acc, den * lead))
-        sol.append(coeffs[-1])
-        if sol.den != den:
-            scale = sol.den // den
+        x = Fraction(-acc, den * lead)
+        coeffs.append(x)
+        d = x.denominator
+        if den % d:
+            scale = d // gcd(den, d)
+            den *= scale
             ys = [[v * scale for v in y] for y in ys]
+        num = x.numerator * (den // d)
         for y, t in zip(ys, live):
-            y.append(sol.nums[n] * xs[n][t])
+            y.append(num * xs[n][t])
     return FrobeniusSolution(lam, tuple(coeffs))
 
 

@@ -20,14 +20,21 @@ and kills eta^(2k), which is what the modular ODE machinery is built on.
 
 Coefficients are stored as Fraction, but the hot kernels run over int. A
 sum aligns the two windows by integer offsets and adds coefficient by
-coefficient. A product and the power recurrence of pow_rational (and so
-eta_power) hold each factor as integer numerators over one common
-denominator (linalg._CommonDenominator), convolve those over the nonzero
-support of the factor with more zero numerators, and build one Fraction per
-output coefficient. The Euler product of eta comes from the pentagonal number
-theorem in O(N). Results are exactly those of the plain Fraction loops,
-whichever order the factors come in. The constructor coerces coefficients
-only when some of them are not already Fraction.
+coefficient. A product holds each factor as integer numerators over one
+common denominator (linalg._CommonDenominator), convolves those over the
+nonzero support of the factor with more zero numerators (_convolve), and
+builds one Fraction per output coefficient. The power recurrence of
+pow_rational (and so eta_power) needs no common denominator that grows: for
+r = p/q every coefficient of (f/f_0)^r below q^N lies over the one
+denominator (q f_0)^(N-1) gcd((N-1)!, q^(N-1)), f_0 the cleared leading
+numerator, because binom(p/q, n) has denominator q^n gcd(n!, q^n). So the
+recurrence runs on integer numerators over that denominator, fixed before it
+starts, with one exact division per step, and reads only the nonzero
+support of f (J.C.P. Miller's recurrence). The Euler product of eta comes
+from the pentagonal number theorem in O(N). Results are exactly those of the
+plain Fraction loops, whichever order the factors come in. The constructor
+coerces coefficients only when some of them are not already Fraction.
+Eisenstein series are memoised on (k, terms).
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import add
 from os import PathLike
 
@@ -45,6 +52,21 @@ from .linalg import _CommonDenominator, _RationalLike, _frac
 def _fmt_frac(x: _RationalLike) -> str:
     """x as "num/den", the form of cache files and CLI output; an int prints over 1."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Cauchy product of two integer coefficient lists of one length, truncated to it.
+
+    Loops over the nonzero support of the list with more zeros: integer
+    addition is exact and commutes, so the order only changes the cost.
+    """
+    if b.count(0) > a.count(0):
+        a, b = b, a
+    acc = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            acc[i:] = map(add, acc[i:], map(x.__mul__, b))
+    return acc
 
 
 class PuiseuxSeries:
@@ -135,18 +157,11 @@ class PuiseuxSeries:
             return PuiseuxSeries(self.lam, [a * c for a in self.coeffs], self.weight)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        # Cauchy product of the integer numerators over one denominator per
-        # factor, looping over the nonzero support of the sparser factor: integer
-        # addition is exact and commutes, so the order only changes the cost
+        # Cauchy product of the integer numerators over one denominator per factor
         n = min(len(self.coeffs), len(other.coeffs))
         a = _CommonDenominator(self.coeffs[:n])
         b = _CommonDenominator(other.coeffs[:n])
-        if b.nums.count(0) > a.nums.count(0):
-            a, b = b, a
-        acc = [0] * n
-        for i, x in enumerate(a.nums):
-            if x:
-                acc[i:] = map(add, acc[i:], map(x.__mul__, b.nums))
+        acc = _convolve(a.nums, b.nums)
         den = a.den * b.den
         weight = None
         if self.weight is not None and other.weight is not None:
@@ -182,23 +197,28 @@ class PuiseuxSeries:
         if r.denominator != 1 and a0 != 1:
             raise ValueError("non-integer powers need leading coefficient 1 after factoring q^lam")
         # out_n = (1/n) sum_k ((r+1)k - n) (f_k/f_0) out_{n-k}, with r = p/q,
-        # f_k = fs.nums[k] / fs.den and out_m = outs.nums[m] / outs.den
+        # f_k = fs.nums[k] / fs.den and out_m = nums[m] / den for the one
+        # denominator den of the module docstring; step n divides by n q f_0
         n_terms = len(self.coeffs)
         fs = _CommonDenominator(self.coeffs)
         f0 = fs.nums[0]
-        support = [(k, fs.nums[k]) for k in range(1, n_terms) if fs.nums[k]]
         p, q = r.numerator, r.denominator
-        out = [Fraction(1)]
-        outs = _CommonDenominator(out)
+        support = [(k, (p + q) * k * fs.nums[k], q * fs.nums[k])
+                   for k in range(1, n_terms) if fs.nums[k]]
+        top = n_terms - 1
+        den = (q * f0) ** top * gcd(factorial(top), q ** top)
+        nums = [den]
         for n in range(1, n_terms):
-            nums = outs.nums
             acc = 0
-            for k, fk in support:
+            for k, a, b in support:
                 if k > n:
                     break
-                acc += ((p + q) * k - n * q) * fk * nums[n - k]
-            out.append(Fraction(acc, n * q * f0 * outs.den))
-            outs.append(out[-1])
+                acc += (a - n * b) * nums[n - k]
+            x, rem = divmod(acc, n * q * f0)
+            if rem:
+                raise AssertionError(f"power recurrence left a remainder at step {n}")
+            nums.append(x)
+        out = [Fraction(x, den) for x in nums]
         lead = a0 ** int(r) if r.denominator == 1 else Fraction(1)
         if lead != 1:
             out = [lead * c for c in out]
@@ -299,10 +319,13 @@ def sigma(k: int, n: int) -> int:
 
 # -- Eisenstein series -------------------------------------------------------
 
+@lru_cache(maxsize=None, typed=True)
 def eisenstein(k: int, terms: int) -> PuiseuxSeries:
     """E_k to the given number of terms, in the G_k/(2 pi i)^k normalization.
 
-    Only even k >= 2 name a nonzero series; anything else is rejected.
+    Only even k >= 2 name a nonzero series; anything else is rejected. The
+    result is immutable and memoised on (k, terms), typed so that 2.0 is
+    still rejected after eisenstein(2, ...) ran.
     """
     if not isinstance(k, int) or k < 2 or k % 2 != 0:
         raise ValueError(f"Eisenstein weight must be an even integer >= 2, got {k!r}")

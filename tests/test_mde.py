@@ -118,6 +118,10 @@ def test_to_series_expands_each_eisenstein_power_once(monkeypatch):
     for poly in polys:
         for terms in (1, 7, 40):
             assert poly.to_series(terms) == _reference_to_series(poly, terms), (poly, terms)
+    # the theta forms of the four trace cases, at the length the eta checks use
+    for case in TRACE_CASES:
+        for poly in trace_case_ode(case).theta_form():
+            assert poly.to_series(300) == _reference_to_series(poly, 300), (case.m, poly)
     # E_k(0) is read from qseries.eisenstein, whose normalisation gives these
     assert [p.constant_term() for p in (QuasiModularPoly.e2(), QuasiModularPoly.e4(),
                                         QuasiModularPoly.e6())] == [

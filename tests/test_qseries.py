@@ -5,11 +5,12 @@ signs for eta, partition counts for 1/eta, divisor sums and Bernoulli
 numbers for the Eisenstein series, the Gamma(1/4) evaluation of eta(i),
 and the vanishing of the classical E_6 at the square lattice point.
 
-pow_rational runs its recurrence on integer numerators over one common
-denominator; _reference_pow_rational below is the earlier loop over
-Fraction, which it must reproduce exactly. The same holds for series sums
-and products (_reference_add, _reference_mul) and for the pentagonal-number
-Euler product (_reference_euler_product, the earlier quadratic loop).
+pow_rational runs its recurrence on integer numerators over one
+denominator fixed before it starts; _reference_pow_rational below is the
+earlier loop over Fraction, which it must reproduce exactly. The same holds
+for series sums and products (_reference_add, _reference_mul) and for the
+pentagonal-number Euler product (_reference_euler_product, the earlier
+quadratic loop).
 """
 
 import math
@@ -200,6 +201,12 @@ def test_integer_power_kernel_matches_the_fraction_loop():
     assert {(False, s, False) for s in (-1, 1)} <= seen
     for r in (Fraction(1, 5), Fraction(-3, 7), Fraction(2), Fraction(-1), Fraction(0)):
         assert _same_series(eta_power(r, 200), _reference_pow_rational(eta(200), r)), r
+    # the fixed denominator (q f_0)^(N-1) gcd((N-1)!, q^(N-1)) at 300 terms,
+    # negative p over prime and composite q
+    e = eta(300)
+    for r in (Fraction(-1, 5), Fraction(-4, 5), Fraction(-1, 6), Fraction(-5, 6), Fraction(-2, 7),
+              Fraction(-6, 7), Fraction(-1, 12), Fraction(-7, 12)):
+        assert _same_series(e.pow_rational(r), _reference_pow_rational(e, r)), r
 
 
 def _reference_add(f, g):
@@ -383,6 +390,19 @@ def test_eisenstein_constant_terms():
     assert eisenstein(2, 3).coefficient(0) == Fraction(-1, 12)
     assert eisenstein(4, 3).coefficient(0) == Fraction(1, 720)
     assert eisenstein(6, 3).coefficient(0) == Fraction(-1, 30240)
+
+
+def test_eisenstein_is_built_once_per_weight_and_length():
+    eisenstein.cache_clear()
+    e4 = eisenstein(4, 20)
+    assert eisenstein(4, 20) is e4
+    assert eisenstein(4, 21) is not e4 and eisenstein(4, 21).truncate(20) == e4
+    assert eisenstein.cache_info().currsize == 2
+    # the cache is typed, so a weight that only compares equal is still rejected
+    eisenstein(2, 3)
+    for k in (2.0, Fraction(2), True):
+        with pytest.raises(ValueError, match="even integer >= 2"):
+            eisenstein(k, 3)
 
 
 def test_classical_eisenstein_low_order_coefficients():

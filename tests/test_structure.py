@@ -11,7 +11,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "traceform"
 
-SHARED_HELPERS = ("_frac", "_RationalLike", "_gbinom", "_CommonDenominator", "_fmt_frac")
+SHARED_HELPERS = ("_frac", "_RationalLike", "_gbinom", "_CommonDenominator", "_fmt_frac",
+                  "_convolve")
 RETIRED_FROM_LINALG = ("rref_dense", "rank_dense", "_as_fraction_matrix")
 
 
@@ -48,10 +49,15 @@ def _functions(stem: str):
 
 def test_denominators_are_cleared_in_one_place():
     # every lcm of denominators goes through the batch constructor of
-    # linalg._CommonDenominator; the recurrences extend one with append()
+    # linalg._CommonDenominator; the power recurrence runs over a denominator
+    # fixed before it starts and the Frobenius loop keeps only its newest
+    # numerator, so neither extends a cleared list and it has no append()
     sites = [(stem, fn) for stem in _definitions_by_module() for fn, node in _functions(stem)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lcm"]
     assert sites == [("linalg", "_CommonDenominator")], sites
+    methods = {node.name for fn, node in _functions("linalg")
+               if fn == "_CommonDenominator" and isinstance(node, ast.FunctionDef)}
+    assert methods == {"__init__"}, methods
 
 
 def test_no_window_class_and_no_second_clearing_helper():
