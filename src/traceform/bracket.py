@@ -17,9 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import virasoro
 from .qseries import PuiseuxSeries
-from .virasoro import VermaVector, _sum_scaled
 
 
 @lru_cache(maxsize=None)
@@ -68,40 +66,3 @@ def inverse_bracket_coeffs(w: int, n: int, depth: int = 12) -> tuple[Fraction, .
         b.append(-acc)
     return tuple(b)
 
-
-def square_mode_action(v: VermaVector, m: int, u: VermaVector) -> VermaVector:
-    """v[m]u expanded in round modes, v[m] = sum_i a_i v(m+i).
-
-    v must live in the vacuum vertex algebra; each homogeneous piece of
-    weight w uses the (w, m) coefficient row. The sum is finite because
-    v(j)u vanishes once j exceeds level(u) + w - 1.
-    """
-    if not v.vacuum:
-        raise ValueError("square modes need a vacuum vertex algebra vector")
-    lev_u = max(u.level_components(), default=0)
-    terms = []
-    for w, piece in v.level_components().items():
-        top = lev_u + w - 1 - m
-        if top >= 0:
-            row = bracket_coeffs(w, m, top + 1)
-            terms += [(a, virasoro.mode_action(piece, m + i, u))
-                      for i, a in enumerate(row) if a != 0]
-    return _sum_scaled(u, terms)
-
-
-def square_virasoro_action(n: int, u: VermaVector) -> VermaVector:
-    """L[n]u for the square-bracket Virasoro modes, expanded in round modes.
-
-    L[n] is the (n+1) mode of the shifted conformal vector omega - c/24, so
-    L[n] = sum_i a_i L(n+i) with the (2, n+1) coefficient row, plus -c/24
-    times the identity when n = -2.
-    """
-    lev_u = max(u.level_components(), default=0)
-    top = lev_u - n
-    terms = []
-    if top >= 0:
-        row = bracket_coeffs(2, n + 1, top + 1)
-        terms = [(a, virasoro.l_action(n + i, u)) for i, a in enumerate(row) if a != 0]
-    if n == -2:
-        terms.append((-u.c / 24, u))
-    return _sum_scaled(u, terms)

@@ -39,6 +39,8 @@ def _parse_tau(text: str) -> complex:
         tau = complex(float(re_part), float(im_part))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected --tau a,b with floats, got {text!r}") from exc
+    if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
+        raise argparse.ArgumentTypeError(f"tau parts must be finite, got {text!r}")
     if tau.imag <= 0:
         raise argparse.ArgumentTypeError("tau must lie in the upper half plane")
     return tau

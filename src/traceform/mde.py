@@ -426,7 +426,8 @@ def _derive_recursion(c: Fraction, h: Fraction, weight_bound: Fraction) -> Trace
     top = (weight_bound - h) // 2
     strings = [verma_monomial(c, h, (2,) * i, h == 0) for i in range(top + 1)]
     # grow until [L[-2] u] reduces to zero, which m = 1 below returns as the
-    # order-1 recursion, or until the next level would pass the bound
+    # order-1 recursion (no candidates, and solve_dense([], []) is []), or
+    # until the next level would pass the bound
     first = graded_vector(strings[1])
     while rel.weight_bound + 1 <= weight_bound and not rel.contains(first):
         rel.grow()
@@ -439,10 +440,6 @@ def _derive_recursion(c: Fraction, h: Fraction, weight_bound: Fraction) -> Trace
                 cands.append(rel.reduce(graded_vector(strings[i], e4=a4, e6=a6)))
                 labels.append((i, a4, a6))
         keys = sorted(set(target) | {k for cv in cands for k in cv})
-        if not cands:
-            if not target:
-                return TraceRecursion(c, h, m, (QuasiModularPoly(),) * m, rel.weight_bound)
-            continue
         rows = [[cv.get(k, Fraction(0)) for cv in cands] for k in keys]
         rhs = [-target.get(k, Fraction(0)) for k in keys]
         rho = solve_dense(rows, rhs)

@@ -170,20 +170,6 @@ class PuiseuxSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = PuiseuxSeries(0, [1] + [0] * (len(self.coeffs) - 1), Fraction(0))
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def pow_rational(self, r: _RationalLike) -> "PuiseuxSeries":
         """f^r for rational r via the power recurrence.
 
@@ -417,6 +403,8 @@ def read_series(path: str | PathLike) -> PuiseuxSeries:
         weight = None if fields["weight"] == "none" else Fraction(fields["weight"])
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{path}: bad header {raw[0]!r}") from exc
+    if terms < 1:
+        raise ValueError(f"{path}: bad header {raw[0]!r}")
     body = raw[1:]
     if len(body) != terms:
         raise ValueError(f"{path}: header promises {terms} coefficients, file has {len(body)}")

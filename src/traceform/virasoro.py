@@ -42,7 +42,6 @@ every sum is finite.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -80,9 +79,6 @@ class MinimalModelData:
     m: int
     c: Fraction
     weights: dict[tuple[int, int], Fraction] = field(compare=False)
-
-    def weight(self, r: int, s: int) -> Fraction:
-        return self.weights[(r, s)]
 
     def distinct_weights(self) -> tuple[Fraction, ...]:
         return tuple(sorted(set(self.weights.values())))
@@ -196,15 +192,6 @@ def _acc(out: dict[Partition, _RationalLike], mu: Partition, co: _RationalLike) 
         out.pop(mu, None)
     else:
         out[mu] = new
-
-
-def _sum_scaled(u: VermaVector, terms: Iterable[tuple[_RationalLike, VermaVector]]) -> VermaVector:
-    """sum of k * vec over the (k, vec) terms, in the module of u, built once."""
-    out: dict[Partition, Fraction] = {}
-    for k, vec in terms:
-        for mu, co in vec.entries.items():
-            _acc(out, mu, co * k)
-    return u._like(out)
 
 
 @lru_cache(maxsize=None)

@@ -1,24 +1,20 @@
 """Zhu algebra of the universal Virasoro vertex algebra.
 
-For homogeneous a of weight w the bilinear operations on V are
+A(V) = V / O(V), where O(V) is spanned by the elements
 
-    a . u   = sum_{i=0}^{w}   C(w, i)   a(i-1) u      (the Zhu product)
-    u * a   = sum_{i>=0}      C(w-1, i) a(i-1) u      (the opposite side)
-    o(a, u) = sum_{i=0}^{w}   C(w, i)   a(i-2) u      (spans O(V))
+    o(a, u) = sum_{i=0}^{w} C(w, i) a(i-2) u
 
-and A(V) = V / O(V). The sum for u * a stops at i = w - 1 for w >= 1; at
-w = 0, a is a multiple of the vacuum, whose only nonzero mode is a(-1), and
-the binomial is the generalized C(-1, 0) = 1. For the vacuum Virasoro
-algebra A(V) is the polynomial ring Q[x] with x the class of the conformal
-vector. Membership of L(-3-n)b + 2L(-2-n)b + L(-1-n)b in O(V) for every
-n >= 0 (the weight-shifted residue elements built from the conformal vector)
-collapses any PBW monomial class to the closed form
+for homogeneous a of weight w. For the vacuum Virasoro algebra A(V) is the
+polynomial ring Q[x] with x the class of the conformal vector. Membership
+of L(-3-n)b + 2L(-2-n)b + L(-1-n)b in O(V) for every n >= 0 (the
+weight-shifted residue elements built from the conformal vector) collapses
+any PBW monomial class to the closed form
 
     [L(-M) b] = (-1)^M ((M-1) x + wt b) [b],    M >= 1,
 
 which class_polynomial implements. In particular [L(-1)b] = -wt(b) [b] and
-[L(-2)b] = (x + wt b)[b]; OSpace exposes the direct truncated span so those
-reduction relations can be checked against it rather than assumed.
+[L(-2)b] = (x + wt b)[b]. The test suite checks these reductions against
+Zhu's products and a direct truncated span of O(V) rather than assume them.
 
 zhu_poly(m) reads the level of the first vacuum singular vector of the
 (p, q) = (m+2, m+3) minimal model off the Kac determinant, (p-1)(q-1), and
@@ -35,42 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from . import virasoro
-from .linalg import RowSpan, _CommonDenominator, _RationalLike, _frac
+from .linalg import _CommonDenominator
 # l_action is read through this module by the benchmark's tracing test
-from .virasoro import VermaVector, _gbinom, _sum_scaled, l_action, mode_action, minimal_model  # noqa: F401
-
-
-def _require_vacuum(a: VermaVector) -> None:
-    if not a.vacuum:
-        raise ValueError("the left factor must live in the vacuum vertex algebra")
-
-
-def a_dot_u(a: VermaVector, u: VermaVector) -> VermaVector:
-    """Zhu product a . u, linear in both arguments."""
-    _require_vacuum(a)
-    return _sum_scaled(u, ((comb(w, i), mode_action(piece, i - 1, u))
-                           for w, piece in a.level_components().items() for i in range(w + 1)))
-
-
-def u_star_a(u: VermaVector, a: VermaVector) -> VermaVector:
-    """Opposite-side product u * a, with u * 1 = u.
-
-    The difference a . u - u * a is exactly sum_{j>=0} C(wt a - 1, j) a(j) u,
-    summed over the homogeneous pieces of a.
-    """
-    _require_vacuum(a)
-    return _sum_scaled(u, ((_gbinom(w - 1, i), mode_action(piece, i - 1, u))
-                           for w, piece in a.level_components().items() for i in range(max(w, 1))))
-
-
-def o_elem(a: VermaVector, u: VermaVector) -> VermaVector:
-    """A single spanning element of O(V): sum_i C(w,i) a(i-2)u."""
-    _require_vacuum(a)
-    return _sum_scaled(u, ((comb(w, i), mode_action(piece, i - 2, u))
-                           for w, piece in a.level_components().items() for i in range(w + 1)))
+from .virasoro import VermaVector, l_action, minimal_model  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +73,8 @@ def class_polynomial(vec: VermaVector) -> list[Fraction]:
     PBW monomial of vec, over the integer numerators of vec's coefficients
     cleared to one denominator, which divides out at the end.
     """
-    _require_vacuum(vec)
+    if not vec.vacuum:
+        raise ValueError("class_polynomial needs a vector of the vacuum vertex algebra")
     cleared = _CommonDenominator(vec.entries.values())
     acc = [0]
     for mu, num in zip(vec.entries, cleared.nums):
@@ -116,98 +83,6 @@ def class_polynomial(vec: VermaVector) -> list[Fraction]:
         for i, a in enumerate(poly):
             acc[i] += a
     return [Fraction(a, cleared.den) for a in _poly_trim(acc)]
-
-
-# ---------------------------------------------------------------------------
-# direct truncated picture of O(V)
-# ---------------------------------------------------------------------------
-
-class OSpace:
-    """Truncated span of O(V) inside the irreducible vacuum algebra L(c,0).
-
-    Generators o(a, u) are included once their top level l(a)+l(u)+1 fits
-    under the truncation; quotient_dims[T] is dim L(c,0)_{<=T} modulo the
-    generators available by level T, so a stabilizing tail is visible and a
-    too-small truncation shows up honestly as a larger dimension.
-    """
-
-    def __init__(self, c: _RationalLike, trunc: int):
-        self.c = _frac(c)
-        self.trunc = trunc
-        self._coords = [virasoro.level_coordinates(self.c, 0, l, vacuum=True)
-                        for l in range(trunc + 1)]
-        self.module_dims = [lc.dim for lc in self._coords]
-        basis = [lc.basis for lc in self._coords]
-        self._module = virasoro.verma_module(self.c, Fraction(0), True)
-        gens_by_top: dict[int, list[VermaVector]] = {}
-        for la in range(2, trunc + 1):
-            for mu in basis[la]:
-                a = self._module.monomial(mu)
-                for lu in range(0, trunc - la):
-                    for nu in basis[lu]:
-                        u = self._module.monomial(nu)
-                        gens_by_top.setdefault(la + lu + 1, []).append(o_elem(a, u))
-        self._span = RowSpan()
-        self.quotient_dims: list[int] = []
-        total = 0
-        for top in range(trunc + 1):
-            total += self.module_dims[top]
-            for w in gens_by_top.get(top, []):
-                self._span.add(self.coords(w))
-            self.quotient_dims.append(total - self._span.rank)
-
-    @property
-    def rank(self) -> int:
-        return self._span.rank
-
-    def coords(self, vec: VermaVector) -> dict[tuple[int, int], Fraction]:
-        """Concatenated irreducible coordinates keyed by (level, index)."""
-        top = max(map(sum, vec.entries), default=0)
-        if top > self.trunc:
-            raise ValueError(f"vector reaches level {top}, truncation is {self.trunc}")
-        return virasoro.irreducible_coordinates(vec)
-
-    def reduce(self, vec: VermaVector) -> dict[tuple[int, int], Fraction]:
-        return self._span.reduce(self.coords(vec))
-
-    def contains(self, vec: VermaVector) -> bool:
-        return not self.reduce(vec)
-
-    def quotient_basis(self, level_cap: int | None = None) -> list[tuple[int, int]]:
-        """Non-pivot coordinate keys: a basis of the truncated quotient."""
-        cap = self.trunc if level_cap is None else level_cap
-        pivots = self._span.pivot_keys
-        keys = []
-        for lvl in range(cap + 1):
-            for i in range(self.module_dims[lvl]):
-                if (lvl, i) not in pivots:
-                    keys.append((lvl, i))
-        return keys
-
-    def x_matrix(self, level_cap: int) -> tuple[list[tuple[int, int]], list[list[Fraction]]]:
-        """Matrix of multiplication by [omega] on the truncated quotient.
-
-        Needs every quotient basis key at level <= level_cap and the images
-        to stay inside the same key set; raises if the truncation is too
-        tight for that closure.
-        """
-        keys = self.quotient_basis()
-        if any(lvl > level_cap for lvl, _ in keys):
-            raise ValueError("quotient basis reaches above level_cap; raise the truncation")
-        omega = self._module.monomial((2,))
-        index = {k: t for t, k in enumerate(keys)}
-        cols: list[list[Fraction]] = []
-        for lvl, i in keys:
-            rep = self._module.monomial(self._coords[lvl].basis[i])
-            red = self._span.reduce(self.coords(a_dot_u(omega, rep)))
-            col = [Fraction(0)] * len(keys)
-            for key, co in red.items():
-                if key not in index:
-                    raise ValueError("omega action leaves the truncated quotient; raise the truncation")
-                col[index[key]] = co
-            cols.append(col)
-        matrix = [[cols[j][i] for j in range(len(keys))] for i in range(len(keys))]
-        return keys, matrix
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,191 @@
+"""Reference routes the tests check the package against; nothing in the package calls them.
+
+Zhu's products. For homogeneous a of weight w the bilinear operations on V are
+
+    a . u   = sum_{i=0}^{w}   C(w, i)   a(i-1) u      (the Zhu product)
+    u * a   = sum_{i>=0}      C(w-1, i) a(i-1) u      (the opposite side)
+    o(a, u) = sum_{i=0}^{w}   C(w, i)   a(i-2) u      (spans O(V))
+
+and A(V) = V / O(V). The sum for u * a stops at i = w - 1 for w >= 1; at
+w = 0, a is a multiple of the vacuum, whose only nonzero mode is a(-1), and
+the binomial is the generalized C(-1, 0) = 1. OSpace is the direct
+truncated span of O(V) inside the irreducible vacuum algebra, against
+which zhu.class_polynomial's closed-form reductions are checked rather than
+assumed.
+
+The square-bracket modes. v[m] = sum_i a_i v(m+i) with the coefficient rows
+of traceform.bracket, and L[n] the (n+1) mode of the shifted conformal
+vector omega - c/24. The trace derivation works in the round picture
+through Zhu's isomorphism; these expansions are the square picture it is
+checked against.
+
+Coordinates are read through virasoro.irreducible_coordinates as a module
+attribute, so a test that patches that one projection sees every call.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb
+
+from traceform import virasoro
+from traceform.bracket import bracket_coeffs
+from traceform.linalg import RowSpan, _frac
+from traceform.virasoro import VermaVector, _acc, _gbinom, mode_action
+
+
+def _sum_scaled(u: VermaVector, terms) -> VermaVector:
+    """sum of k * vec over the (k, vec) terms, in the module of u, built once."""
+    out: dict = {}
+    for k, vec in terms:
+        for mu, co in vec.entries.items():
+            _acc(out, mu, co * k)
+    return u._like(out)
+
+
+# ---------------------------------------------------------------------------
+# Zhu's products
+# ---------------------------------------------------------------------------
+
+def _require_vacuum(a: VermaVector) -> None:
+    if not a.vacuum:
+        raise ValueError("the left factor must live in the vacuum vertex algebra")
+
+
+def a_dot_u(a: VermaVector, u: VermaVector) -> VermaVector:
+    """Zhu product a . u, linear in both arguments."""
+    _require_vacuum(a)
+    return _sum_scaled(u, ((comb(w, i), mode_action(piece, i - 1, u))
+                           for w, piece in a.level_components().items() for i in range(w + 1)))
+
+
+def u_star_a(u: VermaVector, a: VermaVector) -> VermaVector:
+    """Opposite-side product u * a, with u * 1 = u.
+
+    The difference a . u - u * a is exactly sum_{j>=0} C(wt a - 1, j) a(j) u,
+    summed over the homogeneous pieces of a.
+    """
+    _require_vacuum(a)
+    return _sum_scaled(u, ((_gbinom(w - 1, i), mode_action(piece, i - 1, u))
+                           for w, piece in a.level_components().items() for i in range(max(w, 1))))
+
+
+def o_elem(a: VermaVector, u: VermaVector) -> VermaVector:
+    """A single spanning element of O(V): sum_i C(w,i) a(i-2)u."""
+    _require_vacuum(a)
+    return _sum_scaled(u, ((comb(w, i), mode_action(piece, i - 2, u))
+                           for w, piece in a.level_components().items() for i in range(w + 1)))
+
+
+class OSpace:
+    """Truncated span of O(V) inside the irreducible vacuum algebra L(c,0).
+
+    Generators o(a, u) are included once their top level l(a)+l(u)+1 fits
+    under the truncation; quotient_dims[T] is dim L(c,0)_{<=T} modulo the
+    generators available by level T, so a stabilizing tail is visible and a
+    too-small truncation shows up honestly as a larger dimension.
+    """
+
+    def __init__(self, c, trunc: int):
+        self.c = _frac(c)
+        self.trunc = trunc
+        self._coords = [virasoro.level_coordinates(self.c, 0, l, vacuum=True)
+                        for l in range(trunc + 1)]
+        self.module_dims = [lc.dim for lc in self._coords]
+        basis = [lc.basis for lc in self._coords]
+        self._module = virasoro.verma_module(self.c, Fraction(0), True)
+        gens_by_top: dict[int, list[VermaVector]] = {}
+        for la in range(2, trunc + 1):
+            for mu in basis[la]:
+                a = self._module.monomial(mu)
+                for lu in range(0, trunc - la):
+                    for nu in basis[lu]:
+                        u = self._module.monomial(nu)
+                        gens_by_top.setdefault(la + lu + 1, []).append(o_elem(a, u))
+        self._span = RowSpan()
+        self.quotient_dims: list[int] = []
+        total = 0
+        for top in range(trunc + 1):
+            total += self.module_dims[top]
+            for w in gens_by_top.get(top, []):
+                self._span.add(self.coords(w))
+            self.quotient_dims.append(total - self._span.rank)
+
+    def coords(self, vec: VermaVector) -> dict[tuple[int, int], Fraction]:
+        """Concatenated irreducible coordinates keyed by (level, index)."""
+        top = max(map(sum, vec.entries), default=0)
+        if top > self.trunc:
+            raise ValueError(f"vector reaches level {top}, truncation is {self.trunc}")
+        return virasoro.irreducible_coordinates(vec)
+
+    def quotient_basis(self) -> list[tuple[int, int]]:
+        """Non-pivot coordinate keys: a basis of the truncated quotient."""
+        pivots = self._span.pivot_keys
+        return [(lvl, i) for lvl in range(self.trunc + 1) for i in range(self.module_dims[lvl])
+                if (lvl, i) not in pivots]
+
+    def x_matrix(self, level_cap: int) -> tuple[list[tuple[int, int]], list[list[Fraction]]]:
+        """Matrix of multiplication by [omega] on the truncated quotient.
+
+        Needs every quotient basis key at level <= level_cap and the images
+        to stay inside the same key set; raises if the truncation is too
+        tight for that closure.
+        """
+        keys = self.quotient_basis()
+        if any(lvl > level_cap for lvl, _ in keys):
+            raise ValueError("quotient basis reaches above level_cap; raise the truncation")
+        omega = self._module.monomial((2,))
+        index = {k: t for t, k in enumerate(keys)}
+        cols: list[list[Fraction]] = []
+        for lvl, i in keys:
+            rep = self._module.monomial(self._coords[lvl].basis[i])
+            red = self._span.reduce(self.coords(a_dot_u(omega, rep)))
+            col = [Fraction(0)] * len(keys)
+            for key, co in red.items():
+                if key not in index:
+                    raise ValueError("omega action leaves the truncated quotient; raise the truncation")
+                col[index[key]] = co
+            cols.append(col)
+        matrix = [[cols[j][i] for j in range(len(keys))] for i in range(len(keys))]
+        return keys, matrix
+
+
+# ---------------------------------------------------------------------------
+# square-bracket modes expanded in round ones
+# ---------------------------------------------------------------------------
+
+def square_mode_action(v: VermaVector, m: int, u: VermaVector) -> VermaVector:
+    """v[m]u expanded in round modes, v[m] = sum_i a_i v(m+i).
+
+    v must live in the vacuum vertex algebra; each homogeneous piece of
+    weight w uses the (w, m) coefficient row. The sum is finite because
+    v(j)u vanishes once j exceeds level(u) + w - 1.
+    """
+    if not v.vacuum:
+        raise ValueError("square modes need a vacuum vertex algebra vector")
+    lev_u = max(u.level_components(), default=0)
+    terms = []
+    for w, piece in v.level_components().items():
+        top = lev_u + w - 1 - m
+        if top >= 0:
+            row = bracket_coeffs(w, m, top + 1)
+            terms += [(a, mode_action(piece, m + i, u)) for i, a in enumerate(row) if a != 0]
+    return _sum_scaled(u, terms)
+
+
+def square_virasoro_action(n: int, u: VermaVector) -> VermaVector:
+    """L[n]u for the square-bracket Virasoro modes, expanded in round modes.
+
+    L[n] is the (n+1) mode of the shifted conformal vector omega - c/24, so
+    L[n] = sum_i a_i L(n+i) with the (2, n+1) coefficient row, plus -c/24
+    times the identity when n = -2.
+    """
+    lev_u = max(u.level_components(), default=0)
+    top = lev_u - n
+    terms = []
+    if top >= 0:
+        row = bracket_coeffs(2, n + 1, top + 1)
+        terms = [(a, virasoro.l_action(n + i, u)) for i, a in enumerate(row) if a != 0]
+    if n == -2:
+        terms.append((-u.c / 24, u))
+    return _sum_scaled(u, terms)

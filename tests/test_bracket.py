@@ -11,12 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from traceform.bracket import (
-    bracket_coeffs,
-    inverse_bracket_coeffs,
-    square_mode_action,
-    square_virasoro_action,
-)
+from reference_routes import square_mode_action, square_virasoro_action
+from traceform.bracket import bracket_coeffs, inverse_bracket_coeffs
 from traceform.qseries import PuiseuxSeries
 from traceform.virasoro import highest_weight_vector, verma_monomial
 
@@ -25,9 +21,10 @@ def oracle_row(w, m, depth):
     """[z^(m+i)] (log(1+z))^m (1+z)^(w-1) for i = 0..depth-1, from scratch."""
     pad = depth + abs(m) + w + 4
     unit = [Fraction((-1) ** n, n + 1) for n in range(pad)]   # log(1+z)/z
-    powed = PuiseuxSeries(0, unit).pow_rational(m)
+    total = PuiseuxSeries(0, unit).pow_rational(m)
     onez = PuiseuxSeries(0, [Fraction(1), Fraction(1)] + [Fraction(0)] * (pad - 2))
-    total = powed * onez ** (w - 1)
+    for _ in range(w - 1):
+        total = total * onez
     return tuple(total.coefficient(i) for i in range(depth))
 
 

@@ -250,6 +250,10 @@ def test_bad_values_exit_two_with_one_line(capsys, argv, message):
     (["mde", "derive", "--c", "-22/5", "--h", "0"], "argument --c: expected one argument"),
     (["no-such-command"], "invalid choice: 'no-such-command'"),
     (["mde"], "required: action"),
+    (["modular-check", "--tau=nan,1", "--tau=0.3,1.1"], "tau parts must be finite, got 'nan,1'"),
+    (["modular-check", "--tau=0,inf", "--tau=0.3,1.1"], "tau parts must be finite, got '0,inf'"),
+    (["modular-check", "--tau=inf,1", "--tau=0.3,1.1"], "tau parts must be finite, got 'inf,1'"),
+    (["modular-check", "--tau=0.3,1e400", "--tau=0.3,1.1"], "tau parts must be finite, got '0.3,1e400'"),
 ])
 def test_parse_errors_exit_two_with_one_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

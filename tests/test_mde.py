@@ -31,8 +31,8 @@ from fractions import Fraction
 
 import pytest
 
+from reference_routes import square_mode_action, square_virasoro_action
 from traceform import cli, mde, virasoro
-from traceform.bracket import square_mode_action, square_virasoro_action
 from traceform.linalg import solve_dense
 from traceform.mde import (
     TRACE_CASES,
@@ -99,13 +99,13 @@ def test_higher_eisenstein_polys_expand_correctly():
 
 
 def _reference_to_series(poly, terms):
-    """The earlier expansion, rebuilding eisenstein(k, terms) ** power per monomial."""
+    """The earlier expansion, rebuilding eisenstein(k, terms) for every factor."""
     out = PuiseuxSeries(Fraction(0), (Fraction(0),) * terms)
     for (a2, a4, a6), co in poly.entries.items():
         term = PuiseuxSeries(Fraction(0), (Fraction(1),) + (Fraction(0),) * (terms - 1))
         for k, power in ((2, a2), (4, a4), (6, a6)):
-            if power:
-                term = term * (eisenstein(k, terms) ** power)
+            for _ in range(power):
+                term = term * eisenstein(k, terms)
         out = out + co * term
     return out
 

@@ -14,6 +14,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "traceform"
 SHARED_HELPERS = ("_frac", "_RationalLike", "_gbinom", "_CommonDenominator", "_fmt_frac",
                   "_convolve")
 RETIRED_FROM_LINALG = ("rref_dense", "rank_dense", "_as_fraction_matrix")
+REFERENCE_ROUTES = ("OSpace", "a_dot_u", "u_star_a", "o_elem", "square_mode_action",
+                    "square_virasoro_action", "_sum_scaled")
 
 
 def _top_level_definitions(path: Path) -> set[str]:
@@ -121,16 +123,22 @@ def test_modular_ode_reads_indicial_data_and_theta_columns_from_one_theta_form()
     assert "eisenstein" not in _called_names(ode)
 
 
-def test_mde_derives_in_the_round_picture_only():
-    # through Zhu's isomorphism the relation span and the L[-2] strings are
-    # built from round modes; the square-bracket expansion is a test reference
-    tree = ast.parse((PACKAGE / "mde.py").read_text(encoding="utf-8"))
+def _imported_names(tree: ast.AST) -> list[str]:
+    """Every module named by an import, and every name imported from one."""
     imports = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             imports += [node.module or ""] + [alias.name for alias in node.names]
         elif isinstance(node, ast.Import):
             imports += [alias.name for alias in node.names]
+    return imports
+
+
+def test_mde_derives_in_the_round_picture_only():
+    # through Zhu's isomorphism the relation span and the L[-2] strings are
+    # built from round modes; the square-bracket expansion is a test reference
+    tree = ast.parse((PACKAGE / "mde.py").read_text(encoding="utf-8"))
+    imports = _imported_names(tree)
     assert not [name for name in imports if name.split(".")[-1] == "bracket"], imports
     called = sorted(name for name in _called_names(tree) if name and name.startswith("square_"))
     assert not called, called
@@ -153,6 +161,23 @@ def test_the_weight_bound_is_the_only_order_cap():
 
 def test_bracket_rows_are_plain_tuples():
     assert "BracketCoeffTable" not in _definitions_by_module()["bracket"]
+
+
+def test_reference_routes_and_second_paths_stay_out_of_the_package():
+    # Zhu's products, the O(V) span and the square-bracket action are the
+    # tests' oracles (tests/reference_routes.py); pow_rational is the one
+    # integer power of a series, and bracket holds only coefficient rows
+    defs = _definitions_by_module()
+    found = {name: module for module, names in defs.items() for name in names & set(REFERENCE_ROUTES)}
+    assert not found, found
+    (series,) = [node for _, node in _functions("qseries")
+                 if isinstance(node, ast.ClassDef) and node.name == "PuiseuxSeries"]
+    bound = {node.name for node in series.body if isinstance(node, ast.FunctionDef)}
+    bound |= {t.id for node in series.body if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name)}
+    assert "__pow__" not in bound and "pow_rational" in bound
+    imports = _imported_names(ast.parse((PACKAGE / "bracket.py").read_text(encoding="utf-8")))
+    assert not [name for name in imports if name.split(".")[-1] == "virasoro"], imports
 
 
 def test_linalg_defines_no_dense_eliminator():

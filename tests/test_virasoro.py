@@ -434,7 +434,8 @@ def test_the_vacuum_quotient_exists_only_at_h_zero():
 
 
 def test_every_coordinate_route_reads_one_projection(monkeypatch):
-    from traceform import mde, zhu
+    from reference_routes import OSpace
+    from traceform import mde
 
     calls = []
     original = virasoro.irreducible_coordinates
@@ -448,7 +449,7 @@ def test_every_coordinate_route_reads_one_projection(monkeypatch):
     u = verma_monomial(c, Fraction(1, 16), (2, 1))
     assert mde.graded_vector(u, e4=1) == {(lvl, t, 1, 0): co for (lvl, t), co in original(u).items()}
     assert len(calls) == 1
-    space = zhu.OSpace(c, 4)
+    space = OSpace(c, 4)
     seen = len(calls)
     assert seen > 1
     space.coords(verma_monomial(c, 0, (2, 2), vacuum=True))

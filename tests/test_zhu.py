@@ -3,12 +3,14 @@
 The two routes to the same answer are kept deliberately separate: the
 closed-form reduction of PBW strings to polynomials in the conformal class
 x, and the concrete span of o(a, u) elements inside the irreducible vacuum
-algebra. The minimal model spectrum test checks both against the Kac
-weight table. zhu_poly itself takes the fast route (one solve at the
-predicted singular level, reduced in closed form); the slow routes are
-kept as oracles: a level-by-level scan for singular vectors, and each
-descendant L(-mu) alpha of the singular vector built by l_action, whose
-class must equal the closed form's [alpha] times one factor per part.
+algebra. Zhu's products and that span come from reference_routes, a test
+helper that the package does not call. The minimal model spectrum test
+checks both against the Kac weight table. zhu_poly itself takes the fast
+route (one solve at the predicted singular level, reduced in closed form);
+the slow routes are kept as oracles: a level-by-level scan for singular
+vectors, and each descendant L(-mu) alpha of the singular vector built by
+l_action, whose class must equal the closed form's [alpha] times one
+factor per part.
 
 class_polynomial and rational_roots run over integers; the _fraction_*
 routines below are the earlier versions over Fraction, kept to check them
@@ -24,6 +26,7 @@ from math import comb, gcd, isqrt
 
 import pytest
 
+from reference_routes import OSpace, a_dot_u, o_elem, u_star_a
 from traceform import zhu
 from traceform.linalg import RowSpan, _CommonDenominator
 from traceform.virasoro import (
@@ -36,17 +39,7 @@ from traceform.virasoro import (
     singular_vectors,
     verma_monomial,
 )
-from traceform.zhu import (
-    OSpace,
-    ZhuPoly,
-    _monic,
-    a_dot_u,
-    class_polynomial,
-    o_elem,
-    rational_roots,
-    u_star_a,
-    zhu_poly,
-)
+from traceform.zhu import ZhuPoly, _monic, class_polynomial, rational_roots, zhu_poly
 
 C = Fraction(1, 2)
 
@@ -113,6 +106,11 @@ def test_conformal_product_expands_binomially():
 
 def test_class_of_the_vacuum_is_the_constant_one():
     assert class_polynomial(highest_weight_vector(C, 0, vacuum=True)) == [1]
+
+
+def test_class_polynomial_requires_a_vacuum_vector():
+    with pytest.raises(ValueError, match="vacuum vertex algebra"):
+        class_polynomial(verma_monomial(C, Fraction(1, 16), (2,)))
 
 
 def test_class_of_single_modes_follows_the_reduction_rule():
