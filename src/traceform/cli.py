@@ -591,9 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="traceform",
         description="exact computations with trace functions of minimal model modules")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    mode.add_argument("--text", action="store_true", help="emit plain text (default)")
+    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument("--stable-json", action="store_true",
                         help="zero out runtime_ms so identical flags give identical bytes")
     parser.add_argument("--cache-dir", metavar="PATH",
@@ -668,11 +666,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # exact dumps may print integers past the digit cap on int -> str; the
+    # input is parsed under the cap, and the caller gets it back unchanged
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 def main() -> None:

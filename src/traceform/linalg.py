@@ -12,8 +12,8 @@ entries stay below 2^127 instead of growing to hundreds of bits, and reads
 the kernel back by rational reconstruction (Wang; Monagan, ISSAC 2004); the
 kernel is certified exactly over the integers before it is returned. A
 kernel that needs more bits than one prime holds is joined over further
-primes by the Chinese remainder theorem, each pass replaying the pivots of
-the first (the modular frame of Dixon, Numer. Math. 1982, with CRT in place
+primes by the Chinese remainder theorem, each prime with a pivot search of
+its own (the modular frame of Dixon, Numer. Math. 1982, with CRT in place
 of p-adic lifting).
 
 _frac and _RationalLike are the rational coercion every layer shares, and
@@ -85,21 +85,16 @@ _PRIMES = tuple(2**127 - k for k in (1, 25, 39, 295, 309, 507, 511, 577, 697, 73
                                      2197, 2437))
 
 
-_Step = tuple[int, int, tuple[int, ...]]   # pivot column, pivot row, lengths of the updated rows
+_Step = tuple[int, int]   # pivot column, pivot row
 
 
-def _eliminate(work: list[dict[int, int]], p: int, replay: list[_Step] | None = None
-               ) -> tuple[list[_Step], list[dict[int, int]]] | None:
+def _eliminate(work: list[dict[int, int]], p: int) -> tuple[list[_Step], list[dict[int, int]]]:
     """Eliminate the integer rows modulo p; return the pivot steps and the rows.
 
-    Without replay, each step scans the columns for the pivot: the column
-    with the fewest active rows, then the shortest such row, then the column
-    seen first in the input; within the column the row is the shortest, then
-    the lowest index. With replay, the steps of an earlier pass are taken in
-    order, and None is returned if a pivot vanishes modulo p or an updated
-    row comes out with another length, that is, an entry vanished modulo one
-    of the two primes only. Since no input entry vanishes modulo either
-    prime, equal lengths also mean that no row is left over.
+    Each step scans the columns for the pivot: the column with the fewest
+    active rows, then the shortest such row, then the column seen first in
+    the input; within the column the row is the shortest, then the lowest
+    index.
 
     A pivot row is scaled to 1 at its pivot and frozen once chosen, so an
     update is one multiply-subtract modulo p per entry of the pivot row, and
@@ -116,30 +111,20 @@ def _eliminate(work: list[dict[int, int]], p: int, replay: list[_Step] | None = 
     def shortest(c: int) -> int:
         return min(len(rows[i]) for i in active_at[c])
 
-    steps = iter(replay or ())
     pivots: list[_Step] = []
     for _ in range(len(rows) + 1):   # each step freezes one row
-        if replay:
-            step = next(steps, None)
-            if step is None:
-                return pivots, rows
-            col, pr, lengths = step
-            if not rows[pr].get(col):
-                return None
-        else:
-            low = min(filter(None, map(len, active_at.values())), default=0)
-            if not low:
-                return pivots, rows
-            col = min((c for c, live in active_at.items() if len(live) == low), key=shortest)
-            pr = min(active_at[col], key=lambda i: (len(rows[i]), i))
+        low = min(filter(None, map(len, active_at.values())), default=0)
+        if not low:
+            return pivots, rows
+        col = min((c for c, live in active_at.items() if len(live) == low), key=shortest)
+        pr = min(active_at[col], key=lambda i: (len(rows[i]), i))
         prow = rows[pr]
         inv = pow(prow[col], -1, p)
         if inv != 1:
             prow = rows[pr] = {c: v * inv % p for c, v in prow.items()}
         for c in prow:
             active_at[c].discard(pr)
-        updated = list(active_at[col])
-        for i in updated:
+        for i in list(active_at[col]):
             row = rows[i]
             f = p - row[col]
             for c, v in prow.items():
@@ -154,10 +139,7 @@ def _eliminate(work: list[dict[int, int]], p: int, replay: list[_Step] | None = 
                     else:
                         del row[c]
                         active_at[c].discard(i)
-        after = tuple(len(rows[i]) for i in updated)
-        if replay and after != lengths:
-            return None
-        pivots.append((col, pr, after))
+        pivots.append((col, pr))
     raise AssertionError("more pivot steps than rows")
 
 
@@ -193,10 +175,11 @@ def sparse_nullspace(rows: Iterable[Mapping[int, Fraction | int]],
     modulo p is at most the rank over Q, the certified vectors, independent
     through their free coordinates, are a basis of the kernel over Q, and
     each is the unique kernel vector with its free coordinates. If
-    reconstruction or the certificate fails, the next prime replays the same
-    pivots and its residues join the earlier ones by the Chinese remainder
-    theorem; if the replay fails modulo that prime, the search starts over
-    there.
+    reconstruction or the certificate fails, the next usable prime gets a
+    pivot search of its own. When its free columns equal those of the
+    earlier primes, each free column names the same rational vector, so its
+    residues join theirs by the Chinese remainder theorem, in the key order
+    of the first; otherwise the residues start over at this prime.
     """
     work = []
     for row in rows:
@@ -204,22 +187,19 @@ def sparse_nullspace(rows: Iterable[Mapping[int, Fraction | int]],
         if cleared:
             work.append(cleared)
 
-    pivots: list[_Step] | None = None
+    free: list[int] | None = None
     residues: list[list[int]] = []
     modulus = 1
     for p in _PRIMES:
         if any(v % p == 0 for row in work for v in row.values()):
             continue
-        found = _eliminate(work, p, pivots) if pivots else None
-        if found is None:
-            found = _eliminate(work, p)
-            residues, modulus = [], 1
-        pivots, reduced = found
+        pivots, reduced = _eliminate(work, p)
+        pivot_set = {col for col, _ in pivots}
+        found = [c for c in range(ncols) if c not in pivot_set]
+        if found != free:
+            free, pivot_cols, residues, modulus = found, [col for col, _ in pivots], [], 1
         # a pivot row holds only its own column, later pivots and free columns
-        pivot_cols = [col for col, _, _ in pivots]
-        backward = [(col, reduced[ri]) for col, ri, _ in reversed(pivots)]
-        pivot_set = set(pivot_cols)
-        free = [c for c in range(ncols) if c not in pivot_set]
+        backward = [(col, reduced[ri]) for col, ri in reversed(pivots)]
         lift = pow(modulus, -1, p)
         for k, f in enumerate(free):
             x = {f: 1}

@@ -128,19 +128,6 @@ class QuasiModularPoly:
     def has_e2(self) -> bool:
         return any(a2 > 0 for a2, _, _ in self.entries)
 
-    def weights(self) -> set[int]:
-        return {2 * a2 + 4 * a4 + 6 * a6 for a2, a4, a6 in self.entries}
-
-    @property
-    def weight(self) -> int | None:
-        """Weight of a homogeneous polynomial; None for zero, error if mixed."""
-        ws = self.weights()
-        if not ws:
-            return None
-        if len(ws) > 1:
-            raise ValueError(f"mixed weights {sorted(ws)}")
-        return ws.pop()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuasiModularPoly):
             return NotImplemented
@@ -189,11 +176,8 @@ class QuasiModularPoly:
                 out = out + (co * a6) * QuasiModularPoly({(a2, a4, a6 - 1): 1}) * de6
         return out
 
-    def serre(self, weight: _RationalLike | None = None) -> "QuasiModularPoly":
-        w = self.weight if weight is None else weight
-        if w is None:
-            return QuasiModularPoly()
-        return self.theta() + _frac(w) * QuasiModularPoly.e2() * self
+    def serre(self, weight: _RationalLike) -> "QuasiModularPoly":
+        return self.theta() + _frac(weight) * QuasiModularPoly.e2() * self
 
     def constant_term(self) -> Fraction:
         return self.to_series(1).coefficient(0)

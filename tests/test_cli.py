@@ -7,6 +7,7 @@ num/den rational strings.
 """
 
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -32,6 +33,26 @@ def test_eta_dump_matches_the_library_series(capsys):
     want = eta_power(Fraction(1, 5), 8)
     assert payload["series"]["lambda"] == "1/120"
     assert payload["series"]["coeffs"] == [f"{c.numerator}/{c.denominator}" for c in want.coeffs]
+
+
+def test_dumps_print_numbers_past_the_int_digit_cap(capsys):
+    # the coefficients of eta^(1/9973) reach past the 4300 digits that
+    # Python converts between int and str by default
+    argv = ["eta", "--power", "1/9973", "--terms", "1100"]
+    cap = sys.get_int_max_str_digits()
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().err == ""
+    code = cli.run(["--json"] + argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert sys.get_int_max_str_digits() == cap
+    want = eta_power(Fraction(1, 9973), 1100).coeffs[-1]
+    num, den = json.loads(captured.out)["series"]["coeffs"][-1].split("/")
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(num) > cap and Fraction(int(num), int(den)) == want
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def test_eisenstein_dump_has_weight_and_constant_term(capsys):
@@ -254,6 +275,7 @@ def test_bad_values_exit_two_with_one_line(capsys, argv, message):
     (["modular-check", "--tau=0,inf", "--tau=0.3,1.1"], "tau parts must be finite, got '0,inf'"),
     (["modular-check", "--tau=inf,1", "--tau=0.3,1.1"], "tau parts must be finite, got 'inf,1'"),
     (["modular-check", "--tau=0.3,1e400", "--tau=0.3,1.1"], "tau parts must be finite, got '0.3,1e400'"),
+    (["--text", "verify", "traces"], "unrecognized arguments: --text"),
 ])
 def test_parse_errors_exit_two_with_one_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -10,8 +10,10 @@ rows with the pivot keys in a heap.
 _eliminate's search pass keeps each column's chosen row and rescans a
 column only when that row leaves it or grows. _reference_eliminate is the
 full-refresh search it replaced, which rescans every column whose key may
-have changed; the two must return the same steps and rows, in the search
-and in the replay at the second prime.
+have changed; the two must return the same steps and rows, at the first
+prime and at the second. A kernel that needs two primes joins their
+residues only when their pivot searches leave the same free columns, so
+the two searches must pick the same pivot columns on the systems here.
 
 solve_dense and level_coordinates now eliminate through RowSpan.
 _reference_rref_dense is the dense Gauss-Jordan engine they used before;
@@ -210,6 +212,14 @@ def _random_rows(rng, nrows, ncols, density):
     return rows
 
 
+def _random_corpus():
+    """400 sparse (rows, ncols) systems, the same ones on every call."""
+    rng = random.Random(20240917)
+    for _ in range(400):
+        ncols = rng.randint(1, 16)
+        yield _random_rows(rng, rng.randint(0, 14), ncols, rng.uniform(0.1, 0.6)), ncols
+
+
 def _annihilated(rows, vec):
     return all(sum(Fraction(v) * vec.get(c, 0) for c, v in row.items()) == 0 for row in rows)
 
@@ -219,11 +229,8 @@ def _same(got, want):
 
 
 def test_random_sparse_matrices_match_the_reference():
-    rng = random.Random(20240917)
     dims = []
-    for _ in range(400):
-        ncols = rng.randint(1, 16)
-        rows = _random_rows(rng, rng.randint(0, 14), ncols, rng.uniform(0.1, 0.6))
+    for rows, ncols in _random_corpus():
         got = sparse_nullspace(rows, ncols)
         assert _same(got, _reference_sparse_nullspace(rows, ncols)), rows
         assert _same(got, _exact_sparse_nullspace(rows, ncols)), rows
@@ -268,13 +275,13 @@ def test_raising_mode_matrices_match_the_reference(m, h, levels):
 
 
 def _passes(monkeypatch):
-    """Record the prime of every elimination pass, and whether it replayed."""
+    """Record the index in _PRIMES of the prime of every elimination pass."""
     log = []
     original = linalg._eliminate
 
-    def logged(work, p, replay=None):
-        log.append((_PRIMES.index(p), replay is not None))
-        return original(work, p, replay)
+    def logged(work, p):
+        log.append(_PRIMES.index(p))
+        return original(work, p)
 
     monkeypatch.setattr(linalg, "_eliminate", logged)
     return log
@@ -288,7 +295,7 @@ def test_the_twentieth_level_vacuum_system_matches_the_exact_elimination(monkeyp
     got = sparse_nullspace(rows, ncols)
     assert _same(got, _exact_sparse_nullspace(rows, ncols))
     assert len(got) == 1 and _annihilated(rows, got[0])
-    assert log == [(0, False)]
+    assert log == [0]
 
 
 def test_an_entry_divisible_by_the_first_prime_moves_to_the_next(monkeypatch):
@@ -301,8 +308,8 @@ def test_an_entry_divisible_by_the_first_prime_moves_to_the_next(monkeypatch):
         assert _same(got, _exact_sparse_nullspace(rows, ncols)), rows
         assert all(_annihilated(rows, v) for v in got)
         # the entries near p need more than one prime, and the first is never used
-        assert log[0] == (1, False) and len(log) > 1
-        assert all(k > 0 for k, _ in log)
+        assert log[0] == 1 and len(log) > 1
+        assert all(k > 0 for k in log)
 
 
 def test_a_pivot_that_vanishes_modulo_the_prime_is_caught_and_retried(monkeypatch):
@@ -312,25 +319,28 @@ def test_a_pivot_that_vanishes_modulo_the_prime_is_caught_and_retried(monkeypatc
     # modulo p it vanishes, the rank drops and the certificate must fail
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]
     assert sparse_nullspace(rows, 2) == _exact_sparse_nullspace(rows, 2) == []
-    # replayed modulo the next prime, that row keeps an entry, so the search starts over
-    assert log == [(0, False), (1, True), (1, False)]
+    # modulo the next prime that row keeps an entry, so no column is free
+    # and the residues start over there
+    assert log == [0, 1]
     log.clear()
-    # the rank survives modulo p, but the vanishing entry changes the pivot
-    # pattern; the kernel it gives needs a second prime, whose replay comes
-    # out with a longer row, so the search starts over there
+    # the rank survives modulo p, but the vanishing entry leaves column 1
+    # free instead of column 2; the kernel needs more than one prime, and
+    # the next prime frees column 2, so its residues start over and the two
+    # primes after it join them
     rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1 + p, 2: 2}, {0: 2, 1: 2, 2: 2}]
     got = sparse_nullspace(rows, 3)
     assert _same(got, _exact_sparse_nullspace(rows, 3))
     assert len(got) == 1 and _annihilated(rows, got[0])
-    assert log[:3] == [(0, False), (1, True), (1, False)]
+    assert log == [0, 1, 2, 3]
     log.clear()
     # one entry vanishes modulo each of the first two primes, in one row at
-    # one step, so the lengths agree; the replay meets the vanished pivot
+    # one step, so the first two free columns differ, and so do those of
+    # the second and third; the third prime starts the join
     q = _PRIMES[1]
     rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1 + q, 2: 1 + p}]
     got = sparse_nullspace(rows, 3)
     assert _same(got, _exact_sparse_nullspace(rows, 3))
-    assert log[:3] == [(0, False), (1, True), (1, False)]
+    assert log == [0, 1, 2, 3, 4]
 
 
 def test_kernels_beyond_one_prime_are_joined_by_the_chinese_remainder_theorem(monkeypatch):
@@ -347,7 +357,7 @@ def test_kernels_beyond_one_prime_are_joined_by_the_chinese_remainder_theorem(mo
         assert _same(got, _exact_sparse_nullspace(rows, 2))
         # one 127-bit prime recovers numerator and denominator up to 63 bits each
         passes = -(-(2 * (bits + 1) + 1) // 126)
-        assert log == [(0, False)] + [(k, True) for k in range(1, passes)], bits
+        assert log == list(range(passes)), bits
     for _ in range(20):
         rows = [{c: rng.randint(-10**12, 10**12) for c in rng.sample(range(9), 6)} for _ in range(7)]
         got = sparse_nullspace(rows, 9)
@@ -403,7 +413,7 @@ def test_nullity_zero_and_wide_kernels():
 # the incremental pivot search against the full refresh it replaced
 # ---------------------------------------------------------------------------
 
-def _reference_eliminate(work, p, replay=None):
+def _reference_eliminate(work, p):
     """_eliminate with the full-refresh search: every dirty column rescans its rows."""
     rows = [{c: v % p for c, v in row.items()} for row in work]
     active_at = {}
@@ -414,37 +424,28 @@ def _reference_eliminate(work, p, replay=None):
     stride = len(rows) + 1
     row_key = [len(row) * stride + i for i, row in enumerate(rows)]
     heap, choice = [], {}
-    dirty = set() if replay else set(active_at)
-    steps = iter(replay or ())
+    dirty = set(active_at)
     pivots = []
     while True:
-        if replay:
-            step = next(steps, None)
-            if step is None:
-                return pivots, rows
-            col, pr, lengths = step
-            if not rows[pr].get(col):
-                return None
-        else:
-            for c in dirty:
-                live = active_at[c]
-                if live:
-                    ri = min(live, key=row_key.__getitem__)
-                    key = (len(live), len(rows[ri]))
-                    choice[c] = key + (ri,)
-                    heappush(heap, key + (order[c], c))
-                else:
-                    choice.pop(c, None)
-            dirty.clear()
-            while heap:
-                cnt, short, _, col = heap[0]
-                cur = choice.get(col)
-                if cur is not None and cur[0] == cnt and cur[1] == short:
-                    break
-                heappop(heap)
-            if not heap:
-                return pivots, rows
-            pr = choice[col][2]
+        for c in dirty:
+            live = active_at[c]
+            if live:
+                ri = min(live, key=row_key.__getitem__)
+                key = (len(live), len(rows[ri]))
+                choice[c] = key + (ri,)
+                heappush(heap, key + (order[c], c))
+            else:
+                choice.pop(c, None)
+        dirty.clear()
+        while heap:
+            cnt, short, _, col = heap[0]
+            cur = choice.get(col)
+            if cur is not None and cur[0] == cnt and cur[1] == short:
+                break
+            heappop(heap)
+        if not heap:
+            return pivots, rows
+        pr = choice[col][2]
         prow = rows[pr]
         inv = pow(prow[col], -1, p)
         if inv != 1:
@@ -452,8 +453,7 @@ def _reference_eliminate(work, p, replay=None):
         for c in prow:
             active_at[c].discard(pr)
         dirty.update(prow)
-        updated = list(active_at[col])
-        for i in updated:
+        for i in list(active_at[col]):
             row = rows[i]
             before = len(row)
             f = p - row[col]
@@ -469,13 +469,10 @@ def _reference_eliminate(work, p, replay=None):
                     else:
                         del row[c]
                         active_at[c].discard(i)
-            if len(row) != before and not replay:
+            if len(row) != before:
                 row_key[i] = len(row) * stride + i
                 dirty.update(row)
-        after = tuple(len(rows[i]) for i in updated)
-        if replay and after != lengths:
-            return None
-        pivots.append((col, pr, after))
+        pivots.append((col, pr))
 
 
 def _cleared(rows):
@@ -489,39 +486,48 @@ def _cleared(rows):
 
 
 def _same_elimination(got, want):
-    if got is None or want is None:
-        return got is want
     (steps, rows), (steps_want, rows_want) = got, want
     return steps == steps_want and [list(r.items()) for r in rows] == [list(r.items()) for r in rows_want]
 
 
 def _assert_search_matches_the_full_refresh(work):
-    """Equal steps and rows at the first prime, and in the replay at the second."""
+    """Equal steps and rows at the first prime and at the second."""
     p, q = _PRIMES[0], _PRIMES[1]
     got = linalg._eliminate(work, p)
     assert _same_elimination(got, _reference_eliminate(work, p)), work
-    assert _same_elimination(linalg._eliminate(work, q, got[0]), _reference_eliminate(work, q, got[0])), work
+    assert _same_elimination(linalg._eliminate(work, q), _reference_eliminate(work, q)), work
     return got
 
 
+def _vacuum_system(m):
+    level = (m + 1) * (m + 2)   # (p - 1)(q - 1), where zhu_poly solves
+    rows, ncols = _action_rows(minimal_model(m).c, Fraction(0), level, True, _basis_at(level, True))
+    return _cleared(rows), ncols
+
+
 def test_incremental_pivot_search_matches_the_full_refresh_on_random_matrices():
-    # the generator of test_random_sparse_matrices_match_the_reference, so
-    # the same 400 matrices; columns grow, shrink and empty along the way
-    rng = random.Random(20240917)
-    steps = 0
-    for _ in range(400):
-        ncols = rng.randint(1, 16)
-        rows = _random_rows(rng, rng.randint(0, 14), ncols, rng.uniform(0.1, 0.6))
-        steps += len(_assert_search_matches_the_full_refresh(_cleared(rows))[0])
+    # the corpus of test_random_sparse_matrices_match_the_reference; columns
+    # grow, shrink and empty along the way
+    steps = sum(len(_assert_search_matches_the_full_refresh(_cleared(rows))[0])
+                for rows, _ in _random_corpus())
     assert steps > 1500
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_incremental_pivot_search_matches_the_full_refresh_on_the_vacuum_systems(m):
-    level = (m + 1) * (m + 2)   # (p - 1)(q - 1), where zhu_poly solves
-    rows, ncols = _action_rows(minimal_model(m).c, Fraction(0), level, True, _basis_at(level, True))
-    steps, _ = _assert_search_matches_the_full_refresh(_cleared(rows))
+    work, ncols = _vacuum_system(m)
+    steps, _ = _assert_search_matches_the_full_refresh(work)
     assert len(steps) == ncols - 1
+
+
+def test_the_first_two_primes_pick_the_same_pivot_columns():
+    # sparse_nullspace joins the residues of two primes only when their
+    # searches leave the same free columns
+    systems = [_cleared(rows) for rows, _ in _random_corpus()]
+    systems += [_vacuum_system(m)[0] for m in (1, 2, 3)]
+    for work in systems:
+        p_steps, q_steps = (linalg._eliminate(work, p)[0] for p in _PRIMES[:2])
+        assert [col for col, _ in p_steps] == [col for col, _ in q_steps], work
 
 
 # ---------------------------------------------------------------------------

@@ -74,20 +74,11 @@ def test_quasimodular_theta_matches_series_arithmetic():
 
 
 def test_serre_derivative_of_modular_polys_drops_e2():
-    d4 = QuasiModularPoly.e4().serre()
+    d4 = QuasiModularPoly.e4().serre(4)
     assert d4.entries == {(0, 0, 1): Fraction(14)}
-    d6 = QuasiModularPoly.e6().serre()
+    d6 = QuasiModularPoly.e6().serre(6)
     assert d6.entries == {(0, 2, 0): Fraction(60, 7)}
     assert not d4.has_e2 and not d6.has_e2
-
-
-def test_weight_bookkeeping():
-    p = QuasiModularPoly({(1, 1, 0): 1})
-    assert p.weight == 6
-    mixed = p + QuasiModularPoly.e4()
-    assert mixed.weights() == {4, 6}
-    with pytest.raises(ValueError):
-        mixed.weight
 
 
 def test_higher_eisenstein_polys_expand_correctly():

@@ -186,6 +186,20 @@ def test_linalg_defines_no_dense_eliminator():
     assert {"RowSpan", "solve_dense", "sparse_nullspace"} <= defined
 
 
+def test_the_modular_elimination_has_one_mode():
+    # each prime gets a pivot search of its own; no pass replays the pivots
+    # of another
+    functions = {node.name: node for _, node in _functions("linalg")
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    args = functions["_eliminate"].args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["work", "p"]
+    assert not (args.vararg or args.kwarg or args.kwonlyargs or args.defaults)
+    with_replay = [name for name, node in functions.items()
+                   if "replay" in {a.arg for a in node.args.posonlyargs + node.args.args
+                                   + node.args.kwonlyargs}]
+    assert not with_replay, with_replay
+
+
 def _is_empty_container(node: ast.expr | None) -> bool:
     """{}, [], dict(), set() or any defaultdict(...)."""
     if isinstance(node, ast.Dict):
