@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import elliptic, mde, qseries, virasoro, zhu
 from .bracket import bracket_coeffs, inverse_bracket_coeffs
-from .qseries import PuiseuxSeries, _fmt_frac
+from .qseries import PuiseuxSeries, _fmt_frac, _uncapped_digits
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -668,17 +668,12 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # exact dumps may print integers past the digit cap on int -> str; the
     # input is parsed under the cap, and the caller gets it back unchanged
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if cap:
-        sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        with _uncapped_digits():
+            return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if cap:
-            sys.set_int_max_str_digits(cap)
 
 
 def main() -> None:

@@ -51,7 +51,8 @@ recurrence runs on integer numerators over a running common denominator,
 one dot product per theta column and step, and keeps no list of numerators
 besides the inputs of those dot products; its coefficients come out as
 Fraction like everything else. The q-expansion of a theta form clears each
-Eisenstein series once and multiplies over the integers.
+Eisenstein series once, builds each monomial in them once for all the
+polynomials of the form, and multiplies over the integers.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd
 from operator import add, mul
 
@@ -183,34 +184,8 @@ class QuasiModularPoly:
         return self.to_series(1).coefficient(0)
 
     def to_series(self, terms: int) -> PuiseuxSeries:
-        """q-expansion to the given number of terms, over the integers.
-
-        Each E_k is cleared once to integer numerators over its denominator,
-        and its powers and the monomials are integer convolutions, so
-        E_k^p is built once per call. The scalars co / (denominator of the
-        monomial) go over one common denominator, and each coefficient is one
-        integer dot product over it.
-        """
-        one = [1] + [0] * (terms - 1)
-        powers = []                          # powers[i][p] = (nums, den) of E_k^p, k = 2, 4, 6
-        for i, k in enumerate((2, 4, 6)):
-            top = max((key[i] for key in self.entries), default=0)
-            row = [(one, 1)]
-            if top:
-                e = _CommonDenominator(eisenstein(k, terms).coeffs)
-                row.append((e.nums, e.den))
-            while len(row) <= top:
-                (nums, den), (e_nums, e_den) = row[-1], row[1]
-                row.append((_convolve(nums, e_nums), den * e_den))
-            powers.append(row)
-        monomials = [[row[p] for row, p in zip(powers, key) if p] for key in self.entries]
-        scalars = _CommonDenominator(co / reduce(mul, (den for _, den in factors), 1)
-                                     for co, factors in zip(self.entries.values(), monomials))
-        acc = [0] * terms
-        for x, factors in zip(scalars.nums, monomials):
-            nums = reduce(_convolve, (nums for nums, _ in factors), one)
-            acc = list(map(add, acc, map(x.__mul__, nums)))
-        return PuiseuxSeries(Fraction(0), [Fraction(v, scalars.den) for v in acc])
+        """q-expansion to the given number of terms, over the integers (_expand)."""
+        return _expand((self,), terms)[0]
 
     def __str__(self) -> str:
         if not self.entries:
@@ -225,6 +200,42 @@ class QuasiModularPoly:
 
     def __repr__(self) -> str:
         return f"QuasiModularPoly({self.entries!r})"
+
+
+def _expand(polys: tuple[QuasiModularPoly, ...], terms: int) -> tuple[PuiseuxSeries, ...]:
+    """q-expansions of polys to the given number of terms, over the integers.
+
+    Each E_k is cleared once to integer numerators over its denominator.
+    A monomial E2^a E4^b E6^c is one integer convolution of the monomial
+    with one factor of its lowest-weight series less, and is built once for
+    all of polys, so the theta forms of one equation share their powers and
+    products. For each poly, the scalars co / (denominator of the monomial)
+    go over one common denominator, and each coefficient is one integer dot
+    product over it.
+    """
+    built = {(0, 0, 0): ([1] + [0] * (terms - 1), 1)}   # monomial -> (nums, den)
+
+    def monomial(key: tuple[int, int, int]) -> tuple[list[int], int]:
+        if key not in built:
+            i = next(i for i, p in enumerate(key) if p)
+            if sum(key) == 1:
+                e = _CommonDenominator(eisenstein(2 * i + 2, terms).coeffs)
+                built[key] = (e.nums, e.den)
+            else:
+                nums, den = monomial(tuple(p - (j == i) for j, p in enumerate(key)))
+                e_nums, e_den = monomial(tuple(int(j == i) for j in range(3)))
+                built[key] = (_convolve(nums, e_nums), den * e_den)
+        return built[key]
+
+    out = []
+    for poly in polys:
+        factors = [monomial(key) for key in poly.entries]
+        scalars = _CommonDenominator(co / den for co, (_, den) in zip(poly.entries.values(), factors))
+        acc = [0] * terms
+        for x, (nums, _) in zip(scalars.nums, factors):
+            acc = list(map(add, acc, map(x.__mul__, nums)))
+        out.append(PuiseuxSeries(Fraction(0), [Fraction(v, scalars.den) for v in acc]))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -506,7 +517,7 @@ class ModularODE:
 
 @lru_cache(maxsize=None)
 def _theta_series(form: tuple[QuasiModularPoly, ...], terms: int) -> tuple[PuiseuxSeries, ...]:
-    return tuple(p.to_series(terms) for p in form)
+    return _expand(form, terms)
 
 
 def to_ode(rec: TraceRecursion) -> ModularODE:

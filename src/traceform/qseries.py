@@ -40,13 +40,34 @@ Eisenstein series are memoised on (k, terms).
 from __future__ import annotations
 
 import cmath
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
 from operator import add
 from os import PathLike
+from typing import Iterator
 
 from .linalg import _CommonDenominator, _RationalLike, _frac
+
+
+@contextmanager
+def _uncapped_digits() -> Iterator[None]:
+    """Lift Python's cap on the digits of int <-> str conversion, and restore it after.
+
+    Exact coefficients pass the default cap of 4300 digits (a numerator of
+    eta^(1/9973) at 1100 terms, or of E_1600). Where sys has no such cap
+    there is nothing to lift; inside a lifted block this is a no-op.
+    """
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 def _fmt_frac(x: _RationalLike) -> str:
@@ -381,17 +402,19 @@ def serre_derivative(f: PuiseuxSeries, k: _RationalLike) -> PuiseuxSeries:
 def write_series(path: str | PathLike, series: PuiseuxSeries) -> None:
     """Write the exact cache format: a one-line header, then one rational per line.
 
-    Header: 'lambda=<p>/<q> terms=<N> weight=<w|none>'.
+    Header: 'lambda=<p>/<q> terms=<N> weight=<w|none>'. Numbers of any
+    length are written in full.
     """
     w = "none" if series.weight is None else _fmt_frac(series.weight)
     lines = [f"lambda={_fmt_frac(series.lam)} terms={len(series.coeffs)} weight={w}"]
-    lines.extend(_fmt_frac(c) for c in series.coeffs)
+    with _uncapped_digits():
+        lines.extend(_fmt_frac(c) for c in series.coeffs)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_series(path: str | PathLike) -> PuiseuxSeries:
-    """Read a series cache file written by write_series."""
+    """Read a series cache file written by write_series, numbers of any length included."""
     with open(path, "r", encoding="ascii") as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     if not raw:
@@ -409,9 +432,10 @@ def read_series(path: str | PathLike) -> PuiseuxSeries:
     if len(body) != terms:
         raise ValueError(f"{path}: header promises {terms} coefficients, file has {len(body)}")
     coeffs = []
-    for ln in body:
-        try:
-            coeffs.append(Fraction(ln))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{path}: bad coefficient {ln!r}") from exc
+    with _uncapped_digits():
+        for ln in body:
+            try:
+                coeffs.append(Fraction(ln))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path}: bad coefficient {ln!r}") from exc
     return PuiseuxSeries(lam, coeffs, weight)

@@ -1,19 +1,24 @@
 """Exact linear algebra against the earlier implementations it replaced.
 
 sparse_nullspace eliminates modulo a prime, recovers the kernel by rational
-reconstruction and certifies it over the integers. Two exact routines with
-the same pivot rule are kept to check it against, dict for dict and in the
-same key order: _reference_sparse_nullspace rescans every column on every
-pivot step, and _exact_sparse_nullspace eliminates gcd-normalised integer
-rows with the pivot keys in a heap.
+reconstruction and certifies it over the integers. Its pivot rule takes the
+shortest live row (lowest index on ties) at its column with the fewest
+active rows (lowest column on ties). Two exact routines with the same pivot
+rule are kept to check it against, dict for dict and in the same key order:
+_reference_sparse_nullspace rescans every live row on every pivot step and
+reduces the pivot rows too (Gauss-Jordan), and _exact_sparse_nullspace
+eliminates gcd-normalised integer rows with the live rows in a heap.
 
-_eliminate's search pass keeps each column's chosen row and rescans a
-column only when that row leaves it or grows. _reference_eliminate is the
-full-refresh search it replaced, which rescans every column whose key may
-have changed; the two must return the same steps and rows, at the first
-prime and at the second. A kernel that needs two primes joins their
-residues only when their pivot searches leave the same free columns, so
-the two searches must pick the same pivot columns on the systems here.
+_eliminate keeps the live rows in a heap keyed by length and index, and
+pushes a row again only when an update changes its length.
+_reference_eliminate is the plain search that rescans every live row on
+every step; the two must return the same steps and rows, at the first prime
+and at the second. A kernel that needs two primes joins their residues only
+when their pivot searches leave the same free columns, so the two searches
+must pick the same pivot columns on the systems here. The rule replaced a
+column-first one (fewest active rows, then the shortest row in that
+column); a hand-built system on which the two differ pins the new steps,
+and the level-20 vacuum system of m = 3 pins the fill-in it saves.
 
 solve_dense and level_coordinates now eliminate through RowSpan.
 _reference_rref_dense is the dense Gauss-Jordan engine they used before;
@@ -36,7 +41,7 @@ on the order in which rows were added.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 
 import pytest
@@ -81,18 +86,9 @@ def _reference_sparse_nullspace(rows, ncols):
             col_rows.setdefault(c, set()).add(i)
     pivot_of = {}
     done = set()
-    while True:
-        best = None
-        for c, rows_here in col_rows.items():
-            live = rows_here & active
-            if not live:
-                continue
-            row_idx = min(live, key=lambda i: (len(work[i]), i))
-            if best is None or (len(live), len(work[row_idx])) < (best[0], len(work[best[2]])):
-                best = (len(live), c, row_idx)
-        if best is None:
-            break
-        _, col, pr = best
+    while active:
+        pr = min(active, key=lambda i: (len(work[i]), i))
+        col = min(work[pr], key=lambda c: (len(col_rows[c] & active), c))
         active.discard(pr)
         prow = work[pr]
         pval = prow[col]
@@ -123,7 +119,7 @@ def _reference_sparse_nullspace(rows, ncols):
 
 
 def _exact_sparse_nullspace(rows, ncols):
-    """Exact elimination over the integers, with the pivot keys in a heap."""
+    """Exact elimination over the integers, with the live rows in a heap."""
     work = []
     for row in rows:
         denom = 1
@@ -137,34 +133,17 @@ def _exact_sparse_nullspace(rows, ncols):
     for i, row in enumerate(work):
         for c in row:
             active_at.setdefault(c, set()).add(i)
-    order = {c: t for t, c in enumerate(active_at)}
-    stride = len(work) + 1
-    row_key = [len(row) * stride + i for i, row in enumerate(work)]
-    heap, choice, dirty, pivot_of = [], {}, set(active_at), {}
-    while True:
-        for c in dirty:
-            live = active_at[c]
-            if live:
-                ri = min(live, key=row_key.__getitem__)
-                key = (len(live), len(work[ri]))
-                choice[c] = key + (ri,)
-                heappush(heap, key + (order[c], c))
-            else:
-                choice.pop(c, None)
-        dirty.clear()
-        while heap:
-            cnt, short, _, col = heap[0]
-            cur = choice.get(col)
-            if cur is not None and cur[0] == cnt and cur[1] == short:
-                break
-            heappop(heap)
-        if not heap:
-            break
-        pr = choice[col][2]
+    heap = [(len(row), i) for i, row in enumerate(work)]
+    heapify(heap)
+    pivot_of = {}
+    while heap:
+        length, pr = heappop(heap)
         prow = work[pr]
+        if length != len(prow) or pr in pivot_of.values():
+            continue
+        col = min(prow, key=lambda c: (len(active_at[c]), c))
         for c in prow:
             active_at[c].discard(pr)
-        dirty.update(prow)
         pval = prow[col]
         for i in list(active_at[col]):
             row = work[i]
@@ -181,11 +160,10 @@ def _exact_sparse_nullspace(rows, ncols):
                     del new[c2]
             new = _normalize(new)
             work[i] = new
-            row_key[i] = len(new) * stride + i
             for c in new:
                 active_at[c].add(i)
-            dirty.update(row)
-            dirty.update(new)
+            if new and len(new) != len(row):
+                heappush(heap, (len(new), i))
         pivot_of[col] = pr
     backward = list(pivot_of.items())[::-1]
     basis = []
@@ -410,52 +388,30 @@ def test_nullity_zero_and_wide_kernels():
 
 
 # ---------------------------------------------------------------------------
-# the incremental pivot search against the full refresh it replaced
+# the heap of live rows against a rescan of every live row on every step
 # ---------------------------------------------------------------------------
 
 def _reference_eliminate(work, p):
-    """_eliminate with the full-refresh search: every dirty column rescans its rows."""
+    """_eliminate with every live row rescanned on every step, in place of the heap."""
     rows = [{c: v % p for c, v in row.items()} for row in work]
     active_at = {}
     for i, row in enumerate(rows):
         for c in row:
             active_at.setdefault(c, set()).add(i)
-    order = {c: t for t, c in enumerate(active_at)}
-    stride = len(rows) + 1
-    row_key = [len(row) * stride + i for i, row in enumerate(rows)]
-    heap, choice = [], {}
-    dirty = set(active_at)
+    live = {i for i, row in enumerate(rows) if row}
     pivots = []
-    while True:
-        for c in dirty:
-            live = active_at[c]
-            if live:
-                ri = min(live, key=row_key.__getitem__)
-                key = (len(live), len(rows[ri]))
-                choice[c] = key + (ri,)
-                heappush(heap, key + (order[c], c))
-            else:
-                choice.pop(c, None)
-        dirty.clear()
-        while heap:
-            cnt, short, _, col = heap[0]
-            cur = choice.get(col)
-            if cur is not None and cur[0] == cnt and cur[1] == short:
-                break
-            heappop(heap)
-        if not heap:
-            return pivots, rows
-        pr = choice[col][2]
+    while live:
+        pr = min(live, key=lambda i: (len(rows[i]), i))
+        col = min(rows[pr], key=lambda c: (len(active_at[c]), c))
+        live.discard(pr)
         prow = rows[pr]
         inv = pow(prow[col], -1, p)
         if inv != 1:
             prow = rows[pr] = {c: v * inv % p for c, v in prow.items()}
         for c in prow:
             active_at[c].discard(pr)
-        dirty.update(prow)
         for i in list(active_at[col]):
             row = rows[i]
-            before = len(row)
             f = p - row[col]
             for c, v in prow.items():
                 old = row.get(c)
@@ -469,10 +425,10 @@ def _reference_eliminate(work, p):
                     else:
                         del row[c]
                         active_at[c].discard(i)
-            if len(row) != before:
-                row_key[i] = len(row) * stride + i
-                dirty.update(row)
+            if not row:
+                live.discard(i)
         pivots.append((col, pr))
+    return pivots, rows
 
 
 def _cleared(rows):
@@ -490,7 +446,7 @@ def _same_elimination(got, want):
     return steps == steps_want and [list(r.items()) for r in rows] == [list(r.items()) for r in rows_want]
 
 
-def _assert_search_matches_the_full_refresh(work):
+def _assert_search_matches_the_rescan(work):
     """Equal steps and rows at the first prime and at the second."""
     p, q = _PRIMES[0], _PRIMES[1]
     got = linalg._eliminate(work, p)
@@ -508,7 +464,7 @@ def _vacuum_system(m):
 def test_incremental_pivot_search_matches_the_full_refresh_on_random_matrices():
     # the corpus of test_random_sparse_matrices_match_the_reference; columns
     # grow, shrink and empty along the way
-    steps = sum(len(_assert_search_matches_the_full_refresh(_cleared(rows))[0])
+    steps = sum(len(_assert_search_matches_the_rescan(_cleared(rows))[0])
                 for rows, _ in _random_corpus())
     assert steps > 1500
 
@@ -516,8 +472,34 @@ def test_incremental_pivot_search_matches_the_full_refresh_on_random_matrices():
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_incremental_pivot_search_matches_the_full_refresh_on_the_vacuum_systems(m):
     work, ncols = _vacuum_system(m)
-    steps, _ = _assert_search_matches_the_full_refresh(work)
+    steps, _ = _assert_search_matches_the_rescan(work)
     assert len(steps) == ncols - 1
+
+
+def test_the_shortest_row_is_pivoted_before_the_sparsest_column():
+    # column 3 is in one row only, so the column-first rule pivoted there
+    # first, on row 2, and then at columns 2 and 0, leaving 1 and 4 free.
+    # Row 0 is the shortest, so the row-first rule pivots on it, at column
+    # 0 (both of its columns are in two rows; the lower wins). That leaves
+    # row 1 as {1: 1, 2: 1}, whose column 1 is now in it alone; row 2's
+    # columns are each in one row, so the lowest, 2, is its pivot.
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 2, 2: 1}, {2: 1, 3: 1, 4: 1}]
+    steps, reduced = linalg._eliminate(rows, _PRIMES[0])
+    assert steps == [(0, 0), (1, 1), (2, 2)]
+    assert reduced == [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1, 4: 1}]
+    got = sparse_nullspace(rows, 5)
+    want = [{3: 1, 0: -1, 1: 1, 2: -1}, {4: 1, 0: -1, 1: 1, 2: -1}]
+    assert _same(got, want)
+    assert _same(got, _reference_sparse_nullspace(rows, 5))
+    assert _same(got, _exact_sparse_nullspace(rows, 5))
+
+
+def test_the_twentieth_level_vacuum_system_freezes_few_entries():
+    # the column-first rule froze pivot rows holding 1233 entries here
+    work, ncols = _vacuum_system(3)
+    assert (len(work), ncols) == (193, 137)
+    steps, reduced = linalg._eliminate(work, _PRIMES[0])
+    assert sum(len(reduced[ri]) for _, ri in steps) <= 400
 
 
 def test_the_first_two_primes_pick_the_same_pivot_columns():

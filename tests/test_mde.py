@@ -56,7 +56,7 @@ from traceform.mde import (
     trace_case_ode,
     trace_case_solution,
 )
-from traceform.qseries import PuiseuxSeries, eisenstein, eta_power
+from traceform.qseries import PuiseuxSeries, _convolve, eisenstein, eta_power
 from traceform.virasoro import graded_dims, highest_weight_vector, mode_action, verma_monomial
 
 
@@ -123,6 +123,23 @@ def test_to_series_expands_each_eisenstein_power_once(monkeypatch):
     monkeypatch.setattr(mde, "eisenstein", lambda k, terms: built.append(k) or eisenstein(k, terms))
     polys[-1].to_series(40)
     assert sorted(built) == [2, 4, 6]
+
+
+def test_the_theta_forms_of_one_equation_share_their_monomials(monkeypatch):
+    # the order-6 (7/10, 0) equation: seven polynomials in E2, E4, E6 with
+    # 14 distinct monomials of degree 2 or more, each built by one product
+    # from a monomial of the form with one factor less
+    form = to_ode(derive_recursion(Fraction(7, 10), Fraction(0), 12)).theta_form()
+    assert len(form) == 7
+    products = {key for poly in form for key in poly.entries if sum(key) > 1}
+    assert len(products) == 14
+    built, convolved = [], []
+    monkeypatch.setattr(mde, "eisenstein", lambda k, terms: built.append(k) or eisenstein(k, terms))
+    monkeypatch.setattr(mde, "_convolve", lambda a, b: convolved.append(len(a)) or _convolve(a, b))
+    series = mde._expand(form, 40)
+    assert sorted(built) == [2, 4, 6]
+    assert convolved == [40] * len(products)
+    assert series == tuple(_reference_to_series(poly, 40) for poly in form)
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +500,17 @@ def test_a_multi_root_solve_expands_the_theta_operator_once(monkeypatch, capsys)
     assert len(ode.indicial_roots()[0]) == 3
     mde._theta_series.cache_clear()
     expanded = []
-    original = QuasiModularPoly.to_series
+    original = mde._expand
 
-    def counting(self, terms):
+    def counting(polys, terms):
         if terms > 1:                       # constant_term reads to_series(1)
-            expanded.append(terms)
-        return original(self, terms)
+            expanded.append((len(polys), terms))
+        return original(polys, terms)
 
-    monkeypatch.setattr(QuasiModularPoly, "to_series", counting)
+    monkeypatch.setattr(mde, "_expand", counting)
     assert cli.run(["--json", "mde", "solve", "--c", "1/2", "--h", "0", "--terms", "12"]) == 0
     assert len(json.loads(capsys.readouterr().out)["solutions"]) == 3
-    assert expanded == [12] * (ode.order + 1)
+    assert expanded == [(ode.order + 1, 12)]
     assert ode.theta_operator(12) is ode.theta_operator(12)
 
 

@@ -15,6 +15,7 @@ quadratic loop).
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -483,6 +484,24 @@ def test_series_cache_round_trip(tmp_path):
     assert g == f
     assert g.weight == f.weight
     assert g.lam == f.lam
+
+
+def test_cache_round_trips_numbers_past_the_int_digit_cap(tmp_path):
+    # Python converts at most 4300 digits between int and str by default;
+    # both functions lift that cap for themselves and restore it
+    big = Fraction(10**5000 + 1, 3**9001)
+    f = PuiseuxSeries(Fraction(-1, 24), [Fraction(1), big, -big])
+    path = tmp_path / "probe.series"
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        write_series(path, f)
+        assert sys.get_int_max_str_digits() == 4300
+        assert read_series(path) == f
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert max(map(len, path.read_text().split("/"))) > 5000
 
 
 @pytest.mark.parametrize("old, new, message", [

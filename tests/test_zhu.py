@@ -18,7 +18,6 @@ against on singular vectors, random vacuum vectors and polynomials with
 known roots.
 """
 
-import os
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -411,9 +410,7 @@ def test_a_singular_vector_of_zero_class_is_refused(monkeypatch):
         zhu_poly(1)
 
 
-@pytest.mark.skipif(not os.environ.get("TRACEFORM_SLOW"),
-                    reason="set TRACEFORM_SLOW=1 to run the minute-scale spectrum checks")
-def test_fourth_model_zhu_polynomial_slow(monkeypatch):
+def test_fourth_model_zhu_polynomial(monkeypatch):
     # zhu_poly and the l_action oracle share one singular vector solve per m
     monkeypatch.setattr(zhu, "_find_vacuum_singular", lru_cache(maxsize=None)(zhu._find_vacuum_singular))
     for m in (3, 4):
