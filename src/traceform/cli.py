@@ -19,7 +19,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from . import elliptic, mde, qseries, virasoro, zhu
 from .bracket import bracket_coeffs, inverse_bracket_coeffs
@@ -91,20 +90,6 @@ def _series_payload(series: PuiseuxSeries) -> dict:
         "weight": None if series.weight is None else _fmt_frac(series.weight),
         "coeffs": [_fmt_frac(c) for c in series.coeffs],
     }
-
-
-def _maybe_cache(series: PuiseuxSeries, args, stem: str) -> str | None:
-    if not args.cache_dir:
-        return None
-    path = Path(args.cache_dir)
-    target = path / f"{stem}.series"
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-        qseries.write_series(target, series)
-    except OSError as exc:
-        reason = exc.strerror or exc
-        raise _UsageError(f"--cache-dir {path}: cannot write {target.name} ({reason})") from exc
-    return str(target)
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +359,8 @@ def _cmd_eisenstein(args) -> int:
         series = qseries.eisenstein(args.weight, args.terms)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    cached = _maybe_cache(series, args, f"eisenstein_w{args.weight}_n{args.terms}")
     payload = {"series": _series_payload(series)}
     lines = [f"E{args.weight} to {args.terms} terms:", str(series)]
-    if cached:
-        payload["cache_file"] = cached
-        lines.append(f"written to {cached}")
     return _emit_data(payload, args, lines)
 
 
@@ -388,14 +369,9 @@ def _cmd_eta(args) -> int:
         series = qseries.eta_power(args.power, args.terms)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    stem = f"eta_p{args.power.numerator}_{args.power.denominator}_n{args.terms}"
-    cached = _maybe_cache(series, args, stem)
     payload = {"series": _series_payload(series)}
     lines = [f"eta^{_fmt_frac(args.power)} to {args.terms} terms (leading exponent {_fmt_frac(series.lam)}):",
              str(series)]
-    if cached:
-        payload["cache_file"] = cached
-        lines.append(f"written to {cached}")
     return _emit_data(payload, args, lines)
 
 
@@ -539,16 +515,8 @@ def _cmd_mde_solve(args) -> int:
                             f"{type(exc).__name__}: {exc}")
             return _emit_reports([report], args)
         series = sol.to_puiseux()
-        entry = {"exponent": _fmt_frac(lam), "series": _series_payload(series)}
-        cached = _maybe_cache(series, args,
-                              f"mde_c{c.numerator}-{c.denominator}_h{h.numerator}-{h.denominator}"
-                              f"_lam{lam.numerator}-{lam.denominator}_n{args.terms}")
-        if cached:
-            entry["cache_file"] = cached
-        payload["solutions"].append(entry)
+        payload["solutions"].append({"exponent": _fmt_frac(lam), "series": _series_payload(series)})
         lines.append(f"lambda = {_fmt_frac(lam)}: {series}")
-        if cached:
-            lines.append(f"  written to {cached}")
     return _emit_data(payload, args, lines)
 
 
@@ -594,8 +562,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument("--stable-json", action="store_true",
                         help="zero out runtime_ms so identical flags give identical bytes")
-    parser.add_argument("--cache-dir", metavar="PATH",
-                        help="directory for series cache files written by dump commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eisenstein", help="dump an Eisenstein series")

@@ -665,8 +665,8 @@ TRACE_CASES: tuple[TraceCase, ...] = (
     TraceCase(1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 16), Fraction(1, 24)),
     TraceCase(2, Fraction(7, 10), Fraction(1, 10), Fraction(3, 80), Fraction(1, 120)),
     TraceCase(3, Fraction(4, 5), Fraction(2, 5), Fraction(1, 15), Fraction(1, 30)),
-    # the quoted exponent 1/81 disagrees with h_w - c/24 = 1/84 and is
-    # flagged by exponent_report as a suspected misprint in the source list
+    # the quoted exponent 1/81 disagrees with h_w - c/24 = 1/84; the CLI's
+    # leading-exponent-m4 check flags it as a suspected misprint in the source list
     TraceCase(4, Fraction(6, 7), Fraction(1, 7), Fraction(1, 21), Fraction(1, 81)),
 )
 
@@ -674,20 +674,6 @@ TRACE_CASES: tuple[TraceCase, ...] = (
 def leading_exponent(case: TraceCase) -> Fraction:
     """Exponent of the trace series, h_w - c/24; equals h_u/12 in every case."""
     return case.h_w - case.c / 24
-
-
-def exponent_report() -> list[dict]:
-    """Computed versus externally quoted leading exponents for all cases."""
-    out = []
-    for case in TRACE_CASES:
-        computed = leading_exponent(case)
-        out.append({
-            "m": case.m,
-            "computed": computed,
-            "quoted": case.quoted_exponent,
-            "agrees": computed == case.quoted_exponent,
-        })
-    return out
 
 
 def trace_case_ode(case: TraceCase) -> ModularODE:

@@ -13,10 +13,11 @@ Eisenstein series use the normalization E_k = G_k / (2 pi i)^k, i.e.
 
 so E_2 = -1/12 + 2q + 6q^2 + ..., E_4 = 1/720 + q/3 + 3q^2 + ... The
 classical normalizations with constant term 1 (E_2^std = -12 E_2,
-E_4^std = 720 E_4, E_6^std = -30240 E_6) are available through
-classical_eisenstein. The weight-k Serre derivative is
-d_k f = theta f + k E_2 f with theta = q d/dq; it sends weight k to k+2
-and kills eta^(2k), which is what the modular ODE machinery is built on.
+E_4^std = 720 E_4, E_6^std = -30240 E_6) are each E_k divided by its constant
+term. The weight-k Serre derivative d_k f = theta f + k E_2 f with
+theta = q d/dq sends weight k to k+2 and kills eta^(2k); the modular ODE
+machinery applies it to polynomials in E_2, E_4, E_6
+(mde.QuasiModularPoly.serre), not to series.
 
 Coefficients are stored as Fraction, but the hot kernels run over int. A
 sum aligns the two windows by integer offsets and adds coefficient by
@@ -345,12 +346,6 @@ def eisenstein(k: int, terms: int) -> PuiseuxSeries:
     return PuiseuxSeries(0, coeffs, weight=k)
 
 
-def classical_eisenstein(k: int, terms: int) -> PuiseuxSeries:
-    """E_k normalized to constant term 1 (so E_4 = 1 + 240q + ...)."""
-    base = eisenstein(k, terms)
-    return base * (1 / base.coeffs[0])
-
-
 # -- eta and its rational powers ----------------------------------------------
 
 def _euler_product(terms: int) -> list[Fraction]:
@@ -379,22 +374,6 @@ def eta(terms: int) -> PuiseuxSeries:
 def eta_power(r: _RationalLike, terms: int) -> PuiseuxSeries:
     """eta^r for rational r: leading exponent r/24, weight tag r/2."""
     return eta(terms).pow_rational(_frac(r))
-
-
-# -- Serre derivative ---------------------------------------------------------
-
-def serre_derivative(f: PuiseuxSeries, k: _RationalLike) -> PuiseuxSeries:
-    """Weight-k Serre derivative theta(f) + k E_2 f, tagged with weight k+2.
-
-    If f carries a weight tag it must match k; that catches transposed
-    arguments early.
-    """
-    k = _frac(k)
-    if f.weight is not None and f.weight != k:
-        raise ValueError(f"series is tagged weight {f.weight}, not {k}")
-    e2 = eisenstein(2, len(f.coeffs))
-    out = f.theta() + (e2 * f) * k
-    return PuiseuxSeries(out.lam, out.coeffs, weight=k + 2)
 
 
 # -- series cache files -------------------------------------------------------

@@ -157,21 +157,10 @@ class VermaVector:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def level_components(self) -> dict[int, "VermaVector"]:
-        """Split into homogeneous pieces keyed by level = |partition|."""
-        split: dict[int, dict[Partition, Fraction]] = {}
-        for mu, co in self.entries.items():
-            split.setdefault(sum(mu), {})[mu] = co
-        return {lvl: self._like(part) for lvl, part in sorted(split.items())}
-
     def __repr__(self):
         terms = ", ".join(f"{mu}: {co}" for mu, co in sorted(self.entries.items(), reverse=True))
         tag = " vacuum" if self.vacuum else ""
         return f"VermaVector(c={self.c}, h={self.h}{tag}, {{{terms}}})"
-
-
-def highest_weight_vector(c: _RationalLike, h: _RationalLike, vacuum: bool = False) -> VermaVector:
-    return verma_module(_frac(c), _frac(h), bool(vacuum)).monomial(())
 
 
 def verma_monomial(c: _RationalLike, h: _RationalLike, mu: Partition, vacuum: bool = False) -> VermaVector:

@@ -21,6 +21,10 @@ checked against.
 
 Coordinates are read through virasoro.irreducible_coordinates as a module
 attribute, so a test that patches that one projection sees every call.
+
+The Serre derivative of a q-series, theta f + k E_2 f. The package applies
+it to polynomials in E_2, E_4 and E_6 only (mde.QuasiModularPoly.serre);
+on series it is the oracle of the Ramanujan identities.
 """
 
 from __future__ import annotations
@@ -31,7 +35,16 @@ from math import comb
 from traceform import virasoro
 from traceform.bracket import bracket_coeffs
 from traceform.linalg import RowSpan, _frac
+from traceform.qseries import PuiseuxSeries, eisenstein
 from traceform.virasoro import VermaVector, _acc, _gbinom, mode_action
+
+
+def level_components(v: VermaVector) -> dict[int, VermaVector]:
+    """v split into homogeneous pieces keyed by level = |partition|, lowest first."""
+    split: dict = {}
+    for mu, co in v.entries.items():
+        split.setdefault(sum(mu), {})[mu] = co
+    return {lvl: v._like(part) for lvl, part in sorted(split.items())}
 
 
 def _sum_scaled(u: VermaVector, terms) -> VermaVector:
@@ -56,7 +69,7 @@ def a_dot_u(a: VermaVector, u: VermaVector) -> VermaVector:
     """Zhu product a . u, linear in both arguments."""
     _require_vacuum(a)
     return _sum_scaled(u, ((comb(w, i), mode_action(piece, i - 1, u))
-                           for w, piece in a.level_components().items() for i in range(w + 1)))
+                           for w, piece in level_components(a).items() for i in range(w + 1)))
 
 
 def u_star_a(u: VermaVector, a: VermaVector) -> VermaVector:
@@ -67,14 +80,14 @@ def u_star_a(u: VermaVector, a: VermaVector) -> VermaVector:
     """
     _require_vacuum(a)
     return _sum_scaled(u, ((_gbinom(w - 1, i), mode_action(piece, i - 1, u))
-                           for w, piece in a.level_components().items() for i in range(max(w, 1))))
+                           for w, piece in level_components(a).items() for i in range(max(w, 1))))
 
 
 def o_elem(a: VermaVector, u: VermaVector) -> VermaVector:
     """A single spanning element of O(V): sum_i C(w,i) a(i-2)u."""
     _require_vacuum(a)
     return _sum_scaled(u, ((comb(w, i), mode_action(piece, i - 2, u))
-                           for w, piece in a.level_components().items() for i in range(w + 1)))
+                           for w, piece in level_components(a).items() for i in range(w + 1)))
 
 
 class OSpace:
@@ -163,9 +176,9 @@ def square_mode_action(v: VermaVector, m: int, u: VermaVector) -> VermaVector:
     """
     if not v.vacuum:
         raise ValueError("square modes need a vacuum vertex algebra vector")
-    lev_u = max(u.level_components(), default=0)
+    lev_u = max(level_components(u), default=0)
     terms = []
-    for w, piece in v.level_components().items():
+    for w, piece in level_components(v).items():
         top = lev_u + w - 1 - m
         if top >= 0:
             row = bracket_coeffs(w, m, top + 1)
@@ -180,7 +193,7 @@ def square_virasoro_action(n: int, u: VermaVector) -> VermaVector:
     L[n] = sum_i a_i L(n+i) with the (2, n+1) coefficient row, plus -c/24
     times the identity when n = -2.
     """
-    lev_u = max(u.level_components(), default=0)
+    lev_u = max(level_components(u), default=0)
     top = lev_u - n
     terms = []
     if top >= 0:
@@ -189,3 +202,12 @@ def square_virasoro_action(n: int, u: VermaVector) -> VermaVector:
     if n == -2:
         terms.append((-u.c / 24, u))
     return _sum_scaled(u, terms)
+
+
+# ---------------------------------------------------------------------------
+# the Serre derivative of a series
+# ---------------------------------------------------------------------------
+
+def serre_derivative(f: PuiseuxSeries, k) -> PuiseuxSeries:
+    """Weight-k Serre derivative theta(f) + k E_2 f, to the length of f."""
+    return f.theta() + (eisenstein(2, len(f.coeffs)) * f) * _frac(k)

@@ -25,7 +25,6 @@ from traceform.mde import (
     case_transform_report,
     e2_inversion_residual,
     eta_power_check,
-    exponent_report,
     leading_exponent,
     sl2_branch_check,
     trace_case_solution,
@@ -61,12 +60,12 @@ def test_criterion_01_trace_series_are_eta_powers_exactly():
 
 def test_criterion_02_leading_exponents_with_the_flagged_quote():
     with budget("criterion 2: leading exponents, one external quote flagged", 1):
-        rows = exponent_report()
-        for case, row in zip(TRACE_CASES, rows):
-            assert row["computed"] == case.h_w - case.c / 24
-        assert [r["agrees"] for r in rows] == [True, True, True, False]
-        assert rows[3]["computed"] == Fraction(1, 84)
-        assert rows[3]["quoted"] == Fraction(1, 81)
+        for case in TRACE_CASES:
+            assert leading_exponent(case) == case.h_w - case.c / 24
+        agrees = [leading_exponent(case) == case.quoted_exponent for case in TRACE_CASES]
+        assert agrees == [True, True, True, False]
+        assert leading_exponent(TRACE_CASES[3]) == Fraction(1, 84)
+        assert TRACE_CASES[3].quoted_exponent == Fraction(1, 81)
 
 
 def test_criterion_03_weierstrass_windows_are_exact_through_z8_q8():

@@ -14,7 +14,7 @@ import pytest
 from reference_routes import square_mode_action, square_virasoro_action
 from traceform.bracket import bracket_coeffs, inverse_bracket_coeffs
 from traceform.qseries import PuiseuxSeries
-from traceform.virasoro import highest_weight_vector, verma_monomial
+from traceform.virasoro import verma_monomial
 
 
 def oracle_row(w, m, depth):
@@ -106,7 +106,7 @@ C, H = Fraction(1, 2), Fraction(1, 16)
 
 
 def test_square_l_minus_two_on_a_highest_weight_vector():
-    u = highest_weight_vector(C, H)
+    u = verma_monomial(C, H, ())
     got = square_virasoro_action(-2, u)
     want = (verma_monomial(C, H, (2,)) + verma_monomial(C, H, (1,)) * Fraction(3, 2)
             + u * (H * Fraction(5, 12) - C / 24))
@@ -114,7 +114,7 @@ def test_square_l_minus_two_on_a_highest_weight_vector():
 
 
 def test_square_l_zero_fixes_the_highest_weight_vector():
-    u = highest_weight_vector(C, H)
+    u = verma_monomial(C, H, ())
     assert square_virasoro_action(0, u) == u * H
     for n in (1, 2, 3):
         assert square_virasoro_action(n, u).is_zero()
@@ -122,7 +122,7 @@ def test_square_l_zero_fixes_the_highest_weight_vector():
 
 def test_square_modes_satisfy_the_virasoro_relations():
     samples = [
-        highest_weight_vector(C, H),
+        verma_monomial(C, H, ()),
         verma_monomial(C, H, (1,)),
         verma_monomial(C, H, (2, 1)) + verma_monomial(C, H, (1, 1, 1)) * 3,
     ]
@@ -148,6 +148,6 @@ def test_square_modes_come_from_the_conformal_vector():
 
 
 def test_square_mode_action_requires_a_vacuum_left_factor():
-    u = highest_weight_vector(C, H)
+    u = verma_monomial(C, H, ())
     with pytest.raises(ValueError):
         square_mode_action(u, 0, u)

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from traceform import cli, mde
-from traceform.qseries import eta_power, read_series
+from traceform.qseries import eta_power
 
 
 def run_json(capsys, argv):
@@ -106,29 +106,6 @@ def test_dims_text_output_lists_dimensions(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "1 0 1 1 2 2 3 3 5" in out
-
-
-def test_cache_dir_exports_readable_series(tmp_path, capsys):
-    code, payload = run_json(capsys, ["--cache-dir", str(tmp_path),
-                                      "mde", "solve", "--m", "1", "--h", "1/2",
-                                      "--terms", "6"])
-    assert code == 0
-    cached = payload["solutions"][0]["cache_file"]
-    assert read_series(cached) == eta_power(1, 6)
-
-
-@pytest.mark.parametrize("under_file", [False, True])
-def test_cache_dir_on_a_file_exits_two_with_one_line(tmp_path, capsys, under_file):
-    blocker = tmp_path / "some_file"
-    blocker.write_text("not a directory\n")
-    cache_dir = blocker / "sub" if under_file else blocker
-    code = cli.run(["--cache-dir", str(cache_dir), "eta", "--power", "2", "--terms", "5"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"error: --cache-dir {cache_dir}: cannot write ")
-    assert blocker.read_text() == "not a directory\n"
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +253,7 @@ def test_bad_values_exit_two_with_one_line(capsys, argv, message):
     (["modular-check", "--tau=inf,1", "--tau=0.3,1.1"], "tau parts must be finite, got 'inf,1'"),
     (["modular-check", "--tau=0.3,1e400", "--tau=0.3,1.1"], "tau parts must be finite, got '0.3,1e400'"),
     (["--text", "verify", "traces"], "unrecognized arguments: --text"),
+    (["--cache-dir=D", "eta"], "unrecognized arguments: --cache-dir=D"),
 ])
 def test_parse_errors_exit_two_with_one_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -47,7 +47,6 @@ from traceform.mde import (
     e2_inversion_residual,
     eisenstein_modular_poly,
     eta_power_check,
-    exponent_report,
     frobenius_solve,
     graded_vector,
     leading_exponent,
@@ -57,7 +56,7 @@ from traceform.mde import (
     trace_case_solution,
 )
 from traceform.qseries import PuiseuxSeries, _convolve, eisenstein, eta_power
-from traceform.virasoro import graded_dims, highest_weight_vector, mode_action, verma_monomial
+from traceform.virasoro import graded_dims, mode_action, verma_monomial
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +149,7 @@ def test_relation_space_contains_the_zero_mode_traces():
     c, h = Fraction(1, 2), Fraction(1, 2)
     rel = build_relation_space(c, h)
     omega = verma_monomial(c, 0, (2,), vacuum=True)
-    x = highest_weight_vector(c, h)
+    x = verma_monomial(c, h, ())
     # the trace of a zero mode acting on x vanishes; its graded image must
     # already lie in the span the derivation reduces against
     gv = graded_vector(mode_action(omega, 0, x))
@@ -221,7 +220,7 @@ def _square_picture_recursion(c, h, weight_bound):
     """The earlier derivation, on the square span and the strings L[-2]^i u."""
     rel = _SquareRelationSpace(c, h, min(weight_bound, h + 2))
     top = (weight_bound - h) // 2
-    strings = [highest_weight_vector(c, h, h == 0)]
+    strings = [verma_monomial(c, h, (), h == 0)]
     for _ in range(top):
         strings.append(square_virasoro_action(-2, strings[-1]))
     while rel.weight_bound + 1 <= weight_bound and not rel.contains(graded_vector(strings[1])):
@@ -605,11 +604,11 @@ def test_trace_solutions_are_eta_powers():
 def test_leading_exponents_and_the_flagged_quote():
     for case in TRACE_CASES:
         assert leading_exponent(case) == case.h_u / 12
-    rows = exponent_report()
-    assert [r["agrees"] for r in rows] == [True, True, True, False]
-    flagged = rows[3]
-    assert flagged["computed"] == Fraction(1, 84)
-    assert flagged["quoted"] == Fraction(1, 81)
+    agrees = [leading_exponent(case) == case.quoted_exponent for case in TRACE_CASES]
+    assert agrees == [True, True, True, False]
+    flagged = TRACE_CASES[3]
+    assert leading_exponent(flagged) == Fraction(1, 84)
+    assert flagged.quoted_exponent == Fraction(1, 81)
 
 
 def test_transform_ratio_is_a_constant_of_modulus_one():

@@ -22,17 +22,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_routes import serre_derivative
 from traceform.mde import derive_recursion, frobenius_solve, to_ode
 from traceform.qseries import (
     PuiseuxSeries,
     _euler_product,
     bernoulli,
-    classical_eisenstein,
     eisenstein,
     eta,
     eta_power,
     read_series,
-    serre_derivative,
     sigma,
     write_series,
 )
@@ -384,19 +383,27 @@ def test_eisenstein_is_built_once_per_weight_and_length():
             eisenstein(k, 3)
 
 
+def _classical_eisenstein(k: int, terms: int) -> PuiseuxSeries:
+    """E_k scaled to constant term 1, so E_4 = 1 + 240q + ..."""
+    base = eisenstein(k, terms)
+    return base * (1 / base.coeffs[0])
+
+
 def test_classical_eisenstein_low_order_coefficients():
-    e2 = classical_eisenstein(2, 5)
+    e2 = _classical_eisenstein(2, 5)
     assert [e2.coefficient(n) for n in range(5)] == [1, -24, -72, -96, -168]
-    e4 = classical_eisenstein(4, 4)
+    e4 = _classical_eisenstein(4, 4)
     assert [e4.coefficient(n) for n in range(4)] == [1, 240, 2160, 6720]
-    e6 = classical_eisenstein(6, 3)
+    e6 = _classical_eisenstein(6, 3)
     assert [e6.coefficient(n) for n in range(3)] == [1, -504, -16632]
 
 
 def test_two_eisenstein_normalizations_differ_by_a_bernoulli_factor():
+    # the classical E_k = 1 - (2k / B_k) sum sigma_{k-1}(n) q^n, times -B_k / k!
     for k in (2, 4, 6, 8, 10):
         scale = -bernoulli(k) / math.factorial(k)
-        assert eisenstein(k, 12) == classical_eisenstein(k, 12) * scale
+        classical = [1] + [-2 * k / bernoulli(k) * sigma(k - 1, n) for n in range(1, 12)]
+        assert eisenstein(k, 12) == PuiseuxSeries(0, classical) * scale
 
 
 def test_ramanujan_derivative_identities():
@@ -468,7 +475,7 @@ def test_eta_at_the_square_lattice_point_hits_gamma_quarter():
 
 
 def test_classical_e6_vanishes_at_the_square_lattice_point():
-    got, _ = classical_eisenstein(6, 40).eval_numeric(1j)
+    got, _ = _classical_eisenstein(6, 40).eval_numeric(1j)
     assert abs(got) < 1e-10
 
 

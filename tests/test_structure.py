@@ -1,13 +1,17 @@
 """Source structure: one copy of each shared helper, one dense-free linalg,
 and no memo state outside lru_cache.
 
-Parses the package with ast, so nothing is imported or run. A name counts
+Parses the package with ast, so nothing is imported or run, except that
+one test builds the CLI parser to read its option strings. A name counts
 as defined by a module when the module binds it at top level with def,
 class or assignment; importing it from another module does not count.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from traceform import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "traceform"
 
@@ -16,6 +20,8 @@ SHARED_HELPERS = ("_frac", "_RationalLike", "_gbinom", "_CommonDenominator", "_f
 RETIRED_FROM_LINALG = ("rref_dense", "rank_dense", "_as_fraction_matrix")
 REFERENCE_ROUTES = ("OSpace", "a_dot_u", "u_star_a", "o_elem", "square_mode_action",
                     "square_virasoro_action", "_sum_scaled")
+TEST_ONLY_NAMES = ("serre_derivative", "classical_eisenstein", "highest_weight_vector",
+                   "exponent_report")
 
 
 def _top_level_definitions(path: Path) -> set[str]:
@@ -178,6 +184,32 @@ def test_reference_routes_and_second_paths_stay_out_of_the_package():
     assert "__pow__" not in bound and "pow_rational" in bound
     imports = _imported_names(ast.parse((PACKAGE / "bracket.py").read_text(encoding="utf-8")))
     assert not [name for name in imports if name.split(".")[-1] == "virasoro"], imports
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of parser and of its subcommands, at any depth."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+    return found
+
+
+def test_test_only_names_and_the_cache_export_stay_out_of_the_package():
+    # tests were the only callers of these names: the series Serre derivative
+    # and the level split are oracles in tests/reference_routes.py, and
+    # --json is the one exact export of a series
+    defs = _definitions_by_module()
+    found = {name: module for module, names in defs.items() for name in names & set(TEST_ONLY_NAMES)}
+    assert not found, found
+    (vector,) = [node for _, node in _functions("virasoro")
+                 if isinstance(node, ast.ClassDef) and node.name == "VermaVector"]
+    methods = {node.name for node in vector.body if isinstance(node, ast.FunctionDef)}
+    assert "level_components" not in methods
+    options = _option_strings(cli._build_parser())
+    assert "--json" in options and "--cache-dir" not in options
 
 
 def test_linalg_defines_no_dense_eliminator():

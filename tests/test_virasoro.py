@@ -13,6 +13,7 @@ from math import factorial, prod
 
 import pytest
 
+from reference_routes import level_components
 from traceform import cli, virasoro
 from traceform.linalg import RowSpan
 from traceform.virasoro import (
@@ -22,7 +23,6 @@ from traceform.virasoro import (
     c20_quotient_dim,
     gram_matrix,
     graded_dims,
-    highest_weight_vector,
     irreducible_coordinates,
     l_action,
     level_coordinates,
@@ -78,7 +78,7 @@ C, H = Fraction(7, 10), Fraction(3, 80)
 
 def test_round_modes_satisfy_the_virasoro_relations():
     samples = [
-        highest_weight_vector(C, H),
+        verma_monomial(C, H, ()),
         verma_monomial(C, H, (1,)),
         verma_monomial(C, H, (2, 1)) + verma_monomial(C, H, (3,)) * 2,
     ]
@@ -100,7 +100,7 @@ def test_conformal_vector_modes_are_shifted_virasoro_modes():
 
 
 def test_vacuum_vector_acts_as_the_identity_mode():
-    one = highest_weight_vector(C, 0, vacuum=True)
+    one = verma_monomial(C, 0, (), vacuum=True)
     u = verma_monomial(C, H, (1, 1))
     assert mode_action(one, -1, u) == u
     assert mode_action(one, 0, u).is_zero()
@@ -192,9 +192,9 @@ def test_every_result_leaves_the_module_as_fractions(c, h, vacuum):
     omega = verma_monomial(c, 0, (2,), vacuum=True)
     u = verma_monomial(c, h, (3, 2) if vacuum else (2, 1), vacuum)
     w = VermaVector(c, h, {(2,): 3, (): 1}, vacuum)
-    vectors = [u, w, u + w, u - w, w * 2, 2 * w, -w, highest_weight_vector(c, h, vacuum)]
+    vectors = [u, w, u + w, u - w, w * 2, 2 * w, -w, verma_monomial(c, h, (), vacuum)]
     vectors += [l_action(n, u) for n in range(-2, 4)] + [mode_action(omega, n, u) for n in range(-2, 4)]
-    vectors += [piece for v in vectors for piece in v.level_components().values()]
+    vectors += [piece for v in vectors for piece in level_components(v).values()]
     for v in vectors:
         assert _fractions_only(v.entries.values()), v
         assert _fractions_only(irreducible_coordinates(v).values()), v
@@ -390,7 +390,7 @@ def test_every_call_form_shares_one_module_object():
     assert (module.c, module.h, module.vacuum) == (3, 2, False)
     assert type(module.c) is Fraction and type(module.h) is Fraction
     assert verma_monomial(3, 2, (2, 1)).module is module
-    assert highest_weight_vector(Fraction(3), 2).module is module
+    assert verma_monomial(Fraction(3), 2, ()).module is module
     assert virasoro.verma_module.cache_info().currsize == 1
 
 
@@ -423,7 +423,6 @@ def test_clearing_the_caches_makes_the_next_call_recompute():
 def test_the_vacuum_quotient_exists_only_at_h_zero():
     c, h = Fraction(1, 2), Fraction(1, 2)
     for build in (lambda: virasoro.verma_module(c, h, True),
-                  lambda: highest_weight_vector(c, h, vacuum=True),
                   lambda: verma_monomial(c, h, (2,), vacuum=True),
                   lambda: graded_dims(c, h, 4, vacuum=True)):
         with pytest.raises(ValueError, match="only at h = 0"):
