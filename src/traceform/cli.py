@@ -603,8 +603,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mde_sub = p.add_subparsers(dest="action", required=True)
     for action, handler in (("derive", _cmd_mde_derive), ("solve", _cmd_mde_solve)):
         q = mde_sub.add_parser(action)
-        q.add_argument("--m", type=int, default=None, help="minimal model index for c")
-        q.add_argument("--c", type=_parse_rat, default=None, help="central charge (alternative to --m)")
+        charge = q.add_mutually_exclusive_group()
+        charge.add_argument("--m", type=int, default=None, help="minimal model index for c")
+        charge.add_argument("--c", type=_parse_rat, default=None, help="central charge (alternative to --m)")
         q.add_argument("--h", type=_parse_rat, required=True, help="highest weight of the module")
         q.add_argument("--weight-bound", type=_parse_rat, default=None,
                        help="cap on the relation span weight, and so on the order: the "

@@ -3,21 +3,23 @@
 Two elimination engines serve the package. RowSpan is an incremental row
 space over Q with sparse Gauss-Jordan pivots on {key: Fraction} rows; every
 rank and solve goes through it, and its pivot rows are the reduced row
-echelon form that Gram coordinates are read from. sparse_nullspace is the
-batch kernel of the Virasoro singular vector solves (worst case 1039
-columns, for the m = 4 vacuum vector). Each pivot is the shortest live row,
-at its column with the fewest active rows: a row-first form of Markowitz's
-rule. Action matrices of single modes are very sparse, and this rule keeps
-the fill-in small, which is what makes those solves affordable; at level 30
-of m = 4 its pivot rows hold a tenth of the entries that a column-first rule
-left in them. It eliminates modulo a 127-bit prime, so entries stay below
-2^127 instead of growing to hundreds of bits, and reads the kernel back by
-rational reconstruction (Wang; Monagan, ISSAC 2004); the kernel is
-certified exactly over the integers before it is returned. A kernel that
-needs more bits than one prime holds is joined over further primes by the
-Chinese remainder theorem, each prime with a pivot search of its own (the
-modular frame of Dixon, Numer. Math. 1982, with CRT in place of p-adic
-lifting).
+echelon form that Gram coordinates are read from. A solve needs no dense
+matrix: mde gives each unknown's row a tag key below every other key, so the
+tags of a reduced vector record the row operations that reduced it.
+sparse_nullspace is the batch kernel of the Virasoro singular vector solves
+(worst case 1039 columns, for the m = 4 vacuum vector). Each pivot is the
+shortest live row, at its column with the fewest active rows: a row-first
+form of Markowitz's rule. Action matrices of single modes are very sparse,
+and this rule keeps the fill-in small, which is what makes those solves
+affordable; at level 30 of m = 4 its pivot rows hold a tenth of the entries
+that a column-first rule left in them. It eliminates modulo a 127-bit prime,
+so entries stay below 2^127 instead of growing to hundreds of bits, and
+reads the kernel back by rational reconstruction (Wang; Monagan, ISSAC
+2004); the kernel is certified exactly over the integers before it is
+returned. A kernel that needs more bits than one prime holds is joined over
+further primes by the Chinese remainder theorem, each prime with a pivot
+search of its own (the modular frame of Dixon, Numer. Math. 1982, with CRT
+in place of p-adic lifting).
 
 _frac and _RationalLike are the rational coercion every layer shares, and
 _CommonDenominator brings a list of rationals to integer numerators over
@@ -29,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, isqrt, lcm
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 _RationalLike = Fraction | int
 
@@ -54,31 +56,6 @@ class _CommonDenominator:
         values = list(values)
         self.den = lcm(*(v.denominator for v in values))
         self.nums = [v.numerator * (self.den // v.denominator) for v in values]
-
-
-def solve_dense(rows: Iterable[Sequence[Fraction | int]],
-                rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
-    """One solution of A x = b, or None if inconsistent. Free variables are set to 0.
-
-    One RowSpan pass over [A | b]. Column j is key ncols - j and b is key 0,
-    so pivots fall on the leftmost columns and the span ends up holding the
-    reduced row echelon form of [A | b].
-    """
-    mat = [list(row) for row in rows]
-    if len(mat) != len(rhs):
-        raise ValueError("dimension mismatch")
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    span = RowSpan()
-    for row, b in zip(mat, rhs):
-        span.add({ncols - j: v for j, v in enumerate(row)} | {0: b})
-    if 0 in span._pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for key, row in span._pivots.items():
-        x[ncols - key] = row.get(0, Fraction(0))
-    return x
 
 
 # 127-bit primes, 2^127 - 1 first. One prime covers a kernel whose entries

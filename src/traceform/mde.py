@@ -65,7 +65,7 @@ from math import gcd
 from operator import add, mul
 
 from . import virasoro
-from .linalg import RowSpan, _CommonDenominator, _RationalLike, _frac, solve_dense
+from .linalg import RowSpan, _CommonDenominator, _RationalLike, _frac
 from .qseries import PuiseuxSeries, _convolve, eisenstein, eta_power
 from .virasoro import VermaVector, verma_monomial
 from .zhu import rational_roots
@@ -421,29 +421,27 @@ def _derive_recursion(c: Fraction, h: Fraction, weight_bound: Fraction) -> Trace
     top = (weight_bound - h) // 2
     strings = [verma_monomial(c, h, (2,) * i, h == 0) for i in range(top + 1)]
     # grow until [L[-2] u] reduces to zero, which m = 1 below returns as the
-    # order-1 recursion (no candidates, and solve_dense([], []) is []), or
-    # until the next level would pass the bound
+    # order-1 recursion (no candidates, so the span stays empty), or until
+    # the next level would pass the bound
     first = graded_vector(strings[1])
     while rel.weight_bound + 1 <= weight_bound and not rel.contains(first):
         rel.grow()
     for m in range(1, top + 1):
-        target = rel.reduce(graded_vector(strings[m]))
-        cands: list[dict[GradedKey, Fraction]] = []
-        labels: list[tuple[int, int, int]] = []
+        # candidate E4^a4 E6^a6 [L[-2]^i u] carries the tag (-1, i, a4, a6),
+        # below every graded key, so the tags record the row operations; the
+        # string reduced against the candidates closes exactly when no graded
+        # key is left, and its tags are then the r_i
+        cands = RowSpan()
         for i in range(m):
             for a4, a6 in _monomials_of_weight(2 * (m - i)):
-                cands.append(rel.reduce(graded_vector(strings[i], e4=a4, e6=a6)))
-                labels.append((i, a4, a6))
-        keys = sorted(set(target) | {k for cv in cands for k in cv})
-        rows = [[cv.get(k, Fraction(0)) for cv in cands] for k in keys]
-        rhs = [-target.get(k, Fraction(0)) for k in keys]
-        rho = solve_dense(rows, rhs)
-        if rho is None:
+                cands.add(rel.reduce(graded_vector(strings[i], e4=a4, e6=a6)) | {(-1, i, a4, a6): 1})
+        left = cands.reduce(rel.reduce(graded_vector(strings[m])))
+        if any(lvl >= 0 for lvl, _, _, _ in left):
             continue
-        rs = [QuasiModularPoly() for _ in range(m)]
-        for (i, a4, a6), val in zip(labels, rho):
-            rs[i] = rs[i] + QuasiModularPoly({(0, a4, a6): val})
-        return TraceRecursion(c, h, m, tuple(rs), rel.weight_bound)
+        rs: list[dict[tuple[int, int, int], Fraction]] = [{} for _ in range(m)]
+        for (_, i, a4, a6), co in left.items():
+            rs[i][(0, a4, a6)] = co
+        return TraceRecursion(c, h, m, tuple(map(QuasiModularPoly, rs)), rel.weight_bound)
     raise ValueError(f"no recursion of order <= {top} under weight bound {weight_bound}")
 
 
@@ -582,8 +580,8 @@ class FrobeniusSolution:
     exponent: Fraction
     coeffs: tuple[Fraction, ...]
 
-    def to_puiseux(self, weight: Fraction | None = None) -> PuiseuxSeries:
-        return PuiseuxSeries(self.exponent, self.coeffs, weight)
+    def to_puiseux(self) -> PuiseuxSeries:
+        return PuiseuxSeries(self.exponent, self.coeffs)
 
 
 def frobenius_solve(ode: ModularODE, exponent: _RationalLike, terms: int = 30) -> FrobeniusSolution:

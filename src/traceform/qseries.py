@@ -16,8 +16,8 @@ classical normalizations with constant term 1 (E_2^std = -12 E_2,
 E_4^std = 720 E_4, E_6^std = -30240 E_6) are each E_k divided by its constant
 term. The weight-k Serre derivative d_k f = theta f + k E_2 f with
 theta = q d/dq sends weight k to k+2 and kills eta^(2k); the modular ODE
-machinery applies it to polynomials in E_2, E_4, E_6
-(mde.QuasiModularPoly.serre), not to series.
+machinery applies theta and d_k to polynomials in E_2, E_4, E_6
+(mde.QuasiModularPoly.theta and serre), so a series has no theta of its own.
 
 Coefficients are stored as Fraction, but the hot kernels run over int. A
 sum aligns the two windows by integer offsets and adds coefficient by
@@ -138,18 +138,6 @@ class PuiseuxSeries:
             return Fraction(0)
         return self.coeffs[int(off)]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def truncate(self, terms: int) -> "PuiseuxSeries":
-        if terms < 1:
-            raise ValueError("terms must be positive")
-        return PuiseuxSeries(self.lam, self.coeffs[:terms], self.weight)
-
-    def shifted(self, r: _RationalLike) -> "PuiseuxSeries":
-        """Multiply by q^r."""
-        return PuiseuxSeries(self.lam + _frac(r), self.coeffs, None)
-
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
@@ -233,11 +221,7 @@ class PuiseuxSeries:
         weight = None if self.weight is None else r * self.weight
         return PuiseuxSeries(r * self.lam, out, weight)
 
-    # -- calculus and evaluation -------------------------------------------
-
-    def theta(self) -> "PuiseuxSeries":
-        """q d/dq, exact on the retained window."""
-        return PuiseuxSeries(self.lam, [(self.lam + i) * c for i, c in enumerate(self.coeffs)], None)
+    # -- numeric evaluation ------------------------------------------------
 
     def eval_numeric(self, tau: complex) -> tuple[complex, float]:
         """Evaluate at q = exp(2 pi i tau), Im tau > 0.

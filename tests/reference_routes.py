@@ -22,9 +22,17 @@ checked against.
 Coordinates are read through virasoro.irreducible_coordinates as a module
 attribute, so a test that patches that one projection sees every call.
 
-The Serre derivative of a q-series, theta f + k E_2 f. The package applies
-it to polynomials in E_2, E_4 and E_6 only (mde.QuasiModularPoly.serre);
-on series it is the oracle of the Ramanujan identities.
+The Serre derivative of a q-series, theta f + k E_2 f, with theta = q d/dq
+and three more operations on PuiseuxSeries that only the tests use:
+truncate, shifted and is_zero. The package applies theta to polynomials in
+E_2, E_4 and E_6 only (mde.QuasiModularPoly.theta and serre); on series it
+is the oracle of the Ramanujan identities.
+
+Dense Gauss-Jordan. _reference_rref_dense pivots on the leftmost columns,
+and _reference_solve_dense reads one solution of A x = b off the reduced
+[A | b], with the free variables set to 0. The package solves for the
+coefficients of a trace recursion inside a RowSpan (mde._derive_recursion);
+the square-picture derivation of the tests solves through these instead.
 """
 
 from __future__ import annotations
@@ -205,9 +213,73 @@ def square_virasoro_action(n: int, u: VermaVector) -> VermaVector:
 
 
 # ---------------------------------------------------------------------------
-# the Serre derivative of a series
+# series operations
 # ---------------------------------------------------------------------------
+
+def theta(f: PuiseuxSeries) -> PuiseuxSeries:
+    """q d/dq, exact on the retained window."""
+    return PuiseuxSeries(f.lam, [(f.lam + i) * c for i, c in enumerate(f.coeffs)], None)
+
+
+def truncate(f: PuiseuxSeries, terms: int) -> PuiseuxSeries:
+    """f with its first terms coefficients kept."""
+    if terms < 1:
+        raise ValueError("terms must be positive")
+    return PuiseuxSeries(f.lam, f.coeffs[:terms], f.weight)
+
+
+def shifted(f: PuiseuxSeries, r) -> PuiseuxSeries:
+    """f multiplied by q^r."""
+    return PuiseuxSeries(f.lam + _frac(r), f.coeffs, None)
+
+
+def is_zero(f: PuiseuxSeries) -> bool:
+    return all(c == 0 for c in f.coeffs)
+
 
 def serre_derivative(f: PuiseuxSeries, k) -> PuiseuxSeries:
     """Weight-k Serre derivative theta(f) + k E_2 f, to the length of f."""
-    return f.theta() + (eisenstein(2, len(f.coeffs)) * f) * _frac(k)
+    return theta(f) + (eisenstein(2, len(f.coeffs)) * f) * _frac(k)
+
+
+# ---------------------------------------------------------------------------
+# dense Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+def _reference_rref_dense(rows):
+    """(reduced rows, pivot columns) of a dense matrix, pivots on the leftmost columns."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(mat[0])):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _reference_solve_dense(rows, rhs):
+    """One solution of A x = b with the free variables 0, or None if inconsistent."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = _reference_rref_dense([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(red, pivots):
+        x[p] = row[ncols]
+    return x

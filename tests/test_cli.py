@@ -254,6 +254,7 @@ def test_bad_values_exit_two_with_one_line(capsys, argv, message):
     (["modular-check", "--tau=0.3,1e400", "--tau=0.3,1.1"], "tau parts must be finite, got '0.3,1e400'"),
     (["--text", "verify", "traces"], "unrecognized arguments: --text"),
     (["--cache-dir=D", "eta"], "unrecognized arguments: --cache-dir=D"),
+    (["mde", "derive", "--m", "1", "--c", "7/10", "--h", "0"], "argument --c: not allowed with argument --m"),
 ])
 def test_parse_errors_exit_two_with_one_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -215,7 +215,7 @@ def test_residue_identities_catch_a_perturbed_shifted_row(monkeypatch):
     # perturbed term of the shifted P_3 row must show up as a mismatch
     for w, n, q_power in [(w, 6, 1) for w in range(1, 7)] + [(6, 1, 3)]:
         _perturb_row(monkeypatch, 3, n, True, q_power)
-        unit, p2, p3 = verify_residue_identities(w, terms=6, ms=(2, 3))
+        unit, _, p2, p3, _, _ = verify_residue_identities(w, terms=6)
         assert unit.passed and p2.passed
         assert not p3.passed and [label for label, _, _ in p3.mismatches] == [f" q^{q_power}"], (w, n)
 
@@ -225,7 +225,7 @@ def test_identities_catch_a_perturbed_unshifted_row(monkeypatch):
     # c_{-1} = 1, and the mode expansion from z^2 on, with b_0 = 1
     for w, q_power in [(w, 1) for w in range(1, 6)] + [(5, 0), (2, 4)]:
         _perturb_row(monkeypatch, 3, -6, False, q_power)
-        unit, p2, p3 = verify_residue_identities(w, terms=6, ms=(2, 3))
+        unit, _, p2, p3, _, _ = verify_residue_identities(w, terms=6)
         assert unit.passed and p2.passed
         assert [label for label, _, _ in p3.mismatches] == [f" q^{q_power}"], (w, q_power)
         rep = verify_expansion_identity(w, terms=6, i_max=8, n_max=6)

@@ -20,15 +20,11 @@ column-first one (fewest active rows, then the shortest row in that
 column); a hand-built system on which the two differ pins the new steps,
 and the level-20 vacuum system of m = 3 pins the fill-in it saves.
 
-solve_dense and level_coordinates now eliminate through RowSpan.
-_reference_rref_dense is the dense Gauss-Jordan engine they used before;
-the reduced row echelon form is unique, so solutions (free variables set to
-0) must come out equal.
-
 level_coordinates reads the projection P = M^-1 G[kept, :] off the reduced
 rows of the Gram matrix G. _reference_level_coordinates is the earlier
 route: kept columns, the inverse of the kept minor M through the dense
-engine, then the product with G. irreducible_coordinates applies P in one
+Gauss-Jordan engine _reference_rref_dense (tests/reference_routes.py),
+then the product with G. irreducible_coordinates applies P in one
 pass over the entries of a vector; _reference_coords is G v on the kept
 rows and then M^-1, and (M^-1 G) v = M^-1 (G v) exactly.
 
@@ -48,8 +44,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_routes import _reference_rref_dense
 from traceform import linalg
-from traceform.linalg import _PRIMES, RowSpan, _rational, solve_dense, sparse_nullspace
+from traceform.linalg import _PRIMES, RowSpan, _rational, sparse_nullspace
 from traceform.virasoro import (
     VermaVector,
     _action_rows,
@@ -513,95 +510,8 @@ def test_the_first_two_primes_pick_the_same_pivot_columns():
 
 
 # ---------------------------------------------------------------------------
-# solves and inverses against dense Gauss-Jordan
+# row spans and inverses against dense Gauss-Jordan
 # ---------------------------------------------------------------------------
-
-def _reference_rref_dense(rows):
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return [], []
-    pivots = []
-    r = 0
-    for c in range(len(mat[0])):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def _reference_solve_dense(rows, rhs):
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = _reference_rref_dense([list(row) + [b] for row, b in zip(rows, rhs)])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = row[ncols]
-    return x
-
-
-def _random_system(rng):
-    nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
-    density = rng.uniform(0.2, 1.0)
-
-    def entry():
-        if rng.random() > density:
-            return 0
-        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
-
-    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
-    if rows and rng.random() < 0.4:
-        # a dependent row lowers the rank
-        a, b = rng.choice(rows), rng.choice(rows)
-        k = rng.randint(-2, 2)
-        rows.append([x + k * y for x, y in zip(a, b)])
-    if rng.random() < 0.5:
-        # b in the column space: consistent
-        x = [entry() for _ in range(ncols)]
-        rhs = [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in rows]
-    else:
-        rhs = [entry() for _ in rows]
-    return rows, rhs
-
-
-def test_solve_dense_matches_dense_gauss_jordan():
-    rng = random.Random(20261018)
-    kinds = {"empty": 0, "underdetermined": 0, "inconsistent": 0, "solved": 0}
-    for _ in range(3000):
-        rows, rhs = _random_system(rng)
-        got = solve_dense(rows, rhs)
-        assert got == _reference_solve_dense(rows, rhs), (rows, rhs)
-        if got is None:
-            kinds["inconsistent"] += 1
-            continue
-        assert all(sum((a * x for a, x in zip(row, got)), Fraction(0)) == b for row, b in zip(rows, rhs))
-        kinds["solved"] += 1
-        if not rows:
-            kinds["empty"] += 1
-        elif len(rows) < len(rows[0]):
-            kinds["underdetermined"] += 1
-    assert all(n >= 100 for n in kinds.values()), kinds
-
-
-def test_solve_dense_edge_cases():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        solve_dense([[1, 2]], [1, 2])
-    assert solve_dense([[0, 0]], [1]) is None
-    assert solve_dense([[0, 2, 4]], [2]) == [0, 1, 0]
-
 
 _SPARSE_ROWS = st.lists(
     st.dictionaries(st.integers(0, 5), st.integers(-2, 2).map(Fraction), max_size=4),

@@ -15,8 +15,10 @@ included.
 
 The relation span and the L[-2] strings are built from round modes, through
 Zhu's isomorphism. _square_picture_recursion below is the earlier derivation
-from square-bracket modes expanded in round ones; both must find the same
-recursion.
+from square-bracket modes expanded in round ones, and it solves for the r_i
+by dense Gauss-Jordan (reference_routes._reference_solve_dense) where the
+package reduces against tagged candidates in a RowSpan; both must find the
+same recursion.
 
 ModularODE.theta_form expands an equation once in Q[E2, E4, E6], and the
 indicial polynomial and the theta columns are read from it. The earlier
@@ -31,9 +33,8 @@ from fractions import Fraction
 
 import pytest
 
-from reference_routes import square_mode_action, square_virasoro_action
+from reference_routes import _reference_solve_dense, square_mode_action, square_virasoro_action, theta
 from traceform import cli, mde, virasoro
-from traceform.linalg import solve_dense
 from traceform.mde import (
     TRACE_CASES,
     ModularODE,
@@ -67,9 +68,9 @@ def test_quasimodular_theta_matches_series_arithmetic():
     n = 12
     for poly, k in ((QuasiModularPoly.e2(), 2), (QuasiModularPoly.e4(), 4),
                     (QuasiModularPoly.e6(), 6)):
-        assert poly.theta().to_series(n) == eisenstein(k, n).theta()
+        assert poly.theta().to_series(n) == theta(eisenstein(k, n))
     mixed = QuasiModularPoly({(1, 1, 0): Fraction(3, 7), (0, 0, 1): -2})
-    assert mixed.theta().to_series(n) == mixed.to_series(n).theta()
+    assert mixed.theta().to_series(n) == theta(mixed.to_series(n))
 
 
 def test_serre_derivative_of_modular_polys_drops_e2():
@@ -237,8 +238,8 @@ def _square_picture_recursion(c, h, weight_bound):
                 return TraceRecursion(c, h, m, (QuasiModularPoly(),) * m, rel.weight_bound)
             continue
         keys = sorted(set(target) | {k for cv in cands for k in cv})
-        rho = solve_dense([[cv.get(k, Fraction(0)) for cv in cands] for k in keys],
-                          [-target.get(k, Fraction(0)) for k in keys])
+        rho = _reference_solve_dense([[cv.get(k, Fraction(0)) for cv in cands] for k in keys],
+                                     [-target.get(k, Fraction(0)) for k in keys])
         if rho is None:
             continue
         rs = [QuasiModularPoly() for _ in range(m)]
@@ -431,7 +432,7 @@ def _reference_theta_operator(ode, terms):
         nxt = [zero] * (len(cur) + 1)
         for t, a in enumerate(cur):
             nxt[t + 1] = nxt[t + 1] + a
-            nxt[t] = nxt[t] + a.theta() + w * (e2 * a)
+            nxt[t] = nxt[t] + theta(a) + w * (e2 * a)
         ops.append(nxt)
     total = [zero] * (ode.order + 1)
     for j in range(ode.order + 1):

@@ -17,11 +17,12 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "traceform"
 
 SHARED_HELPERS = ("_frac", "_RationalLike", "_gbinom", "_CommonDenominator", "_fmt_frac",
                   "_convolve")
-RETIRED_FROM_LINALG = ("rref_dense", "rank_dense", "_as_fraction_matrix")
+RETIRED_FROM_LINALG = ("rref_dense", "rank_dense", "_as_fraction_matrix", "solve_dense")
 REFERENCE_ROUTES = ("OSpace", "a_dot_u", "u_star_a", "o_elem", "square_mode_action",
                     "square_virasoro_action", "_sum_scaled")
 TEST_ONLY_NAMES = ("serre_derivative", "classical_eisenstein", "highest_weight_vector",
                    "exponent_report")
+TEST_ONLY_SERIES_METHODS = ("theta", "truncate", "shifted", "is_zero")
 
 
 def _top_level_definitions(path: Path) -> set[str]:
@@ -198,9 +199,10 @@ def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
 
 
 def test_test_only_names_and_the_cache_export_stay_out_of_the_package():
-    # tests were the only callers of these names: the series Serre derivative
-    # and the level split are oracles in tests/reference_routes.py, and
-    # --json is the one exact export of a series
+    # tests were the only callers of these names: the series Serre derivative,
+    # theta and three more series operations, and the level split are
+    # oracles in tests/reference_routes.py, and --json is the one exact
+    # export of a series
     defs = _definitions_by_module()
     found = {name: module for module, names in defs.items() for name in names & set(TEST_ONLY_NAMES)}
     assert not found, found
@@ -208,14 +210,23 @@ def test_test_only_names_and_the_cache_export_stay_out_of_the_package():
                  if isinstance(node, ast.ClassDef) and node.name == "VermaVector"]
     methods = {node.name for node in vector.body if isinstance(node, ast.FunctionDef)}
     assert "level_components" not in methods
+    (series,) = [node for _, node in _functions("qseries")
+                 if isinstance(node, ast.ClassDef) and node.name == "PuiseuxSeries"]
+    methods = {node.name for node in series.body if isinstance(node, ast.FunctionDef)}
+    assert "pow_rational" in methods
+    assert not methods & set(TEST_ONLY_SERIES_METHODS), sorted(methods & set(TEST_ONLY_SERIES_METHODS))
     options = _option_strings(cli._build_parser())
     assert "--json" in options and "--cache-dir" not in options
 
 
 def test_linalg_defines_no_dense_eliminator():
+    # the r_i of a recursion are solved in a RowSpan with tagged candidates,
+    # so no dense solve is left in the package, and mde imports none
     defined = _definitions_by_module()["linalg"]
     assert not defined & set(RETIRED_FROM_LINALG), sorted(defined & set(RETIRED_FROM_LINALG))
-    assert {"RowSpan", "solve_dense", "sparse_nullspace"} <= defined
+    assert {"RowSpan", "sparse_nullspace"} <= defined
+    imports = _imported_names(ast.parse((PACKAGE / "mde.py").read_text(encoding="utf-8")))
+    assert "RowSpan" in imports and "solve_dense" not in imports, imports
 
 
 def test_the_modular_elimination_has_one_mode():
