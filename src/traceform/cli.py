@@ -8,6 +8,11 @@ and runtime_ms (whole milliseconds, rounded up); JSON output has fixed key
 order with every rational printed as "num/den", so identical flags give
 byte-identical output once --stable-json zeroes the timings. The process
 exits 0 only if every check passes, 2 on usage errors.
+
+Each command imports only the layers it runs: elliptic, zhu and bracket
+load inside the handlers that call them. A fresh --json verify traces took
+a median 142 ms without bytecode and 98 ms with it, against 177 and 122 ms
+when every layer loaded (2-vCPU host, BENCH_cold_start.json).
 """
 
 from __future__ import annotations
@@ -17,11 +22,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import elliptic, mde, qseries, virasoro, zhu
-from .bracket import bracket_coeffs, inverse_bracket_coeffs
+from . import mde, qseries, virasoro
 from .qseries import PuiseuxSeries, _fmt_frac, _uncapped_digits
 
 
@@ -45,8 +49,7 @@ def _parse_tau(text: str) -> complex:
     return tau
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     check_name: str
     status: str                 # pass | fail | error
     expected: str = ""
@@ -123,40 +126,42 @@ def _checks_traces(terms: int) -> list[Report]:
     return reports
 
 
-def _residue_report_to_check(rep: elliptic.ResidueReport, name: str) -> Report:
-    ms = _ms(rep.runtime_s)
-    if rep.passed:
-        return Report(name, "pass", "exact identity", f"{rep.checked} coefficients equal", runtime_ms=ms)
-    label, got, want = rep.mismatches[0]
-    return Report(name, "fail", f"{label} = {want}", f"{label} = {got}", runtime_ms=ms)
-
-
 def _checks_elliptic(terms: int) -> list[Report]:
+    from . import elliptic
+
+    def to_check(rep: elliptic.ResidueReport, name: str) -> Report:
+        ms = _ms(rep.runtime_s)
+        if rep.passed:
+            return Report(name, "pass", "exact identity", f"{rep.checked} coefficients equal", runtime_ms=ms)
+        label, got, want = rep.mismatches[0]
+        return Report(name, "fail", f"{label} = {want}", f"{label} = {got}", runtime_ms=ms)
+
     reports = []
     start = time.perf_counter()
     try:
         wp_reports = elliptic.verify_p_wp_relations(k_max=5, terms=terms, z_max=8)
         for rep in wp_reports:
-            reports.append(_residue_report_to_check(rep, f"weierstrass-expansion-k{rep.params['k']}"))
+            reports.append(to_check(rep, f"weierstrass-expansion-k{rep.params['k']}"))
         for rep in elliptic.verify_wp_structure(k_max=5, terms=terms, z_max=8):
             if rep.identity == "wp-parity":
-                reports.append(_residue_report_to_check(rep, "wp-parity"))
+                reports.append(to_check(rep, "wp-parity"))
             else:
-                reports.append(_residue_report_to_check(rep, f"{rep.identity}-k{rep.params['k']}"))
+                reports.append(to_check(rep, f"{rep.identity}-k{rep.params['k']}"))
     except Exception as exc:  # noqa: BLE001
         ms = _ms(time.perf_counter() - start)
         reports.append(Report("weierstrass-expansion", "error", "", f"{type(exc).__name__}: {exc}",
                               None, ms))
     for w in range(1, 7):
         for rep in elliptic.verify_residue_identities(w, terms=6):
-            reports.append(_residue_report_to_check(rep, f"{rep.identity}-w{w}"))
+            reports.append(to_check(rep, f"{rep.identity}-w{w}"))
     for w in range(1, 6):
         rep = elliptic.verify_expansion_identity(w, terms=6, i_max=8, n_max=6)
-        reports.append(_residue_report_to_check(rep, f"binomial-mode-expansion-w{w}"))
+        reports.append(to_check(rep, f"binomial-mode-expansion-w{w}"))
     return reports
 
 
 def _checks_bracket() -> list[Report]:
+    from .bracket import bracket_coeffs, inverse_bracket_coeffs
     reports = []
 
     def binom_fn():
@@ -229,6 +234,7 @@ def _checks_virasoro() -> list[Report]:
 
 
 def _checks_zhu() -> list[Report]:
+    from . import zhu
     reports = []
     for m in (1, 2, 3):
         def zhu_fn(m=m):
@@ -303,8 +309,7 @@ def _checks_modular(terms: int, taus: tuple[complex, ...]) -> list[Report]:
 def _emit_reports(reports: list[Report], args) -> int:
     reports = sorted(reports, key=lambda r: r.check_name)
     if args.stable_json:
-        for rep in reports:
-            rep.runtime_ms = 0
+        reports = [rep._replace(runtime_ms=0) for rep in reports]
     failed = [r for r in reports if r.status != "pass"]
     if args.json:
         payload = {
@@ -441,6 +446,7 @@ def _cmd_cofinite(args) -> int:
 
 
 def _cmd_zhu(args) -> int:
+    from . import zhu
     try:
         zp = zhu.zhu_poly(args.m)
     except ValueError as exc:

@@ -56,11 +56,11 @@ reports are Fractions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from operator import add, sub
+from typing import NamedTuple
 
 from .bracket import bracket_coeffs
 from .linalg import _CommonDenominator
@@ -156,8 +156,7 @@ def p_series_at_exp(k: int, terms: int, z_max: int = 8) -> Window:
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ResidueReport:
+class ResidueReport(NamedTuple):
     """Outcome of one exact identity check, with per-coefficient mismatches.
 
     runtime_s is the wall time of this check's own computation.

@@ -24,6 +24,8 @@ in place of p-adic lifting).
 _frac and _RationalLike are the rational coercion every layer shares, and
 _CommonDenominator brings a list of rationals to integer numerators over
 their least common denominator for every integer kernel of the package.
+rational_roots finds the roots over Q of the Zhu polynomials and of the
+indicial polynomials of mde.
 """
 
 from __future__ import annotations
@@ -285,3 +287,81 @@ class RowSpan:
 
     def contains(self, vec: Mapping[Hashable, Fraction]) -> bool:
         return not self.reduce(vec)
+
+
+def _poly_trim(a: list) -> list:
+    while len(a) > 1 and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of n != 0, ascending.
+
+    Trial division divides out each prime factor as it is found, so the loop
+    ends once d^2 exceeds what is left of n. The Zhu polynomials' leading
+    coefficients are products of small primes (2^18 3^3 7^10 at m = 4) and
+    factor in a few steps, where counting d up to sqrt(n) took seconds.
+    """
+    n = abs(n)
+    out = [1]
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out = [x * d**k for x in out for k in range(e + 1)]
+        d += 1
+    if n > 1:
+        out += [x * n for x in out]
+    return sorted(out)
+
+
+def _deflate(poly: list[int], p: int, q: int) -> list[int]:
+    """Divide by (q x - p) over Z; by Gauss's lemma p/q in lowest terms leaves no remainder."""
+    out = [0] * (len(poly) - 1)
+    carry = poly[-1]
+    for i in range(len(poly) - 2, -1, -1):
+        out[i], rem = divmod(carry, q)
+        if rem:
+            raise ValueError("not a root")
+        carry = poly[i] + p * out[i]
+    if carry != 0:
+        raise ValueError("not a root")
+    return out
+
+
+def _vanishes_at(poly: list[int], p: int, q: int) -> bool:
+    """Whether sum_i a_i p^i q^(d-i), q^d times poly(p/q), is zero."""
+    acc, qpow = 0, 1
+    for co in reversed(poly):
+        acc = acc * p + co * qpow
+        qpow *= q
+    return acc == 0
+
+
+def rational_roots(poly: tuple[Fraction, ...]) -> tuple[list[tuple[Fraction, int]], int]:
+    """All rational roots with multiplicity, plus the degree of the rootless rest.
+
+    Works on the integer numerators of poly over one denominator: a root
+    p/q in lowest terms has p dividing the constant and q the leading
+    coefficient, each candidate is tested as an integer, and each root found
+    is divided out over Z.
+    """
+    work = _CommonDenominator(_poly_trim(list(poly))).nums
+    roots: dict[Fraction, int] = {}
+    while len(work) > 1 and work[0] == 0:
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+        work = work[1:]
+    while len(work) > 1:
+        leading = _divisors(work[-1])
+        found = next(((s * p, q) for p in _divisors(work[0]) for q in leading
+                      if gcd(p, q) == 1 for s in (1, -1) if _vanishes_at(work, s * p, q)), None)
+        if found is None:
+            break
+        root = Fraction(*found)
+        roots[root] = roots.get(root, 0) + 1
+        work = _deflate(work, *found)
+    return sorted(roots.items()), len(work) - 1

@@ -58,17 +58,16 @@ polynomials of the form, and multiplies over the integers.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import add, mul
+from typing import NamedTuple
 
 from . import virasoro
-from .linalg import RowSpan, _CommonDenominator, _RationalLike, _frac
+from .linalg import RowSpan, _CommonDenominator, _RationalLike, _frac, rational_roots
 from .qseries import PuiseuxSeries, _convolve, eisenstein, eta_power
 from .virasoro import VermaVector, verma_monomial
-from .zhu import rational_roots
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +379,7 @@ def build_relation_space(c: _RationalLike, h: _RationalLike,
 # the recursion in L[-2] strings and its differential equation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceRecursion:
+class TraceRecursion(NamedTuple):
     """[L[-2]^order u] + sum_i r_i [L[-2]^i u] = 0 modulo the relation span."""
 
     c: Fraction
@@ -460,8 +458,7 @@ def _string_mode_scalar(c: Fraction, h: Fraction, i: int, k: int) -> Fraction:
     return out.entries.get(tgt, Fraction(0))
 
 
-@dataclass(frozen=True)
-class ModularODE:
+class ModularODE(NamedTuple):
     """Monic equation sum_j H_j d^(j) S = 0 in iterated Serre derivatives.
 
     d^(j) is the j-fold Serre derivative starting at weight h, and H_j is
@@ -573,8 +570,7 @@ class ResonantExponentError(ArithmeticError):
             "a logarithmic solution would be needed")
 
 
-@dataclass(frozen=True)
-class FrobeniusSolution:
+class FrobeniusSolution(NamedTuple):
     """q^exponent times an exact power series with unit constant term."""
 
     exponent: Fraction
@@ -647,8 +643,7 @@ def frobenius_solve(ode: ModularODE, exponent: _RationalLike, terms: int = 30) -
 # the four unitary trace cases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceCase:
+class TraceCase(NamedTuple):
     """One verified intertwining trace: insertion weight h_u, trace module
     weight h_w, and the externally quoted leading exponent of the series."""
 
@@ -683,8 +678,7 @@ def trace_case_solution(case: TraceCase, terms: int = 30) -> FrobeniusSolution:
     return frobenius_solve(trace_case_ode(case), leading_exponent(case), terms)
 
 
-@dataclass(frozen=True)
-class EtaCheckReport:
+class EtaCheckReport(NamedTuple):
     m: int
     terms: int
     exponent: Fraction
@@ -729,8 +723,7 @@ def modular_transform_ratio(series: PuiseuxSeries, t: _RationalLike,
     return _cpow(-1j * tau, -t) * _cpow(tau, t - k) * num / den
 
 
-@dataclass(frozen=True)
-class TransformReport:
+class TransformReport(NamedTuple):
     m: int
     taus: tuple[complex, ...]
     ratios: tuple[complex, ...]

@@ -42,10 +42,10 @@ every sum is finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from . import linalg
 from .linalg import _RationalLike, _frac
@@ -72,13 +72,12 @@ def partitions_of(n: int, min_part: int = 1, max_part: int | None = None) -> tup
 # minimal model data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinimalModelData:
+class MinimalModelData(NamedTuple):
     """Central charge and conformal weight table of the (m+2, m+3) minimal model."""
 
     m: int
     c: Fraction
-    weights: dict[tuple[int, int], Fraction] = field(compare=False)
+    weights: dict[tuple[int, int], Fraction]
 
     def distinct_weights(self) -> tuple[Fraction, ...]:
         return tuple(sorted(set(self.weights.values())))
@@ -105,25 +104,27 @@ def minimal_model(m: int) -> MinimalModelData:
 # Verma vectors
 # ---------------------------------------------------------------------------
 
-@dataclass
 class VermaVector:
     """Element of a highest-weight module, keyed by PBW partitions.
 
     module is the VermaModule of (c, h, vacuum), shared with every vector
-    built from this one.
+    built from this one; equality compares c, h, entries and vacuum only.
     """
 
-    c: Fraction
-    h: Fraction
-    entries: dict[Partition, Fraction]
-    vacuum: bool = False
-    module: VermaModule = field(default=None, compare=False, repr=False)
+    __slots__ = ("c", "h", "entries", "vacuum", "module")
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.module is None:
-            self.module = verma_module(_frac(self.c), _frac(self.h), bool(self.vacuum))
-            self.c, self.h, self.vacuum = self.module.c, self.module.h, self.module.vacuum
-        self.entries = {mu: _frac(co) for mu, co in self.entries.items() if co != 0}
+    def __init__(self, c: _RationalLike, h: _RationalLike, entries: dict[Partition, _RationalLike],
+                 vacuum: bool = False, module: VermaModule | None = None):
+        if module is None:
+            module = verma_module(_frac(c), _frac(h), bool(vacuum))
+        self.c, self.h, self.vacuum, self.module = module.c, module.h, module.vacuum, module
+        self.entries = {mu: _frac(co) for mu, co in entries.items() if co != 0}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.c, self.h, self.entries, self.vacuum) == (other.c, other.h, other.entries, other.vacuum)
 
     def _like(self, entries: dict[Partition, Fraction]) -> "VermaVector":
         """A vector of the same module."""
@@ -376,8 +377,7 @@ def mode_action(a: VermaVector, n: int, u: VermaVector) -> VermaVector:
 # Gram matrices, singular vectors, graded dimensions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     """Contravariant form on one level, over the reverse-lex PBW basis."""
 
     c: Fraction
@@ -451,8 +451,7 @@ def singular_vectors(c: _RationalLike, h: _RationalLike, level: int,
 # coordinates on the irreducible quotient
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LevelCoordinates:
+class LevelCoordinates(NamedTuple):
     """Coordinates of one graded piece of L(c,h).
 
     The class of a vector v is determined by the list of pairings
@@ -461,7 +460,7 @@ class LevelCoordinates:
     Gram columns, which are the pivots of the reduced row echelon form R of
     G. With M the kept principal minor, the coordinates of v solve
     G v = sum beta_j G b_j on the kept rows, so they are P v with
-    P = M^-1 G[kept, :], and P is exactly the nonzero rows of R. _projection
+    P = M^-1 G[kept, :], and P is exactly the nonzero rows of R. projection
     holds the sparse column of P for each partition of full_basis, as
     (coordinate, entry) pairs; the column of a kept partition is a unit
     vector.
@@ -473,11 +472,14 @@ class LevelCoordinates:
     vacuum: bool
     full_basis: tuple[Partition, ...]
     basis: tuple[Partition, ...]
-    _projection: dict[Partition, tuple[tuple[int, Fraction], ...]] = field(compare=False, repr=False)
+    projection: dict[Partition, tuple[tuple[int, Fraction], ...]]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def __repr__(self) -> str:   # without the projection, which repeats full_basis
+        return "LevelCoordinates(" + ", ".join(f"{n}={v!r}" for n, v in zip(self._fields[:-1], self)) + ")"
 
 
 def level_coordinates(c: _RationalLike, h: _RationalLike, level: int,
@@ -496,7 +498,7 @@ def irreducible_coordinates(vec: VermaVector) -> dict[tuple[int, int], Fraction]
     out: dict[tuple[int, int], Fraction] = {}
     for mu, co in vec.entries.items():
         lvl = sum(mu)
-        for t, p in levels(lvl)._projection[mu]:
+        for t, p in levels(lvl).projection[mu]:
             _acc(out, (lvl, t), p * co)
     return out
 

@@ -23,18 +23,17 @@ polynomial g whose roots recover the Kac weight table.
 
 The polynomial work runs over integers. class_polynomial clears the
 vector's denominators once and divides by that one denominator at the end,
-and rational_roots tests each candidate p/q as an integer and divides it
-out over Z. Only results leave as Fraction.
+and linalg.rational_roots tests each candidate p/q as an integer and
+divides it out over Z. Only results leave as Fraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from typing import NamedTuple
 
 from . import virasoro
-from .linalg import _CommonDenominator
+from .linalg import _CommonDenominator, _poly_trim, rational_roots
 # l_action is read through this module by the benchmark's tracing test
 from .virasoro import VermaVector, l_action, minimal_model  # noqa: F401
 
@@ -42,12 +41,6 @@ from .virasoro import VermaVector, l_action, minimal_model  # noqa: F401
 # ---------------------------------------------------------------------------
 # classes in A(V) as polynomials in x = [omega]
 # ---------------------------------------------------------------------------
-
-def _poly_trim(a: list) -> list:
-    while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]
-    return a
-
 
 def _descend(poly: list[int], mu: tuple[int, ...], wt: int) -> list[int]:
     """[L(-mu) b] from [b] = poly and wt b, one reduction factor per part.
@@ -95,80 +88,7 @@ def _monic(poly: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(co / poly[-1] for co in poly)
 
 
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of n != 0, ascending.
-
-    Trial division divides out each prime factor as it is found, so the loop
-    ends once d^2 exceeds what is left of n. The leading coefficients here
-    are products of small primes (2^18 3^3 7^10 at m = 4) and factor in a
-    few steps, where counting d up to sqrt(n) took seconds.
-    """
-    n = abs(n)
-    out = [1]
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            out = [x * d**k for x in out for k in range(e + 1)]
-        d += 1
-    if n > 1:
-        out += [x * n for x in out]
-    return sorted(out)
-
-
-def _deflate(poly: list[int], p: int, q: int) -> list[int]:
-    """Divide by (q x - p) over Z; by Gauss's lemma p/q in lowest terms leaves no remainder."""
-    out = [0] * (len(poly) - 1)
-    carry = poly[-1]
-    for i in range(len(poly) - 2, -1, -1):
-        out[i], rem = divmod(carry, q)
-        if rem:
-            raise ValueError("not a root")
-        carry = poly[i] + p * out[i]
-    if carry != 0:
-        raise ValueError("not a root")
-    return out
-
-
-def _vanishes_at(poly: list[int], p: int, q: int) -> bool:
-    """Whether sum_i a_i p^i q^(d-i), q^d times poly(p/q), is zero."""
-    acc, qpow = 0, 1
-    for co in reversed(poly):
-        acc = acc * p + co * qpow
-        qpow *= q
-    return acc == 0
-
-
-def rational_roots(poly: tuple[Fraction, ...]) -> tuple[list[tuple[Fraction, int]], int]:
-    """All rational roots with multiplicity, plus the degree of the rootless rest.
-
-    Works on the integer numerators of poly over one denominator: a root
-    p/q in lowest terms has p dividing the constant and q the leading
-    coefficient, each candidate is tested as an integer, and each root found
-    is divided out over Z.
-    """
-    work = _CommonDenominator(_poly_trim(list(poly))).nums
-    roots: dict[Fraction, int] = {}
-    while len(work) > 1 and work[0] == 0:
-        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-        work = work[1:]
-    while len(work) > 1:
-        leading = _divisors(work[-1])
-        found = next(((s * p, q) for p in _divisors(work[0]) for q in leading
-                      if gcd(p, q) == 1 for s in (1, -1) if _vanishes_at(work, s * p, q)), None)
-        if found is None:
-            break
-        root = Fraction(*found)
-        roots[root] = roots.get(root, 0) + 1
-        work = _deflate(work, *found)
-    return sorted(roots.items()), len(work) - 1
-
-
-@dataclass(frozen=True)
-class ZhuPoly:
+class ZhuPoly(NamedTuple):
     """Monic image g = coeffs of the first vacuum singular vector alpha in A(V) = Q[x]."""
 
     m: int

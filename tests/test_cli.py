@@ -8,7 +8,6 @@ num/den rational strings.
 
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -155,7 +154,7 @@ def test_flagged_exponent_is_reported_as_a_pass_with_a_note(capsys):
 
 def test_a_wrong_trace_weight_fails_the_exponent_check(capsys, monkeypatch):
     # h_w - c/24 is checked against h_u/12, the leading exponent of eta^(2 h_u)
-    monkeypatch.setattr(mde, "TRACE_CASES", (replace(mde.TRACE_CASES[0], h_w=Fraction(1, 17)),))
+    monkeypatch.setattr(mde, "TRACE_CASES", (mde.TRACE_CASES[0]._replace(h_w=Fraction(1, 17)),))
     code, payload = run_json(capsys, ["verify", "traces"])
     assert code == 1
     rep = next(r for r in payload["reports"] if r["check_name"] == "leading-exponent-m1")

@@ -1,10 +1,14 @@
-"""Importing the package does no memoised work.
+"""Importing the package does no memoised work, and a command loads only
+the layers it runs.
 
 Every lru_cache of traceform starts empty, so a table built at import time
 would show up here as a warm cache; its cost would move into the start-up
-of every command-line run. The import runs in a fresh interpreter started
-with -S, the way a cold command-line process starts, so nothing the other
-tests imported can fill a cache first.
+of every command-line run. Each module a command imports is compiled again
+in every run that writes no bytecode, so the trace commands must not load
+elliptic, zhu, bracket or dataclasses. Each probe runs in a fresh
+interpreter started with -S and PYTHONDONTWRITEBYTECODE=1, the way a cold
+command-line process starts, so nothing the other tests imported can fill a
+cache or a module table first.
 """
 
 import json
@@ -31,14 +35,45 @@ print(json.dumps({"modules": sorted(m for m in sys.modules if m.startswith("trac
                   "caches": found}))
 """
 
+TRACE_COMMANDS_PROBE = """
+import contextlib, io, json, sys
+from traceform import cli
+codes = []
+for argv in (["--json", "verify", "traces"], ["--json", "modular-check"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run(argv))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
 
-def test_every_lru_cache_is_empty_after_a_cold_import():
-    proc = subprocess.run([sys.executable, "-S", "-c", PROBE], capture_output=True, text=True,
+# what verify traces and modular-check never run
+NOT_ON_THE_TRACE_PATH = ("dataclasses", "traceform.elliptic", "traceform.zhu", "traceform.bracket")
+
+
+def _probe(code: str):
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_every_lru_cache_is_empty_after_a_cold_import():
+    result = _probe(PROBE)
     modules = {path.stem for path in SRC.joinpath("traceform").glob("*.py")} - {"__init__"}
     assert {name.split(".")[1] for name in result["modules"]} == modules
     assert len(result["caches"]) >= 10, result["caches"]
     warm = {name: size for name, size in result["caches"].items() if size}
     assert not warm, warm
+
+
+def test_the_trace_commands_load_only_the_layers_they_run():
+    result = _probe(TRACE_COMMANDS_PROBE)
+    assert result["codes"] == [0, 0]
+    assert "traceform.mde" in result["modules"]
+    loaded = set(NOT_ON_THE_TRACE_PATH) & set(result["modules"])
+    assert not loaded, sorted(loaded)
+
+
+def test_mde_loads_no_zhu():
+    # root finding over Q lives in linalg, which both layers import
+    modules = _probe("import json, sys, traceform.mde; print(json.dumps(sorted(sys.modules)))")
+    assert "traceform.linalg" in modules and "traceform.zhu" not in modules

@@ -571,7 +571,7 @@ def test_level_coordinates_match_the_dense_route(m):
         for level in range(10):
             lc = level_coordinates(model.c, h, level, h == 0)
             basis, _, _, projection = _reference_level_coordinates(model.c, h, level, h == 0)
-            assert (lc.basis, lc._projection) == (basis, projection), (h, level)
+            assert (lc.basis, lc.projection) == (basis, projection), (h, level)
 
 
 def _reference_coords(lc, rows, inverse, vec):

@@ -16,7 +16,7 @@ from traceform import cli
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "traceform"
 
 SHARED_HELPERS = ("_frac", "_RationalLike", "_gbinom", "_CommonDenominator", "_fmt_frac",
-                  "_convolve")
+                  "_convolve", "rational_roots")
 RETIRED_FROM_LINALG = ("rref_dense", "rank_dense", "_as_fraction_matrix", "solve_dense")
 REFERENCE_ROUTES = ("OSpace", "a_dot_u", "u_star_a", "o_elem", "square_mode_action",
                     "square_virasoro_action", "_sum_scaled")
@@ -139,6 +139,14 @@ def _imported_names(tree: ast.AST) -> list[str]:
         elif isinstance(node, ast.Import):
             imports += [alias.name for alias in node.names]
     return imports
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples and VermaVector is a plain class: each
+    # @dataclass compiles its own methods at import, in every process
+    offenders = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+                 if "dataclasses" in _imported_names(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not offenders, offenders
 
 
 def test_mde_derives_in_the_round_picture_only():

@@ -187,7 +187,7 @@ def test_every_result_leaves_the_module_as_fractions(c, h, vacuum):
         gram = gram_matrix(c, h, level, vacuum)
         assert _fractions_only(x for row in gram.entries for x in row), level
         coords = level_coordinates(c, h, level, vacuum)
-        assert _fractions_only(p for col in coords._projection.values() for _, p in col), level
+        assert _fractions_only(p for col in coords.projection.values() for _, p in col), level
     assert gram_matrix(c, h, 0, vacuum).entries == ((1,),)
     omega = verma_monomial(c, 0, (2,), vacuum=True)
     u = verma_monomial(c, h, (3, 2) if vacuum else (2, 1), vacuum)
@@ -237,6 +237,57 @@ def test_vacuum_gram_at_level_two_is_the_central_term():
     assert g.entries == ((C / 2,),)
 
 
+def kac_c(t):
+    """c = 13 - 6(t + 1/t)."""
+    return 13 - 6 * (t + 1 / t)
+
+
+def kac_h(r, s, t):
+    """h_{r,s}(t) = (r^2 - 1)t/4 - (rs - 1)/2 + (s^2 - 1)/(4t)."""
+    return (r * r - 1) * t / 4 - Fraction(r * s - 1, 2) + (s * s - 1) / (4 * t)
+
+
+def kac_determinant(t, h, n):
+    """det G_n(c(t), h) = prod_{rs <= n} (h - h_{r,s})^p(n-rs) ((2r)^s s!)^(p(n-rs) - p(n-r(s+1)))."""
+    p = partition_numbers(n)
+    det = Fraction(1)
+    for r in range(1, n + 1):
+        for s in range(1, n // r + 1):
+            here = p[n - r * s]
+            above = p[n - r * (s + 1)] if r * (s + 1) <= n else 0
+            det *= (h - kac_h(r, s, t)) ** here * ((2 * r) ** s * factorial(s)) ** (here - above)
+    return det
+
+
+def _determinant(rows):
+    """Plain Fraction elimination with row swaps."""
+    a = [list(row) for row in rows]
+    det = Fraction(1)
+    for j in range(len(a)):
+        pivot = next((i for i in range(j, len(a)) if a[i][j] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != j:
+            a[j], a[pivot] = a[pivot], a[j]
+            det = -det
+        det *= a[j][j]
+        for i in range(j + 1, len(a)):
+            f = a[i][j] / a[j][j]
+            a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+    return det
+
+
+@pytest.mark.parametrize("t,h", [(Fraction(3, 7), Fraction(1, 3)), (Fraction(-2, 3), Fraction(-5, 11)),
+                                 (Fraction(4, 5), Fraction(0))])
+def test_gram_determinants_match_the_kac_formula(t, h):
+    # the formula is an independent source; at (4/5, 0), on the Kac table of
+    # c = 7/10, L(-1)v is null and both sides vanish from level 1
+    for n in range(1, 9):
+        got = _determinant(gram_matrix(kac_c(t), h, n).entries)
+        assert got == kac_determinant(t, h, n), (t, h, n)
+        assert (got == 0) == (h == 0), (t, h, n)
+
+
 # ---------------------------------------------------------------------------
 # singular vectors
 # ---------------------------------------------------------------------------
@@ -258,6 +309,43 @@ def test_level_two_singular_vectors_exist_and_are_annihilated():
         assert l_action(2, v).is_zero()
         # L(0) eigenvalue is h + 2
         assert l_action(0, v) == v * (h + 2)
+
+
+def _compositions(r):
+    if r == 0:
+        yield ()
+    for k in range(1, r + 1):
+        for rest in _compositions(r - k):
+            yield (k,) + rest
+
+
+def benoit_saint_aubin(r, t):
+    """The null vector of M(c(t), h_{r,1}(t)) at level r, built with l_action:
+    the sum over compositions (k_1, ..., k_m) of r of
+    (r-1)!^2 (-t)^(r-m) / prod_{i<m} K_i (r - K_i) L(-k_1)...L(-k_m) v,
+    with K_i = k_1 + ... + k_i (Benoit and Saint-Aubin, 1988)."""
+    c, h = kac_c(t), kac_h(r, 1, t)
+    out = verma_monomial(c, h, ()) * 0
+    for ks in _compositions(r):
+        partial = [sum(ks[:i]) for i in range(1, len(ks))]
+        co = factorial(r - 1) ** 2 * (-t) ** (r - len(ks)) / prod(k * (r - k) for k in partial)
+        vec = verma_monomial(c, h, ())
+        for k in reversed(ks):
+            vec = l_action(-k, vec)
+        out = out + vec * co
+    return out
+
+
+@pytest.mark.parametrize("t", [Fraction(3, 7), Fraction(-5, 2)])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_benoit_saint_aubin_vectors_are_the_singular_vectors(r, t):
+    v = benoit_saint_aubin(r, t)
+    assert not v.is_zero()
+    assert l_action(1, v).is_zero() and l_action(2, v).is_zero()
+    (found,) = singular_vectors(kac_c(t), kac_h(r, 1, t), r)
+    mu = next(iter(found.entries))
+    ratio = v.entries.get(mu, Fraction(0)) / found.entries[mu]
+    assert v == found * ratio and v != found * (2 * ratio)
 
 
 def test_generic_weights_have_no_low_singular_vectors():

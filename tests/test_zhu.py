@@ -26,7 +26,7 @@ from math import comb, gcd, isqrt
 import pytest
 
 from reference_routes import OSpace, a_dot_u, level_components, o_elem, u_star_a
-from traceform import zhu
+from traceform import linalg, zhu
 from traceform.linalg import RowSpan, _CommonDenominator
 from traceform.virasoro import (
     VermaVector,
@@ -265,8 +265,8 @@ def test_divisors_by_trial_division_with_division():
     for n in list(range(1, 400)) + [rng.randint(1, 10**8) for _ in range(30)] + [-360, 137 * 2**20, kac_denominator]:
         want = [d for d in range(1, isqrt(abs(n)) + 1) if n % d == 0]
         want = sorted(set(want + [abs(n) // d for d in want]))
-        assert zhu._divisors(n) == want, n
-    assert len(zhu._divisors(kac_denominator)) == 19 * 4 * 11
+        assert linalg._divisors(n) == want, n
+    assert len(linalg._divisors(kac_denominator)) == 19 * 4 * 11
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
