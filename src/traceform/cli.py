@@ -9,10 +9,10 @@ order with every rational printed as "num/den", so identical flags give
 byte-identical output once --stable-json zeroes the timings. The process
 exits 0 only if every check passes, 2 on usage errors.
 
-Each command imports only the layers it runs: elliptic, zhu and bracket
-load inside the handlers that call them. A fresh --json verify traces took
-a median 142 ms without bytecode and 98 ms with it, against 177 and 122 ms
-when every layer loaded (2-vCPU host, BENCH_cold_start.json).
+zhu loads inside the two handlers that call it, so verify traces and
+modular-check never compile it, and no record is a dataclass. A fresh
+--json verify traces took a median 151 ms without bytecode and 112 ms with
+it, against 178 and 130 ms before (2-vCPU host, BENCH_cold_start.json).
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import mde, qseries, virasoro
+from . import elliptic, mde, qseries, virasoro
+from .bracket import bracket_coeffs, inverse_bracket_coeffs
 from .qseries import PuiseuxSeries, _fmt_frac, _uncapped_digits
 
 
@@ -126,42 +127,40 @@ def _checks_traces(terms: int) -> list[Report]:
     return reports
 
 
+def _residue_report_to_check(rep: elliptic.ResidueReport, name: str) -> Report:
+    ms = _ms(rep.runtime_s)
+    if rep.passed:
+        return Report(name, "pass", "exact identity", f"{rep.checked} coefficients equal", runtime_ms=ms)
+    label, got, want = rep.mismatches[0]
+    return Report(name, "fail", f"{label} = {want}", f"{label} = {got}", runtime_ms=ms)
+
+
 def _checks_elliptic(terms: int) -> list[Report]:
-    from . import elliptic
-
-    def to_check(rep: elliptic.ResidueReport, name: str) -> Report:
-        ms = _ms(rep.runtime_s)
-        if rep.passed:
-            return Report(name, "pass", "exact identity", f"{rep.checked} coefficients equal", runtime_ms=ms)
-        label, got, want = rep.mismatches[0]
-        return Report(name, "fail", f"{label} = {want}", f"{label} = {got}", runtime_ms=ms)
-
     reports = []
     start = time.perf_counter()
     try:
         wp_reports = elliptic.verify_p_wp_relations(k_max=5, terms=terms, z_max=8)
         for rep in wp_reports:
-            reports.append(to_check(rep, f"weierstrass-expansion-k{rep.params['k']}"))
+            reports.append(_residue_report_to_check(rep, f"weierstrass-expansion-k{rep.params['k']}"))
         for rep in elliptic.verify_wp_structure(k_max=5, terms=terms, z_max=8):
             if rep.identity == "wp-parity":
-                reports.append(to_check(rep, "wp-parity"))
+                reports.append(_residue_report_to_check(rep, "wp-parity"))
             else:
-                reports.append(to_check(rep, f"{rep.identity}-k{rep.params['k']}"))
+                reports.append(_residue_report_to_check(rep, f"{rep.identity}-k{rep.params['k']}"))
     except Exception as exc:  # noqa: BLE001
         ms = _ms(time.perf_counter() - start)
         reports.append(Report("weierstrass-expansion", "error", "", f"{type(exc).__name__}: {exc}",
                               None, ms))
     for w in range(1, 7):
         for rep in elliptic.verify_residue_identities(w, terms=6):
-            reports.append(to_check(rep, f"{rep.identity}-w{w}"))
+            reports.append(_residue_report_to_check(rep, f"{rep.identity}-w{w}"))
     for w in range(1, 6):
         rep = elliptic.verify_expansion_identity(w, terms=6, i_max=8, n_max=6)
-        reports.append(to_check(rep, f"binomial-mode-expansion-w{w}"))
+        reports.append(_residue_report_to_check(rep, f"binomial-mode-expansion-w{w}"))
     return reports
 
 
 def _checks_bracket() -> list[Report]:
-    from .bracket import bracket_coeffs, inverse_bracket_coeffs
     reports = []
 
     def binom_fn():

@@ -1,14 +1,14 @@
-"""Importing the package does no memoised work, and a command loads only
-the layers it runs.
+"""Importing the package does no memoised work, and the trace commands load
+neither zhu nor dataclasses.
 
 Every lru_cache of traceform starts empty, so a table built at import time
 would show up here as a warm cache; its cost would move into the start-up
 of every command-line run. Each module a command imports is compiled again
 in every run that writes no bytecode, so the trace commands must not load
-elliptic, zhu, bracket or dataclasses. Each probe runs in a fresh
-interpreter started with -S and PYTHONDONTWRITEBYTECODE=1, the way a cold
-command-line process starts, so nothing the other tests imported can fill a
-cache or a module table first.
+zhu or dataclasses. Each probe runs in a fresh interpreter started with -S
+and PYTHONDONTWRITEBYTECODE=1, the way a cold command-line process starts,
+so nothing the other tests imported can fill a cache or a module table
+first.
 """
 
 import json
@@ -46,7 +46,7 @@ print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 # what verify traces and modular-check never run
-NOT_ON_THE_TRACE_PATH = ("dataclasses", "traceform.elliptic", "traceform.zhu", "traceform.bracket")
+NOT_ON_THE_TRACE_PATH = ("dataclasses", "traceform.zhu")
 
 
 def _probe(code: str):
@@ -65,7 +65,7 @@ def test_every_lru_cache_is_empty_after_a_cold_import():
     assert not warm, warm
 
 
-def test_the_trace_commands_load_only_the_layers_they_run():
+def test_the_trace_commands_load_no_zhu_and_no_dataclasses():
     result = _probe(TRACE_COMMANDS_PROBE)
     assert result["codes"] == [0, 0]
     assert "traceform.mde" in result["modules"]
