@@ -20,7 +20,14 @@ Phi(v(n) x) = sigma(v)[n] Phi(x), sigma being Phi on the vacuum module. Phi
 keeps the level filtration and the maximal submodule, so the strings
 L(-2)^i u and the relations v(0) x and v(-2) x + sum (2k-1) E_{2k} v(2k-2) x,
 homogeneous of weight h + level + 4 a4 + 6 a6, give the same recursion under
-every bound. build_relation_space spans those relations below a bound, and
+every bound. The vertex algebra is strongly generated by omega, so v runs
+over v = L(-k)1 alone (the span equals the one from every basis vector of
+L(c,0) wherever the two have been compared), whose modes have the closed form
+v(n) = C(k-n-3, k-2) L(n-k+1) (traceform.virasoro): the relations are
+L(-1) x and (k-1) L(-k-1) x + sum_j (2j-1) C(k-2j-1, k-2) E_{2j} L(2j-1-k) x,
+built with l_action. L(-k)1 is nonzero in L(c,0) exactly when c != 0; at
+c = 0 the vacuum algebra is one-dimensional and there are no relations.
+build_relation_space spans those relations below a bound, and
 derive_recursion looks for the least m with
 
     [L[-2]^m u] + sum_{i<m} r_i [L[-2]^i u] = 0
@@ -67,7 +74,7 @@ from typing import NamedTuple
 from . import virasoro
 from .linalg import RowSpan, _CommonDenominator, _RationalLike, _frac, rational_roots
 from .qseries import PuiseuxSeries, _convolve, eisenstein, eta_power
-from .virasoro import VermaVector, verma_monomial
+from .virasoro import VermaVector, _gbinom, verma_monomial
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +297,8 @@ class RelationSpace:
     """Span of the trace-vanishing relations below a total weight bound.
 
     The span grows one weight level at a time: grow() adds the zero-mode and
-    E-tail generators of the next level, and the E4, E6 shifts of earlier
+    E-tail generators of the next level, from v = L(-k)1 through the closed
+    form of its modes (none at c = 0), and the E4, E6 shifts of earlier
     generators that land exactly on it, to the same RowSpan. Its reduced row
     echelon form does not depend on the order rows arrive in, so reduce()
     gives the same canonical representative, modulo everything the bound
@@ -320,35 +328,36 @@ class RelationSpace:
         """Add every relation of weight exactly h + level_bound + 1."""
         level = self.level_bound + 1
         c, h = self.c, self.h
-        vmod, umod = virasoro.verma_module(c, Fraction(0), True), virasoro.verma_module(c, h, h == 0)
+        umod = virasoro.verma_module(c, h, h == 0)
         ubasis = [virasoro.level_coordinates(c, h, lu, h == 0).basis for lu in range(level)]
         for wg, g in self._gens:
             for a4, a6 in _monomials_of_weight(level - wg):
                 self._span.add({(lvl, idx, b4 + a4, b6 + a6): co
                                 for (lvl, idx, b4, b6), co in g.items()})
-        # v of level lv and u of level lu give v(0) u at level lv + lu - 1 and
-        # the E-tail of v(-2) u at level lv + lu + 1
-        for lv in range(2, level + 2):
-            for vmu in virasoro.level_coordinates(c, Fraction(0), lv, vacuum=True).basis:
-                v = vmod.monomial(vmu)
-                for lu, mode in ((level + 1 - lv, 0), (level - 1 - lv, -2)):
-                    if lu < 0:
-                        continue
-                    for umu in ubasis[lu]:
-                        u = umod.monomial(umu)
-                        g = graded_vector(virasoro.mode_action(v, mode, u))
-                        for k in range(2, level // 2 + 1) if mode == -2 else ():
-                            x = virasoro.mode_action(v, 2 * k - 2, u)
-                            if x.is_zero():
-                                continue
-                            gx = graded_vector(x)
-                            for (_, a4, a6), co in eisenstein_modular_poly(2 * k).entries.items():
-                                scale = (2 * k - 1) * co
-                                for (lvl, idx, _, _), val in gx.items():
-                                    virasoro._acc(g, (lvl, idx, a4, a6), scale * val)
-                        if g:
-                            self._gens.append((level, g))
-                            self._span.add(g)
+        # v = L(-k)1 has the modes v(n) = C(k-n-3, k-2) L(n-k+1), so for u of
+        # level lu, v(0) u is L(-1) u at k = 2 and 0 above, and the E-tail of
+        # v(-2) u, at level lu + k + 1, is (k-1) L(-k-1) u plus
+        # sum_j (2j-1) C(k-2j-1, k-2) E_2j L(2j-1-k) u; at c = 0 there is no v
+        gens = []
+        if c != 0:
+            gens = [graded_vector(virasoro.l_action(-1, umod.monomial(umu))) for umu in ubasis[level - 1]]
+            for k in range(2, level):
+                for umu in ubasis[level - k - 1]:
+                    u = umod.monomial(umu)
+                    g = graded_vector(virasoro.l_action(-k - 1, u) * (k - 1))
+                    for j in range(2, level // 2 + 1):
+                        scale = (2 * j - 1) * _gbinom(k - 2 * j - 1, k - 2)
+                        if scale == 0:
+                            continue
+                        gx = graded_vector(virasoro.l_action(2 * j - 1 - k, u))
+                        for (_, a4, a6), co in eisenstein_modular_poly(2 * j).entries.items():
+                            for (lvl, idx, _, _), val in gx.items():
+                                virasoro._acc(g, (lvl, idx, a4, a6), scale * co * val)
+                    gens.append(g)
+        for g in gens:
+            if g:
+                self._gens.append((level, g))
+                self._span.add(g)
         self.level_bound = level
 
     @property

@@ -18,11 +18,10 @@ memoises the tables keyed on partitions and levels only. Every vector
 carries its module, so no table is looked up by (c, h).
 
 The tables hold Python ints wherever a coefficient is an integer by
-construction: the normal-ordering coefficients of L(-m) L(-mu) v, the
-generalized binomials and the signs of the mode recursion. Fraction enters
-only through c and h, in the central term and in L(0)v = h v. What leaves
-the module is coerced once: VermaVector entries, Gram entries and
-coordinates are always Fractions.
+construction: the normal-ordering coefficients of L(-m) L(-mu) v and the
+generalized binomials. Fraction enters only through c and h, in the central
+term and in L(0)v = h v. What leaves the module is coerced once:
+VermaVector entries, Gram entries and coordinates are always Fractions.
 
 The contravariant (Shapovalov) form has <v_h, v_h> = 1 and adjoint
 L(n)^+ = L(-n). Gram matrix ranks give the graded dimensions of the
@@ -31,13 +30,14 @@ and the induced coordinates on the irreducible quotient are what the Zhu
 algebra, cofiniteness, and modular ODE layers compute in. They all read
 them through irreducible_coordinates, keyed by (level, index).
 
-mode_action implements the modes a(n) of a vacuum vector a = L(-m_1)... 1 on
-any module in the same central charge, through the associativity formula
-
-    (a(m)b)(r) = sum_i (-1)^i C(m,i) [a(m-i) b(r+i) - (-1)^m b(m+r-i) a(i)],
-
-peeled one L(-M) at a time with omega(n) = L(n-1). On bounded-below modules
-every sum is finite.
+l_action is the one action on a module. The vertex algebra is strongly
+generated by omega, and the modes of a = L(-k)1 have the closed form
+a(n) = C(k-n-3, k-2) L(n-k+1), from Y(L(-k)1, z) = d^(k-2) T(z)/(k-2)!.
+So a(-2) = (k-1) L(-k-1), and a(0) is L(-1) for k = 2 and 0 for k >= 3;
+the cofiniteness quotients below and the trace relations of traceform.mde
+are built from these alone. L(-k)1 is nonzero in L(c,0) for every k >= 2
+exactly when c != 0, since <L(-k)1, L(-k)1> = c (k^3 - k)/12 and L(0,0)
+is one-dimensional; at c = 0 there are no such generators.
 """
 
 from __future__ import annotations
@@ -219,19 +219,18 @@ def _basis_at(level: int, vacuum: bool) -> tuple[Partition, ...]:
 class VermaModule:
     """M(c, h), or with vacuum=True the vacuum quotient M(c, 0)/<L(-1)v>.
 
-    Four tables are memoised per instance, keyed on partitions and levels:
-    _act (L(n) on the Verma module), _mode (modes of vacuum vectors),
-    _pairing (the contravariant form) and _coordinates (per level). Each
-    gets its own lru_cache in __init__ and the recursions go through self,
-    so clearing verma_module's cache drops every table. _gram coerces the
-    pairings, which may be ints, to Fraction.
+    Three tables are memoised per instance, keyed on partitions and levels:
+    _act (L(n) on the Verma module), _pairing (the contravariant form) and
+    _coordinates (per level). Each gets its own lru_cache in __init__ and
+    the recursions go through self, so clearing verma_module's cache drops
+    every table. _gram coerces the pairings, which may be ints, to Fraction.
     """
 
     def __init__(self, c: _RationalLike, h: _RationalLike, vacuum: bool):
         if vacuum and h != 0:
             raise ValueError(f"the vacuum quotient by L(-1)v exists only at h = 0, got h = {h}")
         self.c, self.h, self.vacuum = _frac(c), _frac(h), bool(vacuum)
-        for name in ("_act", "_mode", "_pairing", "_coordinates"):
+        for name in ("_act", "_pairing", "_coordinates"):
             setattr(self, name, lru_cache(maxsize=None)(getattr(self, name)))
 
     def monomial(self, mu: Partition) -> VermaVector:
@@ -260,37 +259,6 @@ class VermaModule:
             central = Fraction(n ** 3 - n, 12) * self.c
             if central != 0:
                 _acc(out, rest, central)
-        return tuple(out.items())
-
-    def _mode(self, mu: Partition, r: int, nu: Partition) -> _Terms:
-        """Coefficients of a(r) u for a = L(-mu) 1 and u = L(-nu) v_h."""
-        if not mu:
-            return ((nu, 1),) if r == -1 else ()
-        M, b = mu[0], mu[1:]
-        m_ = 1 - M
-        sign_m = -1 if m_ % 2 else 1
-        out: dict[Partition, _RationalLike] = {}
-        imax = max(sum(nu) + sum(b) - 1 - r, sum(nu) + 1, 0)
-        for i in range(imax + 1):
-            coeff = _gbinom(m_, i)
-            if i % 2:
-                coeff = -coeff
-            if coeff == 0:
-                continue
-            # first piece: L(-M-i) applied to b(r+i) u
-            for nu1, co1 in self._mode(b, r + i, nu):
-                for nu2, co2 in _lower(M + i, nu1):
-                    _acc(out, nu2, coeff * co1 * co2)
-            # second piece: -(-1)^(1-M) b(1-M+r-i) applied to L(i-1) u
-            k = i - 1
-            lu = _lower(1, nu) if k < 0 else self._act(k, nu)
-            for nu1, co1 in lu:
-                if self.vacuum and nu1 and nu1[-1] == 1:
-                    continue
-                for nu2, co2 in self._mode(b, 1 - M + r - i, nu1):
-                    _acc(out, nu2, -sign_m * coeff * co1 * co2)
-        if self.vacuum:
-            out = _strip_ones(out)
         return tuple(out.items())
 
     def _pairing(self, mu: Partition, nu: Partition) -> _RationalLike:
@@ -339,7 +307,7 @@ def verma_module(c: _RationalLike, h: _RationalLike, vacuum: bool, /) -> VermaMo
 
 
 # ---------------------------------------------------------------------------
-# the L(n) action and modes of vacuum vectors on arbitrary modules
+# the L(n) action
 # ---------------------------------------------------------------------------
 
 def l_action(n: int, vec: VermaVector) -> VermaVector:
@@ -352,25 +320,6 @@ def l_action(n: int, vec: VermaVector) -> VermaVector:
     if vec.vacuum:
         out = _strip_ones(out)
     return vec._like(out)
-
-
-def mode_action(a: VermaVector, n: int, u: VermaVector) -> VermaVector:
-    """a(n) u for a vacuum-module vector a and a module vector u, same c.
-
-    Read on square-bracket PBW labels it is a[n] u, by Zhu's isomorphism as
-    the traceform.mde docstring states it.
-    """
-    if not a.vacuum:
-        raise ValueError("modes are defined for vectors of the vacuum vertex algebra")
-    if a.c != u.c:
-        raise ValueError("central charges differ")
-    mode = u.module._mode
-    out: dict[Partition, Fraction] = {}
-    for mu, ca in a.entries.items():
-        for nu, cu in u.entries.items():
-            for rho, co in mode(mu, n, nu):
-                _acc(out, rho, ca * cu * co)
-    return u._like(out)
 
 
 # ---------------------------------------------------------------------------
@@ -508,25 +457,21 @@ def irreducible_coordinates(vec: VermaVector) -> dict[tuple[int, int], Fraction]
 # ---------------------------------------------------------------------------
 
 def _quotient_dims(c: _RationalLike, h: _RationalLike, max_level: int, zero_modes: bool) -> list[int]:
-    """c2_quotient_dim, and with zero_modes c20_quotient_dim."""
+    """c2_quotient_dim, and with zero_modes c20_quotient_dim.
+
+    With a = L(-k)1, a(-2)u = (k-1) L(-k-1)u and a(0)u = L(-1)u for k = 2
+    (the module docstring), so the quotient is by L(-n)u for n >= 3, and
+    L(-1)u with zero_modes; at c = 0 there is no a and nothing is quotiented.
+    """
     c, h = _frac(c), _frac(h)
-    vac, module = verma_module(c, Fraction(0), True), verma_module(c, h, h == 0)
-    by_level: dict[int, list[VermaVector]] = {}
-    for la in range(2, max_level + 1):
-        for mu in vac._coordinates(la).basis:
-            a = vac.monomial(mu)
-            for lu in range(0, max_level + 1):
-                for nu in module._coordinates(lu).basis:
-                    u = module.monomial(nu)
-                    # a(n) u has level la + lu - n - 1
-                    for n in (-2, 0) if zero_modes else (-2,):
-                        if la + lu - n - 1 <= max_level:
-                            by_level.setdefault(la + lu - n - 1, []).append(mode_action(a, n, u))
+    module = verma_module(c, h, h == 0)
+    steps = [] if c == 0 else ([1] if zero_modes else []) + list(range(3, max_level + 1))
     span, dims, total = linalg.RowSpan(), [], 0
     for lvl in range(max_level + 1):
         total += module._coordinates(lvl).dim
-        for w in by_level.get(lvl, []):
-            span.add(irreducible_coordinates(w))
+        for n in steps:
+            for nu in module._coordinates(lvl - n).basis if n <= lvl else ():
+                span.add(irreducible_coordinates(l_action(-n, module.monomial(nu))))
         dims.append(total - span.rank)
     return dims
 
@@ -535,8 +480,10 @@ def c2_quotient_dim(c: _RationalLike, h: _RationalLike, max_level: int) -> list[
     """dim of L(c,h) / span{a(-2)u} truncated at levels 0..max_level.
 
     Entry N is the dimension of U_{<=N} modulo every a(-2)u whose level fits
-    below N, with a running over a basis of L(c,0) and u over a basis of
-    L(c,h); watching the list stabilize (or not) is the point.
+    below N, with u over a basis of L(c,h) and a over the strong generators
+    L(-k)1 of L(c,0): a(-2)u = (k-1) L(-k-1)u, and at c = 0, where L(c,0) is
+    one-dimensional, there is no a. Watching the list stabilize (or not) is
+    the point.
     """
     return _quotient_dims(c, h, max_level, zero_modes=False)
 
@@ -545,7 +492,8 @@ def c20_quotient_dim(c: _RationalLike, h: _RationalLike, max_level: int) -> list
     """Square-bracket analogue of c2_quotient_dim with zero modes included.
 
     Quotients by both a[-2]u and a[0]u, computed as a(-2)u and a(0)u by Zhu's
-    isomorphism as the traceform.mde docstring states it; the zero modes are
-    the new directions.
+    isomorphism as the traceform.mde docstring states it. For a = L(-k)1 the
+    zero mode is L(-1) at k = 2 and 0 above, so L(-1)u is the new direction;
+    at c = 0 nothing is quotiented.
     """
     return _quotient_dims(c, h, max_level, zero_modes=True)

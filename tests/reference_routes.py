@@ -19,6 +19,20 @@ vector omega - c/24. The trace derivation works in the round picture
 through Zhu's isomorphism; these expansions are the square picture it is
 checked against.
 
+The modes a(n) of a vacuum vector a = L(-m_1)... 1 on any module in the
+same central charge, through the associativity formula
+
+    (a(m)b)(r) = sum_i (-1)^i C(m,i) [a(m-i) b(r+i) - (-1)^m b(m+r-i) a(i)],
+
+peeled one L(-M) at a time with omega(n) = L(n-1); on bounded-below modules
+every sum is finite. The package needs only the modes of the strong
+generators L(-k)1, in closed form through l_action; mode_action, on every
+vacuum vector, is what the Zhu products and the spans below are built on.
+AllGeneratorsRelationSpace takes its trace relations from v(0)u and the
+E-tail of v(-2)u for every basis vector v of L(c,0), and
+all_generators_quotient_dims its C2 quotients from a(-2)u and a(0)u for
+every basis vector a; the package's spans from L(-k)1 alone must equal them.
+
 Coordinates are read through virasoro.irreducible_coordinates as a module
 attribute, so a test that patches that one projection sees every call.
 
@@ -38,13 +52,15 @@ the square-picture derivation of the tests solves through these instead.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from traceform import virasoro
 from traceform.bracket import bracket_coeffs
 from traceform.linalg import RowSpan, _frac
+from traceform.mde import RelationSpace, _monomials_of_weight, eisenstein_modular_poly, graded_vector
 from traceform.qseries import PuiseuxSeries, eisenstein
-from traceform.virasoro import VermaVector, _acc, _gbinom, mode_action
+from traceform.virasoro import VermaModule, VermaVector, _acc, _gbinom, _lower, _strip_ones
 
 
 def level_components(v: VermaVector) -> dict[int, VermaVector]:
@@ -62,6 +78,117 @@ def _sum_scaled(u: VermaVector, terms) -> VermaVector:
         for mu, co in vec.entries.items():
             _acc(out, mu, co * k)
     return u._like(out)
+
+
+# ---------------------------------------------------------------------------
+# modes of vacuum vectors
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _mode(module: VermaModule, mu: tuple[int, ...], r: int, nu: tuple[int, ...]):
+    """Coefficients of a(r) u for a = L(-mu) 1 and u = L(-nu) v_h in module."""
+    if not mu:
+        return ((nu, 1),) if r == -1 else ()
+    M, b = mu[0], mu[1:]
+    m_ = 1 - M
+    sign_m = -1 if m_ % 2 else 1
+    out: dict = {}
+    imax = max(sum(nu) + sum(b) - 1 - r, sum(nu) + 1, 0)
+    for i in range(imax + 1):
+        coeff = _gbinom(m_, i)
+        if i % 2:
+            coeff = -coeff
+        if coeff == 0:
+            continue
+        # first piece: L(-M-i) applied to b(r+i) u
+        for nu1, co1 in _mode(module, b, r + i, nu):
+            for nu2, co2 in _lower(M + i, nu1):
+                _acc(out, nu2, coeff * co1 * co2)
+        # second piece: -(-1)^(1-M) b(1-M+r-i) applied to L(i-1) u
+        k = i - 1
+        lu = _lower(1, nu) if k < 0 else module._act(k, nu)
+        for nu1, co1 in lu:
+            if module.vacuum and nu1 and nu1[-1] == 1:
+                continue
+            for nu2, co2 in _mode(module, b, 1 - M + r - i, nu1):
+                _acc(out, nu2, -sign_m * coeff * co1 * co2)
+    if module.vacuum:
+        out = _strip_ones(out)
+    return tuple(out.items())
+
+
+def mode_action(a: VermaVector, n: int, u: VermaVector) -> VermaVector:
+    """a(n) u for a vacuum-module vector a and a module vector u, same c.
+
+    Read on square-bracket PBW labels it is a[n] u, by Zhu's isomorphism as
+    the traceform.mde docstring states it.
+    """
+    if not a.vacuum:
+        raise ValueError("modes are defined for vectors of the vacuum vertex algebra")
+    if a.c != u.c:
+        raise ValueError("central charges differ")
+    out: dict = {}
+    for mu, ca in a.entries.items():
+        for nu, cu in u.entries.items():
+            for rho, co in _mode(u.module, mu, n, nu):
+                _acc(out, rho, ca * cu * co)
+    return u._like(out)
+
+
+class AllGeneratorsRelationSpace(RelationSpace):
+    """The trace relations from every basis vector v of L(c,0), through mode_action."""
+
+    def grow(self):
+        level = self.level_bound + 1
+        c, h = self.c, self.h
+        vmod, umod = virasoro.verma_module(c, Fraction(0), True), virasoro.verma_module(c, h, h == 0)
+        ubasis = [virasoro.level_coordinates(c, h, lu, h == 0).basis for lu in range(level)]
+        for wg, g in self._gens:
+            for a4, a6 in _monomials_of_weight(level - wg):
+                self._span.add({(lvl, idx, b4 + a4, b6 + a6): co
+                                for (lvl, idx, b4, b6), co in g.items()})
+        # v of level lv and u of level lu give v(0) u at level lv + lu - 1 and
+        # the E-tail of v(-2) u at level lv + lu + 1
+        for lv in range(2, level + 2):
+            for vmu in virasoro.level_coordinates(c, Fraction(0), lv, vacuum=True).basis:
+                v = vmod.monomial(vmu)
+                for lu, mode in ((level + 1 - lv, 0), (level - 1 - lv, -2)):
+                    for umu in ubasis[lu] if lu >= 0 else ():
+                        u = umod.monomial(umu)
+                        g = graded_vector(mode_action(v, mode, u))
+                        for k in range(2, level // 2 + 1) if mode == -2 else ():
+                            gx = graded_vector(mode_action(v, 2 * k - 2, u))
+                            for (_, a4, a6), co in eisenstein_modular_poly(2 * k).entries.items():
+                                for (lvl, idx, _, _), val in gx.items():
+                                    _acc(g, (lvl, idx, a4, a6), (2 * k - 1) * co * val)
+                        if g:
+                            self._gens.append((level, g))
+                            self._span.add(g)
+        self.level_bound = level
+
+
+def all_generators_quotient_dims(c, h, max_level: int, zero_modes: bool) -> list[int]:
+    """c2_quotient_dim, and with zero_modes c20_quotient_dim, from a(-2)u and a(0)u for every a."""
+    c, h = _frac(c), _frac(h)
+    vac, module = virasoro.verma_module(c, Fraction(0), True), virasoro.verma_module(c, h, h == 0)
+    by_level: dict[int, list[VermaVector]] = {}
+    for la in range(2, max_level + 1):
+        for mu in virasoro.level_coordinates(c, 0, la, vacuum=True).basis:
+            a = vac.monomial(mu)
+            for lu in range(0, max_level + 1):
+                for nu in virasoro.level_coordinates(c, h, lu, h == 0).basis:
+                    u = module.monomial(nu)
+                    # a(n) u has level la + lu - n - 1
+                    for n in (-2, 0) if zero_modes else (-2,):
+                        if la + lu - n - 1 <= max_level:
+                            by_level.setdefault(la + lu - n - 1, []).append(mode_action(a, n, u))
+    span, dims, total = RowSpan(), [], 0
+    for lvl in range(max_level + 1):
+        total += virasoro.level_coordinates(c, h, lvl, h == 0).dim
+        for w in by_level.get(lvl, []):
+            span.add(virasoro.irreducible_coordinates(w))
+        dims.append(total - span.rank)
+    return dims
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ denominator. _reference_frobenius_solve below is the earlier loop over
 Fraction, which the integer kernel must reproduce exactly, resonances
 included.
 
+The relation span is built from the strong generators v = L(-k)1 alone;
+reference_routes.AllGeneratorsRelationSpace builds it from every basis
+vector of L(c,0) through mode_action, and the two must agree at every level.
+
 The relation span and the L[-2] strings are built from round modes, through
 Zhu's isomorphism. _square_picture_recursion below is the earlier derivation
 from square-bracket modes expanded in round ones, and it solves for the r_i
@@ -33,7 +37,14 @@ from fractions import Fraction
 
 import pytest
 
-from reference_routes import _reference_solve_dense, square_mode_action, square_virasoro_action, theta
+from reference_routes import (
+    AllGeneratorsRelationSpace,
+    _reference_solve_dense,
+    mode_action,
+    square_mode_action,
+    square_virasoro_action,
+    theta,
+)
 from traceform import cli, mde, virasoro
 from traceform.mde import (
     TRACE_CASES,
@@ -57,7 +68,7 @@ from traceform.mde import (
     trace_case_solution,
 )
 from traceform.qseries import PuiseuxSeries, _convolve, eisenstein, eta_power
-from traceform.virasoro import graded_dims, mode_action, verma_monomial
+from traceform.virasoro import graded_dims, verma_monomial
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +167,27 @@ def test_relation_space_contains_the_zero_mode_traces():
     gv = graded_vector(mode_action(omega, 0, x))
     assert rel.contains(gv)
     assert rel.rank > 0
+
+
+@pytest.mark.parametrize("c,h,top", [
+    ("7/10", "3/5", 8), ("1/2", "0", 8), ("1/2", "1/16", 8), ("-22/5", "-1/5", 8), ("1/2", "1/2", 8),
+    ("6/7", "1/7", 8), ("7/10", "0", 10), ("4/5", "2/3", 10), ("0", "1", 6)])
+def test_the_relations_from_omega_span_the_relations_of_every_vacuum_vector(c, h, top):
+    # compared at every level from 2 to top; the span is in fully reduced
+    # echelon form, so equal pivot rows mean equal reductions and so equal
+    # recursions under every bound
+    c, h = Fraction(c), Fraction(h)
+    ours, every = RelationSpace(c, h, h + 2), AllGeneratorsRelationSpace(c, h, h + 2)
+    while True:
+        assert ours._span._pivots == every._span._pivots, ours.level_bound
+        if ours.level_bound == top:
+            break
+        ours.grow()
+        every.grow()
+    if c == 0:   # L(0,0) is one-dimensional: no generator on either side
+        assert not ours._gens and not every._gens
+    else:
+        assert 0 < len(ours._gens) < len(every._gens)
 
 
 # ---------------------------------------------------------------------------

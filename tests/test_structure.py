@@ -19,7 +19,8 @@ SHARED_HELPERS = ("_frac", "_RationalLike", "_gbinom", "_CommonDenominator", "_f
                   "_convolve", "rational_roots")
 RETIRED_FROM_LINALG = ("rref_dense", "rank_dense", "_as_fraction_matrix", "solve_dense")
 REFERENCE_ROUTES = ("OSpace", "a_dot_u", "u_star_a", "o_elem", "square_mode_action",
-                    "square_virasoro_action", "_sum_scaled")
+                    "square_virasoro_action", "_sum_scaled", "mode_action", "_mode",
+                    "AllGeneratorsRelationSpace", "all_generators_quotient_dims")
 TEST_ONLY_NAMES = ("serre_derivative", "classical_eisenstein", "highest_weight_vector",
                    "exponent_report")
 TEST_ONLY_SERIES_METHODS = ("theta", "truncate", "shifted", "is_zero")
@@ -193,6 +194,20 @@ def test_reference_routes_and_second_paths_stay_out_of_the_package():
     assert "__pow__" not in bound and "pow_rational" in bound
     imports = _imported_names(ast.parse((PACKAGE / "bracket.py").read_text(encoding="utf-8")))
     assert not [name for name in imports if name.split(".")[-1] == "virasoro"], imports
+
+
+def test_verma_module_keeps_three_tables_and_no_mode_table():
+    # the trace relations and the C2 quotients use the modes of L(-k)1 in
+    # closed form through l_action, so the associativity-formula table of
+    # every vacuum vector's modes is a reference route only
+    (module,) = [node for _, node in _functions("virasoro")
+                 if isinstance(node, ast.ClassDef) and node.name == "VermaModule"]
+    methods = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
+    assert "_mode" not in methods
+    (loop,) = [node for node in ast.walk(methods["__init__"]) if isinstance(node, ast.For)]
+    wrapped = ast.literal_eval(loop.iter)
+    assert wrapped == ("_act", "_pairing", "_coordinates")
+    assert set(wrapped) <= set(methods)
 
 
 def _option_strings(parser: argparse.ArgumentParser) -> set[str]:

@@ -13,7 +13,7 @@ from math import factorial, prod
 
 import pytest
 
-from reference_routes import level_components
+from reference_routes import all_generators_quotient_dims, level_components, mode_action
 from traceform import cli, virasoro
 from traceform.linalg import RowSpan
 from traceform.virasoro import (
@@ -27,7 +27,6 @@ from traceform.virasoro import (
     l_action,
     level_coordinates,
     minimal_model,
-    mode_action,
     partitions_of,
     singular_vectors,
     verma_monomial,
@@ -97,6 +96,38 @@ def test_conformal_vector_modes_are_shifted_virasoro_modes():
     u = verma_monomial(C, H, (2, 1))
     for n in (-2, -1, 0, 1, 2, 3):
         assert mode_action(omega, n, u) == l_action(n - 1, u)
+
+
+def test_the_strong_generators_have_closed_form_modes():
+    # Y(L(-k)1, z) = d^(k-2) T(z)/(k-2)! gives L(-k)1 (n) = C(k-n-3, k-2) L(n-k+1),
+    # which the package uses in place of the associativity formula; C is
+    # written out here, so a wrong _gbinom cannot move both sides alike
+    modules = (
+        (Fraction(7, 10), Fraction(3, 5), False, [(), (1,), (2,), (2, 1), (1, 1, 1), (3, 1)]),
+        (Fraction(1, 2), Fraction(0), True, [(), (2,), (3,), (4,), (2, 2), (3, 2)]),
+        (Fraction(-22, 5), Fraction(-1, 5), False, [(), (1,), (1, 1), (3,), (2, 2), (2, 1, 1)]),
+    )
+    checked = 0
+    for c, h, vacuum, parts in modules:
+        for k in range(2, 8):
+            v = verma_monomial(c, 0, (k,), vacuum=True)
+            for mu in parts:
+                u = verma_monomial(c, h, mu, vacuum)
+                for n in range(-4, 7):
+                    binom = Fraction(prod(range(k - n - 3, -n - 1, -1)), factorial(k - 2))   # C(k-n-3, k-2)
+                    want = l_action(n - k + 1, u) * binom
+                    assert mode_action(v, n, u) == want, (c, h, k, mu, n)
+                    checked += 1
+    assert checked == 1188
+
+
+def test_single_part_vacuum_vectors_are_kept_exactly_when_c_is_nonzero():
+    # <L(-k)1, L(-k)1> = c (k^3 - k)/12 and L(0,0) is one-dimensional, so the
+    # strong generators behind the trace relations and the C2 quotients exist
+    # in L(c,0) for every k >= 2 exactly when c != 0
+    for c in (Fraction(0), Fraction(1, 2), Fraction(-22, 5), Fraction(4, 5), Fraction(1), Fraction(25)):
+        for k in range(2, 9):
+            assert ((k,) in level_coordinates(c, 0, k, vacuum=True).basis) == (c != 0), (c, k)
 
 
 def test_vacuum_vector_acts_as_the_identity_mode():
@@ -559,6 +590,19 @@ def test_zero_mode_quotients_collapse_to_one_dimension():
     for c, h in LEVEL_TWO_CASES:
         dims = c20_quotient_dim(c, h, 8)
         assert dims[-1] == dims[-2] == 1, f"(c, h) = ({c}, {h})"
+
+
+QUOTIENT_ORACLE_MODULES = LEVEL_TWO_CASES + [(Fraction(c), Fraction(h)) for c, h in (
+    ("1/2", "0"), ("1/2", "1/16"), ("1/2", "1/3"), ("7/10", "3/5"), ("7/10", "0"), ("7/10", "3/80"),
+    ("-22/5", "-1/5"), ("4/5", "2/3"), ("1", "1/4"), ("0", "1"), ("0", "0"))]
+
+
+def test_quotients_from_omega_equal_the_quotients_of_every_vacuum_vector():
+    # a(-2)u and a(0)u for every basis vector a of L(c,0), through the
+    # reference mode_action, span what L(-n)u, n >= 3, and L(-1)u span
+    for c, h in QUOTIENT_ORACLE_MODULES:
+        assert c2_quotient_dim(c, h, 8) == all_generators_quotient_dims(c, h, 8, False), (c, h)
+        assert c20_quotient_dim(c, h, 8) == all_generators_quotient_dims(c, h, 8, True), (c, h)
 
 
 def test_generic_verma_zero_mode_quotient_keeps_growing():

@@ -25,7 +25,7 @@ from math import comb, gcd, isqrt
 
 import pytest
 
-from reference_routes import OSpace, a_dot_u, level_components, o_elem, u_star_a
+from reference_routes import OSpace, a_dot_u, level_components, mode_action, o_elem, u_star_a
 from traceform import linalg, zhu
 from traceform.linalg import RowSpan, _CommonDenominator
 from traceform.virasoro import (
@@ -33,7 +33,6 @@ from traceform.virasoro import (
     partitions_of,
     l_action,
     minimal_model,
-    mode_action,
     singular_vectors,
     verma_monomial,
 )
