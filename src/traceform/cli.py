@@ -10,9 +10,15 @@ byte-identical output once --stable-json zeroes the timings. The process
 exits 0 only if every check passes, 2 on usage errors.
 
 zhu loads inside the two handlers that call it, so verify traces and
-modular-check never compile it, and no record is a dataclass. A fresh
---json verify traces took a median 151 ms without bytecode and 112 ms with
-it, against 178 and 130 ms before (2-vCPU host, BENCH_cold_start.json).
+modular-check never compile it, and no record is a dataclass. A process
+builds one parser, however many times it calls run(). Help wraps at 78
+columns, as argparse wraps off a terminal, whatever the terminal is, so
+--help gives the same bytes anywhere and no formatter asks for the
+terminal size; the trace commands never load shutil (nor the bz2 and lzma
+it imports). In-process, verify traces then modular-check spent a median
+2.4 ms building parsers, against 6.4 ms before; a fresh --json verify
+traces took 57 ms without bytecode and 36.5 ms with it, against 58.7 and
+38.3 ms (2-vCPU host, BENCH_cli_front_end.json).
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from . import elliptic, mde, qseries, virasoro
@@ -288,7 +295,7 @@ def _checks_modular(terms: int, taus: tuple[complex, ...]) -> list[Report]:
         reports.append(_run_check(f"modular-transform-m{case.m}", transform_fn, tolerance="1e-6"))
 
     def e2_fn():
-        worst = max(mde.e2_inversion_residual(tau, terms=80) for tau in taus)
+        worst = max(mde.e2_inversion_residual(tau, terms=terms) for tau in taus)
         return worst < 1e-6, "E2(-1/tau) = tau^2 E2(tau) - tau/(2 pi i)", f"residual {worst:.3e}"
 
     reports.append(_run_check("e2-inversion", e2_fn, tolerance="1e-6"))
@@ -553,13 +560,21 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose parse errors print one line and exit 2; subparsers inherit it."""
+    """ArgumentParser whose parse errors print one line and exit 2; subparsers inherit it.
+
+    Help wraps at 78 columns, argparse's width off a terminal, so --help
+    prints the same bytes anywhere and no formatter asks for the terminal size.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=partial(argparse.HelpFormatter, width=78), **kwargs)
 
     def error(self, message: str):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(2)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="traceform",

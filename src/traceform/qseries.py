@@ -238,8 +238,9 @@ class PuiseuxSeries:
         power = cmath.exp(two_pi_i * tau * float(self.lam))
         last_term = abs(power)
         for c in self.coeffs:
-            term = float(c) * power
-            if c != 0:
+            num = c.numerator
+            if num:
+                term = num / c.denominator * power   # the division float(c) does via numbers.Rational
                 value += term
                 last_term = abs(term)
             else:

@@ -7,13 +7,17 @@ num/den rational strings.
 """
 
 import json
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from traceform import cli, mde
 from traceform.qseries import eta_power
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_json(capsys, argv):
@@ -169,6 +173,17 @@ def test_truncating_too_hard_fails_the_numeric_checks(capsys):
     assert failed, "one-term series should not look modular to 1e-6"
 
 
+def test_e2_inversion_checks_the_truncation_it_was_given(capsys):
+    # the 3-term E2 misses the identity by about 1.5e-6, the 5-term one by about 1e-10
+    residuals = {}
+    for terms in (3, 5):
+        _, payload = run_json(capsys, ["modular-check", "--terms", str(terms)])
+        rep = next(r for r in payload["reports"] if r["check_name"] == "e2-inversion")
+        residuals[terms] = (rep["status"], float(rep["actual"].removeprefix("residual ")))
+    assert residuals[3][0] == "fail" and 1e-6 < residuals[3][1] < 1e-5
+    assert residuals[5][0] == "pass" and residuals[5][1] < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # failure and usage paths
 # ---------------------------------------------------------------------------
@@ -271,3 +286,50 @@ def test_elliptic_reports_time_their_own_work(capsys):
     assert code == 0
     assert payload["summary"]["total"] == 55
     assert sum(r["runtime_ms"] for r in payload["reports"]) > 0
+
+
+# ---------------------------------------------------------------------------
+# the parser
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [["--help"], ["mde", "solve", "--help"]])
+def test_help_does_not_depend_on_the_terminal_width(argv):
+    outputs = []
+    for columns in ("40", "200", None):
+        env = {"PYTHONPATH": str(SRC)} | ({"COLUMNS": columns} if columns else {})
+        proc = subprocess.run([sys.executable, "-m", "traceform.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(proc.stdout)
+    assert outputs[0].startswith("usage: traceform")
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("first,second", [
+    (["--json", "--stable-json", "modular-check", "--tau=0.1,1.1", "--tau=-0.2,0.9"],
+     ["--json", "--stable-json", "modular-check"]),
+    (["--json", "--stable-json", "mde", "derive", "--m", "1", "--h", "1/2"],
+     ["--json", "--stable-json", "mde", "derive", "--c", "7/10", "--h", "1/10"]),
+    (["modular-check", "--tau", "0.3,-1"], ["--json", "--stable-json", "verify", "traces"]),
+    (["--json", "--stable-json", "verify", "traces"], ["--stable-json", "verify", "traces"]),
+])
+def test_the_cached_parser_carries_nothing_from_one_run_to_the_next(capsys, first, second):
+    cli._build_parser.cache_clear()
+    reused = [_outcome(capsys, first), _outcome(capsys, second)]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    fresh = []
+    for argv in (first, second):
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == ([2, 0] if first[0] == "modular-check" else [0, 0])

@@ -1,11 +1,12 @@
-"""Importing the package does no memoised work, and the trace commands load
-neither zhu nor dataclasses.
+"""Importing the package does no memoised work, the trace commands load
+neither zhu, dataclasses nor shutil, and a process builds one parser.
 
 Every lru_cache of traceform starts empty, so a table built at import time
 would show up here as a warm cache; its cost would move into the start-up
 of every command-line run. Each module a command imports is compiled again
 in every run that writes no bytecode, so the trace commands must not load
-zhu or dataclasses. Each probe runs in a fresh interpreter started with -S
+zhu or dataclasses, nor shutil with the bz2 and lzma it pulls in (argparse
+imports it only to ask for the terminal width). Each probe runs in a fresh interpreter started with -S
 and PYTHONDONTWRITEBYTECODE=1, the way a cold command-line process starts,
 so nothing the other tests imported can fill a cache or a module table
 first.
@@ -42,11 +43,12 @@ codes = []
 for argv in (["--json", "verify", "traces"], ["--json", "modular-check"]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.run(argv))
-print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules),
+                  "parser": cli._build_parser.cache_info()._asdict()}))
 """
 
 # what verify traces and modular-check never run
-NOT_ON_THE_TRACE_PATH = ("dataclasses", "traceform.zhu")
+NOT_ON_THE_TRACE_PATH = ("dataclasses", "traceform.zhu", "shutil", "bz2", "lzma")
 
 
 def _probe(code: str):
@@ -71,6 +73,11 @@ def test_the_trace_commands_load_no_zhu_and_no_dataclasses():
     assert "traceform.mde" in result["modules"]
     loaded = set(NOT_ON_THE_TRACE_PATH) & set(result["modules"])
     assert not loaded, sorted(loaded)
+
+
+def test_the_trace_commands_build_one_parser():
+    parser = _probe(TRACE_COMMANDS_PROBE)["parser"]
+    assert (parser["misses"], parser["hits"], parser["currsize"]) == (1, 1, 1)
 
 
 def test_mde_loads_no_zhu():
