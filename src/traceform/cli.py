@@ -134,7 +134,10 @@ def _checks_traces(terms: int) -> list[Report]:
     return reports
 
 
-def _residue_report_to_check(rep: elliptic.ResidueReport, name: str) -> Report:
+def _residue_report_to_check(rep: elliptic.ResidueReport) -> Report:
+    """One check, named for its identity and its k or w; P_k against wp_k is weierstrass-expansion."""
+    label = "weierstrass-expansion" if rep.identity == "p-series-weierstrass" else rep.identity
+    name = label + "".join(f"-{key}{rep.params[key]}" for key in ("k", "w") if key in rep.params)
     ms = _ms(rep.runtime_s)
     if rep.passed:
         return Report(name, "pass", "exact identity", f"{rep.checked} coefficients equal", runtime_ms=ms)
@@ -143,27 +146,24 @@ def _residue_report_to_check(rep: elliptic.ResidueReport, name: str) -> Report:
 
 
 def _checks_elliptic(terms: int) -> list[Report]:
+    """The four elliptic suites, terms sizing the two window suites; a suite that
+    raises gives one error report named for it, and the others still report."""
+    suites = (
+        ("weierstrass-expansion", lambda: elliptic.verify_p_wp_relations(k_max=5, terms=terms, z_max=8)),
+        ("wp-structure", lambda: elliptic.verify_wp_structure(k_max=5, terms=terms, z_max=8)),
+        ("residue-identities", lambda: [rep for w in range(1, 7)
+                                        for rep in elliptic.verify_residue_identities(w, terms=6)]),
+        ("binomial-mode-expansion", lambda: [elliptic.verify_expansion_identity(w, terms=6, i_max=8, n_max=6)
+                                             for w in range(1, 6)]),
+    )
     reports = []
-    start = time.perf_counter()
-    try:
-        wp_reports = elliptic.verify_p_wp_relations(k_max=5, terms=terms, z_max=8)
-        for rep in wp_reports:
-            reports.append(_residue_report_to_check(rep, f"weierstrass-expansion-k{rep.params['k']}"))
-        for rep in elliptic.verify_wp_structure(k_max=5, terms=terms, z_max=8):
-            if rep.identity == "wp-parity":
-                reports.append(_residue_report_to_check(rep, "wp-parity"))
-            else:
-                reports.append(_residue_report_to_check(rep, f"{rep.identity}-k{rep.params['k']}"))
-    except Exception as exc:  # noqa: BLE001
-        ms = _ms(time.perf_counter() - start)
-        reports.append(Report("weierstrass-expansion", "error", "", f"{type(exc).__name__}: {exc}",
-                              None, ms))
-    for w in range(1, 7):
-        for rep in elliptic.verify_residue_identities(w, terms=6):
-            reports.append(_residue_report_to_check(rep, f"{rep.identity}-w{w}"))
-    for w in range(1, 6):
-        rep = elliptic.verify_expansion_identity(w, terms=6, i_max=8, n_max=6)
-        reports.append(_residue_report_to_check(rep, f"binomial-mode-expansion-w{w}"))
+    for suite, run_suite in suites:
+        start = time.perf_counter()
+        try:
+            reports += [_residue_report_to_check(rep) for rep in run_suite()]
+        except Exception as exc:  # noqa: BLE001 - the report is the error channel
+            reports.append(Report(suite, "error", "", f"{type(exc).__name__}: {exc}", None,
+                                  _ms(time.perf_counter() - start)))
     return reports
 
 
@@ -595,7 +595,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eta)
 
     p = sub.add_parser("elliptic-identities", help="verify the elliptic series identity suite")
-    p.add_argument("--terms", type=int, default=9)
+    p.add_argument("--terms", type=int, default=9,
+                   help="q-terms of the two window suites, weierstrass-expansion and "
+                        "wp-structure; the residue and binomial-mode suites have fixed sizes")
     p.set_defaults(handler=_cmd_elliptic)
 
     for name, handler, levelflag in (("gram", _cmd_gram, "--level"),

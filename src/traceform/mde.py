@@ -20,28 +20,27 @@ Phi(v(n) x) = sigma(v)[n] Phi(x), sigma being Phi on the vacuum module. Phi
 keeps the level filtration and the maximal submodule, so the strings
 L(-2)^i u and the relations v(0) x and v(-2) x + sum (2k-1) E_{2k} v(2k-2) x,
 homogeneous of weight h + level + 4 a4 + 6 a6, give the same recursion under
-every bound. The vertex algebra is strongly generated by omega, so v runs
-over v = L(-k)1 alone (the span equals the one from every basis vector of
-L(c,0) wherever the two have been compared), whose modes have the closed form
-v(n) = C(k-n-3, k-2) L(n-k+1) (traceform.virasoro): the relations are
-L(-1) x and (k-1) L(-k-1) x + sum_j (2j-1) C(k-2j-1, k-2) E_{2j} L(2j-1-k) x,
-built with l_action. L(-k)1 is nonzero in L(c,0) exactly when c != 0; at
-c = 0 the vacuum algebra is one-dimensional and there are no relations.
-build_relation_space spans those relations below a bound, and
+every bound. Write R0(a, y) = a(0) y and R2(a, y) for the E-tail of a(-2) y.
+Translation covariance, (L(-1)a)(n) = [L(-1), a(n)], gives
+
+    R0(L(-1)a, y) = R0(omega, a(0) y) - R0(a, L(-1) y)
+    R2(L(-1)a, y) = R0(omega, a(-2) y) + sum_j (2j-1) E_{2j} R0(omega, a(2j-2) y) - R2(a, L(-1) y),
+
+each term of the relation's weight, the E_{2j} terms E4, E6 shifts of L(-1)
+relations. L(-k-1)1 = L(-1) L(-k)1 / (k-1), so by induction on k the
+relations of every strong generator L(-k)1 lie in the span of omega's,
+L(-1) x and L(-3) x + sum_{j>=2} (2j-1) E_{2j} L(2j-3) x (omega(n) =
+L(n-1)), built with l_action. That these span the relations of every vacuum
+vector is measured, not proven. At c = 0, omega = 0 in L(c,0): no relations.
+build_relation_space spans the relations below a bound, and
 derive_recursion looks for the least m with
 
     [L[-2]^m u] + sum_{i<m} r_i [L[-2]^i u] = 0
 
 modulo that span, the r_i holomorphic modular of weight 2(m-i). The span
-is built at h + 2 and grows one weight level at a time. derive_recursion
-stops early only when [L[-2] u] reduces to zero: order 1 is the least order
-and has no coefficients, since there is no weight-2 modular form, and a
-larger bound only enlarges the span. Otherwise the span grows to the
-weight bound, a cap that defaults to h + 8, and every order m whose
-string [L[-2]^m u], of weight h + 2m, fits under it is tried there; the
-bound is the only cap on the order. The recursion records the bound the
-span reached. Relations,
-and the vectors reduced against them, are plain {(level, index, a4, a6):
+grows one weight level at a time from h + 2, up to a weight bound (default
+h + 8) that also caps the order (derive_recursion). Relations, and the
+vectors reduced against them, are plain {(level, index, a4, a6):
 Fraction} dicts as graded_vector returns them, held in a RowSpan. to_ode
 then turns the recursion into a monic order-m equation in iterated Serre
 derivatives with modular coefficients. ModularODE.theta_form expands that
@@ -74,7 +73,7 @@ from typing import NamedTuple
 from . import virasoro
 from .linalg import RowSpan, _CommonDenominator, _RationalLike, _frac, rational_roots
 from .qseries import PuiseuxSeries, _convolve, eisenstein, eta_power
-from .virasoro import VermaVector, _gbinom, verma_monomial
+from .virasoro import VermaVector, verma_monomial
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +295,11 @@ def _monomials_of_weight(w: int) -> list[tuple[int, int]]:
 class RelationSpace:
     """Span of the trace-vanishing relations below a total weight bound.
 
-    The span grows one weight level at a time: grow() adds the zero-mode and
-    E-tail generators of the next level, from v = L(-k)1 through the closed
-    form of its modes (none at c = 0), and the E4, E6 shifts of earlier
-    generators that land exactly on it, to the same RowSpan. Its reduced row
+    The span grows one weight level at a time: grow() adds the relations of
+    v = omega on the next level, L(-1) u and the E-tail of L(-3) u (none at
+    c = 0; the module docstring shows omega suffices), and the E4, E6 shifts
+    of earlier generators that land exactly on it, which that argument
+    needs, to the same RowSpan. Its reduced row
     echelon form does not depend on the order rows arrive in, so reduce()
     gives the same canonical representative, modulo everything the bound
     can see, however the span got there. RelationSpace(c, h, bound) grows
@@ -329,31 +329,24 @@ class RelationSpace:
         level = self.level_bound + 1
         c, h = self.c, self.h
         umod = virasoro.verma_module(c, h, h == 0)
-        ubasis = [virasoro.level_coordinates(c, h, lu, h == 0).basis for lu in range(level)]
         for wg, g in self._gens:
             for a4, a6 in _monomials_of_weight(level - wg):
                 self._span.add({(lvl, idx, b4 + a4, b6 + a6): co
                                 for (lvl, idx, b4, b6), co in g.items()})
-        # v = L(-k)1 has the modes v(n) = C(k-n-3, k-2) L(n-k+1), so for u of
-        # level lu, v(0) u is L(-1) u at k = 2 and 0 above, and the E-tail of
-        # v(-2) u, at level lu + k + 1, is (k-1) L(-k-1) u plus
-        # sum_j (2j-1) C(k-2j-1, k-2) E_2j L(2j-1-k) u; at c = 0 there is no v
+        # omega(0) u = L(-1) u one level up, the E-tail of omega(-2) u = L(-3) u three up
         gens = []
         if c != 0:
-            gens = [graded_vector(virasoro.l_action(-1, umod.monomial(umu))) for umu in ubasis[level - 1]]
-            for k in range(2, level):
-                for umu in ubasis[level - k - 1]:
-                    u = umod.monomial(umu)
-                    g = graded_vector(virasoro.l_action(-k - 1, u) * (k - 1))
-                    for j in range(2, level // 2 + 1):
-                        scale = (2 * j - 1) * _gbinom(k - 2 * j - 1, k - 2)
-                        if scale == 0:
-                            continue
-                        gx = graded_vector(virasoro.l_action(2 * j - 1 - k, u))
-                        for (_, a4, a6), co in eisenstein_modular_poly(2 * j).entries.items():
-                            for (lvl, idx, _, _), val in gx.items():
-                                virasoro._acc(g, (lvl, idx, a4, a6), scale * co * val)
-                    gens.append(g)
+            gens = [graded_vector(virasoro.l_action(-1, umod.monomial(umu)))
+                    for umu in virasoro.level_coordinates(c, h, level - 1, h == 0).basis]
+            for umu in virasoro.level_coordinates(c, h, level - 3, h == 0).basis if level >= 3 else ():
+                u = umod.monomial(umu)
+                g = graded_vector(virasoro.l_action(-3, u))
+                for j in range(2, level // 2 + 1):
+                    gx = graded_vector(virasoro.l_action(2 * j - 3, u))
+                    for (_, a4, a6), co in eisenstein_modular_poly(2 * j).entries.items():
+                        for (lvl, idx, _, _), val in gx.items():
+                            virasoro._acc(g, (lvl, idx, a4, a6), (2 * j - 1) * co * val)
+                gens.append(g)
         for g in gens:
             if g:
                 self._gens.append((level, g))
@@ -722,14 +715,12 @@ def _cpow(base: complex, expo: float) -> complex:
     return cmath.exp(expo * cmath.log(base))
 
 
-def modular_transform_ratio(series: PuiseuxSeries, t: _RationalLike,
-                            k: _RationalLike, tau: complex) -> complex:
-    """(-(i tau))^(-t) tau^(t-k) S(-1/tau) / S(tau), principal branches."""
+def modular_transform_ratio(series: PuiseuxSeries, t: _RationalLike, tau: complex) -> complex:
+    """(-(i tau))^(-t) S(-1/tau) / S(tau), principal branches."""
     t = float(_frac(t))
-    k = float(_frac(k))
     num, _ = series.eval_numeric(-1 / tau)
     den, _ = series.eval_numeric(tau)
-    return _cpow(-1j * tau, -t) * _cpow(tau, t - k) * num / den
+    return _cpow(-1j * tau, -t) * num / den
 
 
 class TransformReport(NamedTuple):
@@ -755,8 +746,7 @@ def case_transform_report(case: TraceCase, terms: int = 80,
         raise ValueError(f"the transform check needs at least two distinct sample points, got {distinct}")
     sol = trace_case_solution(case, terms)
     series = sol.to_puiseux()
-    ratios = tuple(modular_transform_ratio(series, case.h_u, case.h_u, tau)
-                   for tau in taus)
+    ratios = tuple(modular_transform_ratio(series, case.h_u, tau) for tau in taus)
     mod_err = max(abs(abs(r) - 1) for r in ratios)
     spread = max(abs(r - ratios[0]) for r in ratios)
     t_eig = cmath.exp(2j * cmath.pi * float(sol.exponent))

@@ -32,12 +32,13 @@ them through irreducible_coordinates, keyed by (level, index).
 
 l_action is the one action on a module. The vertex algebra is strongly
 generated by omega, and the modes of a = L(-k)1 have the closed form
-a(n) = C(k-n-3, k-2) L(n-k+1), from Y(L(-k)1, z) = d^(k-2) T(z)/(k-2)!.
-So a(-2) = (k-1) L(-k-1), and a(0) is L(-1) for k = 2 and 0 for k >= 3;
-the cofiniteness quotients below and the trace relations of traceform.mde
-are built from these alone. L(-k)1 is nonzero in L(c,0) for every k >= 2
-exactly when c != 0, since <L(-k)1, L(-k)1> = c (k^3 - k)/12 and L(0,0)
-is one-dimensional; at c = 0 there are no such generators.
+a(n) = C(k-n-3, k-2) L(n-k+1), from Y(L(-k)1, z) = d^(k-2) T(z)/(k-2)!,
+so a(-2) = (k-1) L(-k-1). Translation covariance, (L(-1)a)(n) =
+[L(-1), a(n)], reduces the zero modes and trace relations of every L(-k)1
+to those of omega, so the C2,0 quotient below and the trace relations of
+traceform.mde are built from L(-1)u and L(-3)u alone. L(-k)1 is nonzero
+in L(c,0) exactly when c != 0, since <L(-k)1, L(-k)1> = c (k^3 - k)/12;
+at c = 0 there are no generators.
 """
 
 from __future__ import annotations
@@ -459,13 +460,14 @@ def irreducible_coordinates(vec: VermaVector) -> dict[tuple[int, int], Fraction]
 def _quotient_dims(c: _RationalLike, h: _RationalLike, max_level: int, zero_modes: bool) -> list[int]:
     """c2_quotient_dim, and with zero_modes c20_quotient_dim.
 
-    With a = L(-k)1, a(-2)u = (k-1) L(-k-1)u and a(0)u = L(-1)u for k = 2
-    (the module docstring), so the quotient is by L(-n)u for n >= 3, and
-    L(-1)u with zero_modes; at c = 0 there is no a and nothing is quotiented.
+    a = L(-k)1 has a(-2)u = (k-1) L(-k-1)u, so the C2 quotient is by L(-n)u,
+    n >= 3, whose span holds no L(-1)u. With zero_modes it holds every L(-1)x,
+    and (L(-1)a)(-2)u = L(-1)(a(-2)u) - a(-2)(L(-1)u) puts each L(-n)u, n >= 4,
+    in the span of L(-1)x and L(-3)x. At c = 0 nothing is quotiented.
     """
     c, h = _frac(c), _frac(h)
     module = verma_module(c, h, h == 0)
-    steps = [] if c == 0 else ([1] if zero_modes else []) + list(range(3, max_level + 1))
+    steps = [] if c == 0 else [1, 3] if zero_modes else range(3, max_level + 1)
     span, dims, total = linalg.RowSpan(), [], 0
     for lvl in range(max_level + 1):
         total += module._coordinates(lvl).dim
@@ -481,9 +483,9 @@ def c2_quotient_dim(c: _RationalLike, h: _RationalLike, max_level: int) -> list[
 
     Entry N is the dimension of U_{<=N} modulo every a(-2)u whose level fits
     below N, with u over a basis of L(c,h) and a over the strong generators
-    L(-k)1 of L(c,0): a(-2)u = (k-1) L(-k-1)u, and at c = 0, where L(c,0) is
-    one-dimensional, there is no a. Watching the list stabilize (or not) is
-    the point.
+    L(-k)1 of L(c,0): a(-2)u = (k-1) L(-k-1)u, so the quotient is by every
+    L(-n)u with n >= 3; at c = 0, where L(c,0) is one-dimensional, there is
+    no a. Watching the list stabilize (or not) is the point.
     """
     return _quotient_dims(c, h, max_level, zero_modes=False)
 
@@ -492,8 +494,8 @@ def c20_quotient_dim(c: _RationalLike, h: _RationalLike, max_level: int) -> list
     """Square-bracket analogue of c2_quotient_dim with zero modes included.
 
     Quotients by both a[-2]u and a[0]u, computed as a(-2)u and a(0)u by Zhu's
-    isomorphism as the traceform.mde docstring states it. For a = L(-k)1 the
-    zero mode is L(-1) at k = 2 and 0 above, so L(-1)u is the new direction;
-    at c = 0 nothing is quotiented.
+    isomorphism as the traceform.mde docstring states it. Translation
+    covariance reduces every a to omega here, so the quotient is by L(-1)u
+    and L(-3)u alone (_quotient_dims); at c = 0 nothing is quotiented.
     """
     return _quotient_dims(c, h, max_level, zero_modes=True)

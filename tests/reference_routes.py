@@ -31,7 +31,8 @@ vacuum vector, is what the Zhu products and the spans below are built on.
 AllGeneratorsRelationSpace takes its trace relations from v(0)u and the
 E-tail of v(-2)u for every basis vector v of L(c,0), and
 all_generators_quotient_dims its C2 quotients from a(-2)u and a(0)u for
-every basis vector a; the package's spans from L(-k)1 alone must equal them.
+every basis vector a; the package's spans from omega, through L(-1)u and
+L(-3)u, and its C2 quotient from every L(-n)u, n >= 3, must equal them.
 
 Coordinates are read through virasoro.irreducible_coordinates as a module
 attribute, so a test that patches that one projection sees every call.

@@ -14,10 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from traceform import cli, mde
+from traceform import cli, elliptic, mde
 from traceform.qseries import eta_power
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_json(capsys, argv):
@@ -184,9 +185,40 @@ def test_e2_inversion_checks_the_truncation_it_was_given(capsys):
     assert residuals[5][0] == "pass" and residuals[5][1] < 1e-9
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("verify_all.json", ["verify", "all"]),
+    ("mde_derive_c7-10_h0_b12.json", ["mde", "derive", "--c", "7/10", "--h", "0", "--weight-bound", "12"]),
+    ("mde_derive_c4-5_h2-3_b38-3.json", ["mde", "derive", "--c", "4/5", "--h", "2/3", "--weight-bound", "38/3"]),
+])
+def test_stable_json_equals_the_golden_output(capsys, name, argv):
+    # byte for byte; a change that means to alter one of these outputs
+    # rewrites its file under tests/golden and says why
+    code = cli.run(["--json", "--stable-json"] + argv)
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # failure and usage paths
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("function,suite,size", [
+    ("verify_p_wp_relations", "weierstrass-expansion", 5),
+    ("verify_wp_structure", "wp-structure", 9),
+    ("verify_residue_identities", "residue-identities", 36),
+    ("verify_expansion_identity", "binomial-mode-expansion", 5),
+])
+def test_an_elliptic_suite_that_raises_gives_one_error_report(capsys, monkeypatch, function, suite, size):
+    # the other three suites still report, all 55 - size of their checks
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(elliptic, function, boom)
+    code, payload = run_json(capsys, ["elliptic-identities"])
+    assert code == 1
+    assert [r for r in payload["reports"] if r["status"] != "pass"] == [
+        {"actual": "RuntimeError: boom", "check_name": suite, "expected": "", "runtime_ms": 0, "status": "error"}]
+    assert payload["summary"] == {"total": 56 - size, "passed": 55 - size, "failed": 1}
 
 def test_underivable_weight_gives_a_structured_error_report(capsys):
     code, payload = run_json(capsys, ["mde", "derive", "--m", "1", "--h", "1/3"])

@@ -13,7 +13,9 @@ denominator. _reference_frobenius_solve below is the earlier loop over
 Fraction, which the integer kernel must reproduce exactly, resonances
 included.
 
-The relation span is built from the strong generators v = L(-k)1 alone;
+The relation span is built from v = omega alone, which translation
+covariance makes enough for every L(-k)1 (the mde docstring; the identity
+it rests on is checked here on the reference modes);
 reference_routes.AllGeneratorsRelationSpace builds it from every basis
 vector of L(c,0) through mode_action, and the two must agree at every level.
 
@@ -171,7 +173,7 @@ def test_relation_space_contains_the_zero_mode_traces():
 
 @pytest.mark.parametrize("c,h,top", [
     ("7/10", "3/5", 8), ("1/2", "0", 8), ("1/2", "1/16", 8), ("-22/5", "-1/5", 8), ("1/2", "1/2", 8),
-    ("6/7", "1/7", 8), ("7/10", "0", 10), ("4/5", "2/3", 10), ("0", "1", 6)])
+    ("6/7", "1/7", 8), ("7/10", "0", 10), ("4/5", "2/3", 10), ("4/5", "7/5", 10), ("0", "1", 6)])
 def test_the_relations_from_omega_span_the_relations_of_every_vacuum_vector(c, h, top):
     # compared at every level from 2 to top; the span is in fully reduced
     # echelon form, so equal pivot rows mean equal reductions and so equal
@@ -188,6 +190,31 @@ def test_the_relations_from_omega_span_the_relations_of_every_vacuum_vector(c, h
         assert not ours._gens and not every._gens
     else:
         assert 0 < len(ours._gens) < len(every._gens)
+
+
+def test_translation_covariance_of_the_strong_generator_modes():
+    # (L(-1)a)(n) = [L(-1), a(n)] with L(-1)L(-k)1 = (k-1) L(-k-1)1 is what
+    # reduces the relations of every L(-k)1 to those of omega; both sides
+    # come from the reference modes of mode_action
+    modules = (
+        (Fraction(7, 10), Fraction(3, 5), False, [(), (1,), (2,), (2, 1)]),
+        (Fraction(1, 2), Fraction(0), True, [(), (2,), (3,), (2, 2)]),
+        (Fraction(-22, 5), Fraction(-1, 5), False, [(), (1,), (1, 1), (3,)]),
+    )
+    checked = 0
+    for c, h, vacuum, parts in modules:
+        for k in range(2, 6):
+            a = verma_monomial(c, 0, (k,), vacuum=True)
+            da = virasoro.l_action(-1, a)
+            assert da == verma_monomial(c, 0, (k + 1,), vacuum=True) * (k - 1)
+            for mu in parts:
+                y = verma_monomial(c, h, mu, vacuum)
+                dy = virasoro.l_action(-1, y)
+                for n in range(-4, 5):
+                    want = virasoro.l_action(-1, mode_action(a, n, y)) - mode_action(a, n, dy)
+                    assert mode_action(da, n, y) == want, (c, h, k, mu, n)
+                    checked += 1
+    assert checked == 432
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,15 @@ def test_mde_derives_in_the_round_picture_only():
     assert not called, called
 
 
+def test_the_relation_span_reads_no_binomial_scale():
+    # translation covariance reduces the relations of every L(-k)1 to those
+    # of omega, so grow() builds L(-1)u and the E-tail of L(-3)u alone and
+    # no C(k-2j-1, k-2) scale is left to read
+    tree = ast.parse((PACKAGE / "mde.py").read_text(encoding="utf-8"))
+    assert "_gbinom" not in _imported_names(tree)
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_gbinom"]
+
+
 def test_the_weight_bound_is_the_only_order_cap():
     # the order-m string [L[-2]^m u] sits at weight h + 2m, so the weight
     # bound already decides which orders are tried; a second cap on the
@@ -197,8 +206,8 @@ def test_reference_routes_and_second_paths_stay_out_of_the_package():
 
 
 def test_verma_module_keeps_three_tables_and_no_mode_table():
-    # the trace relations and the C2 quotients use the modes of L(-k)1 in
-    # closed form through l_action, so the associativity-formula table of
+    # the trace relations and the C2 quotients use the modes of omega and
+    # L(-k)1 through l_action, so the associativity-formula table of
     # every vacuum vector's modes is a reference route only
     (module,) = [node for _, node in _functions("virasoro")
                  if isinstance(node, ast.ClassDef) and node.name == "VermaModule"]

@@ -599,7 +599,8 @@ QUOTIENT_ORACLE_MODULES = LEVEL_TWO_CASES + [(Fraction(c), Fraction(h)) for c, h
 
 def test_quotients_from_omega_equal_the_quotients_of_every_vacuum_vector():
     # a(-2)u and a(0)u for every basis vector a of L(c,0), through the
-    # reference mode_action, span what L(-n)u, n >= 3, and L(-1)u span
+    # reference mode_action, span what L(-n)u, n >= 3, span, and with the
+    # zero modes what L(-1)u and L(-3)u span
     for c, h in QUOTIENT_ORACLE_MODULES:
         assert c2_quotient_dim(c, h, 8) == all_generators_quotient_dims(c, h, 8, False), (c, h)
         assert c20_quotient_dim(c, h, 8) == all_generators_quotient_dims(c, h, 8, True), (c, h)
