@@ -10,12 +10,16 @@ expansion (1+z)^(w-1) gives the binomial coefficients C(w-1, i), and m may be
 any integer: negative rows use the inverse powers of log(1+z)/z, still with
 rational entries. The Virasoro shift is L[n] = omega~[n+1], so the L[0] row
 is bracket_coeffs(2, 1) = (1, 1/2, -1/6, 1/12, ...).
+
+_gbinom is the package's one generalized binomial C(m, i), an int for m of
+any sign; it builds the (1+z)^(w-1) factor of every row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .qseries import PuiseuxSeries
 
@@ -27,12 +31,12 @@ def _log1p_over_z(n: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _binom_row(w_minus_1: int, n: int) -> tuple[Fraction, ...]:
-    """Coefficients of (1+z)^(w-1), valid for any integer exponent."""
-    out = [Fraction(1)]
-    for i in range(1, n):
-        out.append(out[-1] * Fraction(w_minus_1 - i + 1, i))
-    return tuple(out)
+def _gbinom(m: int, i: int) -> int:
+    """Generalized binomial C(m, i) for integer m of any sign."""
+    num = 1
+    for t in range(i):
+        num *= m - t
+    return num // factorial(i)
 
 
 @lru_cache(maxsize=None)
@@ -45,10 +49,10 @@ def bracket_coeffs(w: int, m: int, depth: int = 12) -> tuple[Fraction, ...]:
     if depth < 1:
         raise ValueError("depth must be positive")
     unit_pow = PuiseuxSeries(0, _log1p_over_z(depth)).pow_rational(m)
-    return (unit_pow * PuiseuxSeries(0, _binom_row(w - 1, depth))).coeffs
+    binom = PuiseuxSeries(0, [_gbinom(w - 1, i) for i in range(depth)])
+    return (unit_pow * binom).coeffs
 
 
-@lru_cache(maxsize=None)
 def inverse_bracket_coeffs(w: int, n: int, depth: int = 12) -> tuple[Fraction, ...]:
     """Row b_i of the inverse change: v(n) = sum_{i>=0} b_i v[n+i].
 

@@ -15,10 +15,7 @@ builds one parser, however many times it calls run(). Help wraps at 78
 columns, as argparse wraps off a terminal, whatever the terminal is, so
 --help gives the same bytes anywhere and no formatter asks for the
 terminal size; the trace commands never load shutil (nor the bz2 and lzma
-it imports). In-process, verify traces then modular-check spent a median
-2.4 ms building parsers, against 6.4 ms before; a fresh --json verify
-traces took 57 ms without bytecode and 36.5 ms with it, against 58.7 and
-38.3 ms (2-vCPU host, BENCH_cli_front_end.json).
+it imports).
 """
 
 from __future__ import annotations

@@ -62,21 +62,12 @@ from math import comb, factorial
 from operator import add, sub
 from typing import NamedTuple
 
-from .bracket import bracket_coeffs
+from .bracket import _gbinom, bracket_coeffs
 from .linalg import _CommonDenominator
-from .qseries import PuiseuxSeries, bernoulli, eisenstein, sigma
-from .virasoro import _gbinom
+from .qseries import bernoulli, eisenstein, sigma
 
 
 Window = dict[int, tuple[Fraction, ...]]
-
-
-def _zero_series(terms: int) -> PuiseuxSeries:
-    return PuiseuxSeries(0, [Fraction(0)] * terms)
-
-
-def _const_series(value: Fraction, terms: int) -> PuiseuxSeries:
-    return PuiseuxSeries(0, [value] + [Fraction(0)] * (terms - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +176,6 @@ def _require_sizes(**sizes: tuple[int, int]) -> None:
             raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
-def _series_mismatches(label: str, got: PuiseuxSeries, want: PuiseuxSeries) -> list[tuple[str, str, str]]:
-    bad = []
-    n = min(len(got.coeffs), len(want.coeffs))
-    for i in range(n):
-        if got.coeffs[i] != want.coeffs[i]:
-            bad.append((f"{label} q^{got.lam + i}", str(got.coeffs[i]), str(want.coeffs[i])))
-    return bad
-
-
 def _window_mismatches(got: Window, want: Window) -> list[tuple[str, str, str]]:
     """Per-coefficient differences over the z-powers and q-terms both windows hold, as report rows."""
     return [(f"z^{e} q^{n}", str(a), str(b))
@@ -234,19 +216,20 @@ def verify_wp_structure(k_max: int = 5, terms: int = 9, z_max: int = 8) -> list[
     The wp_k window only carries z-powers of the same parity as k, the
     derivative recursion wp_{k+1} = -(1/k) d/dz wp_k reproduces each
     expansion from the previous one, and z d/dz P_k = k P_{k+1} does the
-    same on the q-series side. Each wp_k(z_max) window serves both the
-    parity and the derivative check, and each P_k window both of its
-    derivative checks.
+    same on the q-series side. Each wp_k is built once, one z-power wider
+    than z_max so that its derivative reaches z^z_max; that window serves
+    the parity check up to z^z_max and both sides of the recursion. Each P_k
+    window serves both of its derivative checks.
     """
     _require_sizes(k_max=(k_max, 1), terms=(terms, 1))
     reports = []
     start = time.perf_counter()
-    wps = {k: wp_expansion(k, terms, z_max) for k in range(1, k_max + 1)}
+    wps = {k: wp_expansion(k, terms, z_max + 1) for k in range(1, k_max + 1)}
     parity_bad: list[tuple[str, str, str]] = []
     parity_checked = 0
     for k, wp in wps.items():
         for e, row in wp.items():
-            if any(row):
+            if e <= z_max and any(row):
                 parity_checked += 1
                 if (e - k) % 2:
                     parity_bad.append((f"k={k} z^{e}", "nonzero entry", "parity forbids it"))
@@ -255,9 +238,9 @@ def verify_wp_structure(k_max: int = 5, terms: int = 9, z_max: int = 8) -> list[
     p_next = p_series(1, terms, -z_max, z_max)
     for k in range(1, k_max):
         start = time.perf_counter()
-        # -(1/k) d/dz of wp_k, one z-power wider so that it reaches z^z_max
-        rhs = {e - 1: tuple(c * Fraction(-e, k) for c in row)
-               for e, row in wp_expansion(k, terms, z_max + 1).items()}
+        # -(1/k) d/dz of wp_k reaches z^z_max; the comparison runs over the
+        # z-powers both windows hold
+        rhs = {e - 1: tuple(c * Fraction(-e, k) for c in row) for e, row in wps[k].items()}
         reports.append(ResidueReport("wp-derivative-recursion",
                                      {"k": k, "terms": terms, "z_max": z_max},
                                      (z_max + k + 2) * terms, tuple(_window_mismatches(wps[k + 1], rhs)),
@@ -276,11 +259,6 @@ def verify_wp_structure(k_max: int = 5, terms: int = 9, z_max: int = 8) -> list[
 # ---------------------------------------------------------------------------
 # residue identities
 # ---------------------------------------------------------------------------
-
-def _c_row(w: int, depth: int) -> list[Fraction]:
-    """c_{-1}, c_0, c_1, ... of (1+z)^(w-1)/log(1+z); c_{-1} = 1."""
-    return list(bracket_coeffs(w, -1, depth))
-
 
 def _residue_term(i: int, w: int, func, shifted_side: bool, terms: int) -> list[int]:
     """Residue in w of (w-z)^i z^(w-1-i) w^(-w) times a z-diagonal integrand.
@@ -309,11 +287,13 @@ def _residue_term(i: int, w: int, func, shifted_side: bool, terms: int) -> list[
     return total
 
 
-def _residue_identity_value(w: int, m: int | None, terms: int) -> PuiseuxSeries:
-    """Total sum_i c_i (A_i - B_i) for integrand P_m (m=None: bare 1, m=1: P_1 - 1).
+def _residue_identity_value(w: int, m: int | None, terms: int) -> tuple[Fraction, ...]:
+    """q-coefficients of sum_i c_i (A_i - B_i) for integrand P_m (m=None: bare 1, m=1: P_1 - 1).
 
-    The rows are integers over (m-1)! and the c-row is cleared to integers,
-    so the i-sum runs over int; one series is built for the total.
+    c_{-1} = 1, c_0, c_1, ... is the bracket_coeffs(w, -1) row, the
+    coefficients of (1+z)^(w-1)/log(1+z). The P_m rows are integers over
+    (m-1)! and the c-row is cleared to integers, so the i-sum runs over int;
+    only the total is divided out.
     """
     one = (1,) + (0,) * (terms - 1)
     if m is None:
@@ -332,7 +312,7 @@ def _residue_identity_value(w: int, m: int | None, terms: int) -> PuiseuxSeries:
             return tuple(-co for co in one) if m == 1 else None
 
         i_top = m + 2
-    c_row = _CommonDenominator(_c_row(w, i_top + 2))
+    c_row = _CommonDenominator(bracket_coeffs(w, -1, i_top + 2))
     c, den = c_row.nums, c_row.den * (factorial(m - 1) if m else 1)
     total = [0] * terms
     tail: list[bool] = []
@@ -345,7 +325,7 @@ def _residue_identity_value(w: int, m: int | None, terms: int) -> PuiseuxSeries:
         tail.append(not any(delta))
     if not (tail[-1] and tail[-2]):
         raise AssertionError(f"residue i-sum did not stabilize for w={w}, m={m}")
-    return PuiseuxSeries(0, [Fraction(t, den) for t in total])
+    return tuple(Fraction(t, den) for t in total)
 
 
 def verify_residue_identities(w: int, terms: int = 6) -> list[ResidueReport]:
@@ -353,27 +333,26 @@ def verify_residue_identities(w: int, terms: int = 6) -> list[ResidueReport]:
 
     The bare integrand sums to the constant 1, the P_1 - 1 integrand to the
     constant -1/2, and P_m (m >= 2) to the Eisenstein series E_m, which is 0
-    for odd m.
+    for odd m. Each total is compared with its target as the z^0 row of a
+    window.
     """
     _require_sizes(w=(w, 1), terms=(terms, 1))
     reports = []
-    start = time.perf_counter()
-    got = _residue_identity_value(w, None, terms)
-    want = _const_series(Fraction(1), terms)
-    reports.append(ResidueReport("residue-unit", {"w": w, "terms": terms},
-                                 terms, tuple(_series_mismatches("", got, want)),
-                                 time.perf_counter() - start))
-    for m in range(1, 6):
+    zeros = (Fraction(0),) * (terms - 1)
+    for m in (None, 1, 2, 3, 4, 5):
         start = time.perf_counter()
         got = _residue_identity_value(w, m, terms)
-        if m == 1:
-            want = _const_series(Fraction(-1, 2), terms)
+        if m is None:
+            want = (Fraction(1),) + zeros
+        elif m == 1:
+            want = (Fraction(-1, 2),) + zeros
         elif m % 2 == 0:
-            want = eisenstein(m, terms)
+            want = eisenstein(m, terms).coeffs
         else:
-            want = _zero_series(terms)
-        reports.append(ResidueReport(f"residue-p{m}", {"w": w, "terms": terms},
-                                     terms, tuple(_series_mismatches("", got, want)),
+            want = (Fraction(0),) + zeros
+        reports.append(ResidueReport("residue-unit" if m is None else f"residue-p{m}",
+                                     {"w": w, "terms": terms}, terms,
+                                     tuple(_window_mismatches({0: got}, {0: want})),
                                      time.perf_counter() - start))
     return reports
 

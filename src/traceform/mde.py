@@ -446,13 +446,14 @@ def _derive_recursion(c: Fraction, h: Fraction, weight_bound: Fraction) -> Trace
 
 
 def _string_mode_scalar(c: Fraction, h: Fraction, i: int, k: int) -> Fraction:
-    """mu with L(2k-2) L(-2)^i u = mu L(-2)^(i-k+1) u in the Verma module.
+    """mu with L(2k-2) L(-2)^i u = mu L(-2)^(i-k+1) u in the module of u.
 
-    Only even modes appear when commuting L(2k-2) through the string, so the
-    result must be exactly proportional to the shorter string; anything else
-    raises.
+    At h = 0 that is the vacuum quotient the strings of derive_recursion
+    live in, so no second module is built. Only even modes appear when
+    commuting L(2k-2) through the string, so the result must be exactly
+    proportional to the shorter string; anything else raises.
     """
-    out = virasoro.l_action(2 * k - 2, verma_monomial(c, h, (2,) * i))
+    out = virasoro.l_action(2 * k - 2, verma_monomial(c, h, (2,) * i, h == 0))
     tgt = (2,) * (i - k + 1)
     for key in out.entries:
         if key != tgt:

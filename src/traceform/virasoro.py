@@ -18,9 +18,9 @@ memoises the tables keyed on partitions and levels only. Every vector
 carries its module, so no table is looked up by (c, h).
 
 The tables hold Python ints wherever a coefficient is an integer by
-construction: the normal-ordering coefficients of L(-m) L(-mu) v and the
-generalized binomials. Fraction enters only through c and h, in the central
-term and in L(0)v = h v. What leaves the module is coerced once:
+construction, as the normal-ordering coefficients of L(-m) L(-mu) v are.
+Fraction enters only through c and h, in the central term and in
+L(0)v = h v. What leaves the module is coerced once:
 VermaVector entries, Gram entries and coordinates are always Fractions.
 
 The contravariant (Shapovalov) form has <v_h, v_h> = 1 and adjoint
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import NamedTuple
 
 from . import linalg
@@ -198,15 +197,6 @@ def _lower(m: int, mu: Partition) -> _Terms:
     for nu, co in _lower(m + head, rest):
         _acc(out, nu, (head - m) * co)
     return tuple(out.items())
-
-
-@lru_cache(maxsize=None)
-def _gbinom(m: int, i: int) -> int:
-    """Generalized binomial C(m, i) for integer m of any sign."""
-    num = 1
-    for t in range(i):
-        num *= m - t
-    return num // factorial(i)
 
 
 def _strip_ones(entries: dict[Partition, _RationalLike]) -> dict[Partition, _RationalLike]:

@@ -57,11 +57,11 @@ from functools import lru_cache
 from math import comb
 
 from traceform import virasoro
-from traceform.bracket import bracket_coeffs
+from traceform.bracket import _gbinom, bracket_coeffs
 from traceform.linalg import RowSpan, _frac
 from traceform.mde import RelationSpace, _monomials_of_weight, eisenstein_modular_poly, graded_vector
 from traceform.qseries import PuiseuxSeries, eisenstein
-from traceform.virasoro import VermaModule, VermaVector, _acc, _gbinom, _lower, _strip_ones
+from traceform.virasoro import VermaModule, VermaVector, _acc, _lower, _strip_ones
 
 
 def level_components(v: VermaVector) -> dict[int, VermaVector]:

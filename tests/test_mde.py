@@ -391,6 +391,16 @@ def test_the_weight_bound_caps_the_order():
             derive_recursion(Fraction(1, 2), 0, bound)
 
 
+def test_a_vacuum_equation_builds_one_module():
+    # the strings of a vacuum derivation live in the vacuum quotient, and
+    # to_ode reads its string scalars there too, so M(c, 0) is never built
+    virasoro.verma_module.cache_clear()
+    rec = mde._derive_recursion.__wrapped__(Fraction(7, 10), Fraction(0), Fraction(12))
+    assert virasoro.verma_module.cache_info().currsize == 1
+    to_ode(rec)
+    assert virasoro.verma_module.cache_info().currsize == 1
+
+
 def test_ising_vacuum_equation_is_third_order():
     rec = derive_recursion(Fraction(1, 2), Fraction(0))
     assert rec.order == 3

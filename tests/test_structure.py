@@ -24,6 +24,20 @@ REFERENCE_ROUTES = ("OSpace", "a_dot_u", "u_star_a", "o_elem", "square_mode_acti
 TEST_ONLY_NAMES = ("serre_derivative", "classical_eisenstein", "highest_weight_vector",
                    "exponent_report")
 TEST_ONLY_SERIES_METHODS = ("theta", "truncate", "shifted", "is_zero")
+# the package modules each module may import, at any depth (the CLI loads zhu
+# inside its handlers): linalg is the base, and the bracket and elliptic
+# tables stand apart from the Verma, MDE and Zhu layers
+ALLOWED_IMPORTS = {
+    "__init__": set(),
+    "linalg": set(),
+    "qseries": {"linalg"},
+    "virasoro": {"linalg"},
+    "bracket": {"qseries"},
+    "elliptic": {"bracket", "linalg", "qseries"},
+    "mde": {"linalg", "qseries", "virasoro"},
+    "zhu": {"linalg", "virasoro"},
+    "cli": {"bracket", "elliptic", "mde", "qseries", "virasoro", "zhu"},
+}
 
 
 def _top_level_definitions(path: Path) -> set[str]:
@@ -81,10 +95,42 @@ def test_no_window_class_and_no_second_clearing_helper():
 def test_normal_ordering_and_binomials_build_no_fraction():
     # L(-m) L(-mu) v and C(m, i) are integers by construction; Fraction
     # enters the Verma tables only through c and h
-    built = {fn for fn, node in _functions("virasoro")
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction"}
-    assert not {"_lower", "_gbinom"} & built, sorted(built, key=str)
-    assert {"_lower", "_gbinom"} <= _definitions_by_module()["virasoro"]
+    for stem, name in (("virasoro", "_lower"), ("bracket", "_gbinom")):
+        built = {fn for fn, node in _functions(stem)
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction"}
+        assert name not in built, (stem, sorted(built, key=str))
+        assert name in _definitions_by_module()[stem]
+
+
+def test_one_binomial_and_one_row_comparison():
+    # the (1+z)^(w-1) row of bracket_coeffs is read from _gbinom, and the
+    # residue totals are compared with their targets as window rows
+    defs = _definitions_by_module()
+    assert "_binom_row" not in defs["bracket"]
+    retired = {"_zero_series", "_const_series", "_series_mismatches", "_c_row"}
+    assert not defs["elliptic"] & retired, sorted(defs["elliptic"] & retired)
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules that a module imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("traceform"):
+            found.add(node.module.partition(".")[2] or "__init__")
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[2] or "__init__" for alias in node.names
+                      if alias.name.split(".")[0] == "traceform"}
+    return found
+
+
+def test_each_module_imports_only_its_allowed_layers():
+    graph = {path.stem: _package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert graph.keys() == ALLOWED_IMPORTS.keys()
+    extra = {stem: sorted(found - ALLOWED_IMPORTS[stem]) for stem, found in graph.items()
+             if found - ALLOWED_IMPORTS[stem]}
+    assert not extra, extra
 
 
 def test_num_den_is_formatted_in_one_place():

@@ -14,7 +14,7 @@ from math import factorial, prod
 import pytest
 
 from reference_routes import all_generators_quotient_dims, level_components, mode_action
-from traceform import cli, virasoro
+from traceform import bracket, cli, virasoro
 from traceform.linalg import RowSpan
 from traceform.virasoro import (
     GramMatrix,
@@ -203,7 +203,7 @@ def test_lower_and_gbinom_are_ints():
                 assert all(type(co) is int for _, co in virasoro._lower(m, mu)), (m, mu)
     for m in range(-6, 7):
         for i in range(7):
-            got = virasoro._gbinom(m, i)
+            got = bracket._gbinom(m, i)
             assert type(got) is int and got == Fraction(prod(m - t for t in range(i)), factorial(i))
 
 
