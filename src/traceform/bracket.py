@@ -11,8 +11,8 @@ any integer: negative rows use the inverse powers of log(1+z)/z, still with
 rational entries. The Virasoro shift is L[n] = omega~[n+1], so the L[0] row
 is bracket_coeffs(2, 1) = (1, 1/2, -1/6, 1/12, ...).
 
-_gbinom is the package's one generalized binomial C(m, i), an int for m of
-any sign; it builds the (1+z)^(w-1) factor of every row.
+_gbinom, the generalized binomial C(m, i) as an int for m of any sign,
+builds the (1+z)^(w-1) factor of every row (elliptic checks it on math.comb).
 """
 
 from __future__ import annotations

@@ -41,8 +41,9 @@ for i >= m and the verifier sums a short stabilized range:
     integrand P_1 (less 1):      total -1/2
     integrand P_m, m >= 2:       total E_m  (zero for odd m)
 
-verify_expansion_identity checks the mode expansion of (w-1+n choose i)
-against the bracket coefficient tables and the z^n entries of P_{m+1}.
+verify_expansion_identity checks the mode expansion of C(w-1+n, i), from
+math.comb as C(-a, i) = (-1)^i C(a+i-1, i) below 0, not bracket's binomial,
+against the bracket coefficient rows and the z^n entries of P_{m+1}.
 
 Every z^n row of P_k(z, q) and of P_k(zq, q) is n^(k-1)/(k-1)! times a 0/+-1
 pattern, so _p_row keeps it as integer numerators over (k-1)!, built once
@@ -62,7 +63,7 @@ from math import comb, factorial
 from operator import add, sub
 from typing import NamedTuple
 
-from .bracket import _gbinom, bracket_coeffs
+from .bracket import bracket_coeffs
 from .linalg import _CommonDenominator
 from .qseries import bernoulli, eisenstein, sigma
 
@@ -383,7 +384,7 @@ def verify_expansion_identity(w: int, terms: int = 6, i_max: int = 8,
         cleared = _CommonDenominator(rows[m][i - m] / factorial(m) for m in range(0, i + 1))
         beta, den = cleared.nums, cleared.den
         for n in list(range(-n_max, 0)) + list(range(1, n_max + 1)):
-            scale = _gbinom(w - 1 + n, i)
+            scale = comb(w - 1 + n, i) if n >= 1 - w else (-1) ** i * comb(i - w - n, i)
             rhs = [0] * terms
             for m, b in enumerate(beta):
                 for k, co in enumerate(_p_row(m + 1, n, terms, False)):

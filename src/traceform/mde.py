@@ -13,6 +13,10 @@ together with the derivative rule for square-bracket Virasoro strings,
 
     S(L[-2] x) = (theta + wt[x] E_2) S(x) + sum_{k>=2} E_{2k} S(L[2k-2] x).
 
+On a string, L[2k-2] L[-2]^i u = mu_k(i) L[-2]^(i-k+1) u with mu_2(i) =
+i (4h + c/2) + 4 i (i-1) and mu_k(i) = 2k sum_{r<i} mu_{k-1}(r), from the
+commutators [L(2), L(-2)] = 4 L(0) + c/2 and [L(2k-2), L(-2)] = 2k L(2k-4).
+
 All three are computed in the round picture, through Zhu's isomorphism of
 (V, Y[ ], omega - c/24) with (V, Y, omega) (JAMS 1996, Thm 4.2.1): the map
 Phi: L(-mu) u -> L[-mu] u is an isomorphism of Verma modules with
@@ -51,14 +55,15 @@ number of terms, to produce exact solutions. The numeric helpers evaluate
 truncated series on the upper half plane to check modular transformation
 behaviour of the solutions.
 
-derive_recursion is memoised on its normalised arguments, so the eta check
-and the modular check of one trace case share one derivation. The Frobenius
-recurrence runs on integer numerators over a running common denominator,
-one dot product per theta column and step, and keeps no list of numerators
-besides the inputs of those dot products; its coefficients come out as
-Fraction like everything else. The q-expansion of a theta form clears each
-Eisenstein series once, builds each monomial in them once for all the
-polynomials of the form, and multiplies over the integers.
+derive_recursion is memoised on its normalised arguments and to_ode on the
+recursion, so the eta and modular checks of one trace case share one
+derivation and one equation. The Frobenius recurrence runs on integer
+numerators over a running common denominator, one dot product per theta
+column and step, and keeps no list of numerators besides the inputs of those
+dot products; its coefficients come out as Fraction like everything else.
+The q-expansion of a theta form clears each Eisenstein series once, builds
+each monomial in them once for all the polynomials of the form, and
+multiplies over the integers.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
 from operator import add, mul
 from typing import NamedTuple
@@ -445,22 +451,6 @@ def _derive_recursion(c: Fraction, h: Fraction, weight_bound: Fraction) -> Trace
     raise ValueError(f"no recursion of order <= {top} under weight bound {weight_bound}")
 
 
-def _string_mode_scalar(c: Fraction, h: Fraction, i: int, k: int) -> Fraction:
-    """mu with L(2k-2) L(-2)^i u = mu L(-2)^(i-k+1) u in the module of u.
-
-    At h = 0 that is the vacuum quotient the strings of derive_recursion
-    live in, so no second module is built. Only even modes appear when
-    commuting L(2k-2) through the string, so the result must be exactly
-    proportional to the shorter string; anything else raises.
-    """
-    out = virasoro.l_action(2 * k - 2, verma_monomial(c, h, (2,) * i, h == 0))
-    tgt = (2,) * (i - k + 1)
-    for key in out.entries:
-        if key != tgt:
-            raise AssertionError(f"string action produced stray term {key}")
-    return out.entries.get(tgt, Fraction(0))
-
-
 class ModularODE(NamedTuple):
     """Monic equation sum_j H_j d^(j) S = 0 in iterated Serre derivatives.
 
@@ -518,15 +508,27 @@ def _theta_series(form: tuple[QuasiModularPoly, ...], terms: int) -> tuple[Puise
     return _expand(form, terms)
 
 
+def _string_scalars(c: Fraction, h: Fraction, order: int) -> dict[int, list[Fraction]]:
+    """mu[k][i] = mu_k(i) of to_ode for 2 <= k <= order and i < order."""
+    mu = {2: [i * (4 * h + c / 2) + 4 * i * (i - 1) for i in range(order)]}
+    for k in range(3, order + 1):
+        mu[k] = [2 * k * s for s in accumulate(mu[k - 1][:-1], initial=0)]
+    return mu
+
+
+@lru_cache(maxsize=None)
 def to_ode(rec: TraceRecursion) -> ModularODE:
     """Convert a string recursion into its modular differential equation.
 
     Builds tables T_i with S(L[-2]^i u) = sum_j T_i[j] d^(j) S(u) from the
-    derivative rule, then assembles H_j = T_m[j] + sum_i r_i T_i[j]. The
-    coefficients come out free of E2; that cancellation is asserted since it
-    is forced when everything upstream is consistent.
+    derivative rule, with L[2k-2] L[-2]^i u = mu_k(i) L[-2]^(i-k+1) u read off
+    [L(2), L(-2)] = 4 L(0) + c/2 and [L(2k-2), L(-2)] = 2k L(2k-4), k >= 3:
+    mu_2(i) = i (4h + c/2) + 4 i (i-1), mu_k(i) = 2k sum_{r<i} mu_{k-1}(r).
+    Then H_j = T_m[j] + sum_i r_i T_i[j], free of E2, which is asserted since
+    it is forced when everything upstream is consistent.
     """
     c, h, m = rec.c, rec.h, rec.order
+    mu = _string_scalars(c, h, m)
     zero = QuasiModularPoly()
     tables: list[list[QuasiModularPoly]] = [[QuasiModularPoly.constant(1)]]
     for i in range(m):
@@ -535,12 +537,8 @@ def to_ode(rec: TraceRecursion) -> ModularODE:
         cur = tables[i]
         nxt = [a.serre(2 * (i - j)) + b for j, (a, b) in enumerate(zip(cur + [zero], [zero] + cur))]
         for k in range(2, i + 2):
-            mu = _string_mode_scalar(c, h, i, k)
-            if mu == 0:
-                continue
-            epoly = eisenstein_modular_poly(2 * k)
             for j, g in enumerate(tables[i - k + 1]):
-                nxt[j] = nxt[j] + mu * (epoly * g)
+                nxt[j] = nxt[j] + mu[k][i] * (eisenstein_modular_poly(2 * k) * g)
         tables.append(nxt)
     coeffs = list(tables[m])
     for r, table in zip(rec.coefficients, tables):

@@ -37,6 +37,11 @@ L(-3)u, and its C2 quotient from every L(-n)u, n >= 3, must equal them.
 Coordinates are read through virasoro.irreducible_coordinates as a module
 attribute, so a test that patches that one projection sees every call.
 
+The string scalars. mde.to_ode reads mu_k(i), with L(2k-2) L(-2)^i u =
+mu_k(i) L(-2)^(i-k+1) u, from two commutators in closed form;
+string_mode_scalar applies l_action to the vector L(-2)^i u instead, so
+the closed form is checked against the Verma tables.
+
 The Serre derivative of a q-series, theta f + k E_2 f, with theta = q d/dq
 and three more operations on PuiseuxSeries that only the tests use:
 truncate, shifted and is_zero. The package applies theta to polynomials in
@@ -338,6 +343,27 @@ def square_virasoro_action(n: int, u: VermaVector) -> VermaVector:
     if n == -2:
         terms.append((-u.c / 24, u))
     return _sum_scaled(u, terms)
+
+
+# ---------------------------------------------------------------------------
+# the string scalars of the derivative rule, through vectors
+# ---------------------------------------------------------------------------
+
+def string_mode_scalar(c, h, i: int, k: int) -> Fraction:
+    """mu with L(2k-2) L(-2)^i u = mu L(-2)^(i-k+1) u, read off the vector.
+
+    At h = 0 the string lives in the vacuum quotient, as the strings of
+    mde.derive_recursion do. Only even modes appear when commuting L(2k-2)
+    through the string, so the result must be exactly proportional to the
+    shorter string; anything else raises.
+    """
+    c, h = _frac(c), _frac(h)
+    out = virasoro.l_action(2 * k - 2, virasoro.verma_monomial(c, h, (2,) * i, h == 0))
+    tgt = (2,) * (i - k + 1)
+    stray = [key for key in out.entries if key != tgt]
+    if stray:
+        raise AssertionError(f"string action produced stray terms {stray}")
+    return out.entries.get(tgt, Fraction(0))
 
 
 # ---------------------------------------------------------------------------

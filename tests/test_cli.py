@@ -189,6 +189,8 @@ def test_e2_inversion_checks_the_truncation_it_was_given(capsys):
     ("verify_all.json", ["verify", "all"]),
     ("mde_derive_c7-10_h0_b12.json", ["mde", "derive", "--c", "7/10", "--h", "0", "--weight-bound", "12"]),
     ("mde_derive_c4-5_h2-3_b38-3.json", ["mde", "derive", "--c", "4/5", "--h", "2/3", "--weight-bound", "38/3"]),
+    ("mde_derive_c4-5_h7-5_b67-5.json", ["mde", "derive", "--c", "4/5", "--h", "7/5", "--weight-bound", "67/5"]),
+    ("mde_solve_c1-2_h0_t40.json", ["mde", "solve", "--c", "1/2", "--h", "0", "--terms", "40"]),
 ])
 def test_stable_json_equals_the_golden_output(capsys, name, argv):
     # byte for byte; a change that means to alter one of these outputs

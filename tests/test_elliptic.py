@@ -15,11 +15,12 @@ suites see them.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from traceform import elliptic
+from traceform import bracket, elliptic
 from traceform.bracket import bracket_coeffs
 from traceform.elliptic import (
     p_series,
@@ -194,6 +195,23 @@ def test_binomial_mode_expansion_catches_a_perturbed_bracket_row(monkeypatch):
         assert not rep.passed and rep.checked == 648
         # b_1 of the m = 2 row enters the z^3 expansion only
         assert {label.split()[0] for label, _, _ in rep.mismatches} == {"i=3"}, w
+
+
+def test_binomial_mode_expansion_catches_a_negated_binomial(monkeypatch):
+    # the scale C(w-1+n, i) comes from math.comb, so a wrong generalized
+    # binomial moves the bracket rows and not the left-hand side; it is
+    # negated wherever the package binds it, as an edit of its body would be
+    real = bracket._gbinom
+    for module in [m for name, m in sys.modules.items() if name.startswith("traceform.")]:
+        if getattr(module, "_gbinom", None) is real:
+            monkeypatch.setattr(module, "_gbinom", lambda m, i: -real(m, i))
+    bracket_coeffs.cache_clear()
+    try:
+        for w in range(1, 6):
+            assert not verify_expansion_identity(w, terms=6, i_max=8, n_max=6).passed, w
+    finally:
+        monkeypatch.undo()
+        bracket_coeffs.cache_clear()
 
 
 _P_ROW = elliptic._p_row

@@ -45,6 +45,7 @@ from reference_routes import (
     mode_action,
     square_mode_action,
     square_virasoro_action,
+    string_mode_scalar,
     theta,
 )
 from traceform import cli, mde, virasoro
@@ -70,7 +71,7 @@ from traceform.mde import (
     trace_case_solution,
 )
 from traceform.qseries import PuiseuxSeries, _convolve, eisenstein, eta_power
-from traceform.virasoro import graded_dims, verma_monomial
+from traceform.virasoro import graded_dims, minimal_model, verma_monomial
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +393,41 @@ def test_the_weight_bound_caps_the_order():
 
 
 def test_a_vacuum_equation_builds_one_module():
-    # the strings of a vacuum derivation live in the vacuum quotient, and
-    # to_ode reads its string scalars there too, so M(c, 0) is never built
+    # the strings of a vacuum derivation live in the vacuum quotient, so
+    # M(c, 0) is never built, and to_ode reads its string scalars off two
+    # commutators, so it builds no module at all
     virasoro.verma_module.cache_clear()
     rec = mde._derive_recursion.__wrapped__(Fraction(7, 10), Fraction(0), Fraction(12))
     assert virasoro.verma_module.cache_info().currsize == 1
-    to_ode(rec)
-    assert virasoro.verma_module.cache_info().currsize == 1
+    virasoro.verma_module.cache_clear()
+    to_ode.__wrapped__(rec)
+    assert virasoro.verma_module.cache_info().currsize == 0
+
+
+def test_string_scalars_match_the_verma_route():
+    # mu_k(i) from [L(2), L(-2)] and [L(2k-2), L(-2)] against L(2k-2)
+    # applied to the vector L(-2)^i u, in the vacuum quotient at h = 0
+    points = [(case.c, case.h_u) for case in TRACE_CASES]
+    points += [(minimal_model(m).c, h) for m in (1, 2, 3) for h in minimal_model(m).distinct_weights()]
+    points += [(Fraction(-22, 5), Fraction(0)), (Fraction(25), Fraction(0)),
+               (Fraction(1, 2), Fraction(1, 3)), (Fraction(25), Fraction(1))]
+    for c, h in points:
+        mu = mde._string_scalars(c, h, 10)
+        assert sorted(mu) == list(range(2, 11)) and all(len(row) == 10 for row in mu.values())
+        for i in range(10):
+            for k in range(2, i + 2):
+                assert mu[k][i] == string_mode_scalar(c, h, i, k), (c, h, i, k)
+
+
+def test_each_trace_equation_is_built_once_per_process():
+    # to_ode reads nothing but its recursion, so the eta and modular checks
+    # of one trace case share one equation
+    mde._derive_recursion.cache_clear()
+    to_ode.cache_clear()
+    assert cli.run(["--json", "verify", "traces"]) == 0
+    assert cli.run(["--json", "modular-check"]) == 0
+    info = to_ode.cache_info()
+    assert (info.misses, info.hits) == (len(TRACE_CASES), len(TRACE_CASES))
 
 
 def test_ising_vacuum_equation_is_third_order():
@@ -512,7 +541,7 @@ def _reference_theta_operator(ode, terms):
 
 
 def _reference_to_ode(rec):
-    """to_ode with sparse dict tables T_i = {j: poly}."""
+    """to_ode with sparse dict tables T_i = {j: poly} and the string scalars read off vectors."""
     c, h, m = rec.c, rec.h, rec.order
     tables = [{0: QuasiModularPoly.constant(1)}]
     for i in range(m):
@@ -526,7 +555,7 @@ def _reference_to_ode(rec):
             bump(j + 1, g)
             bump(j, g.serre(2 * (i - j)))
         for k in range(2, i + 2):
-            mu = mde._string_mode_scalar(c, h, i, k)
+            mu = string_mode_scalar(c, h, i, k)
             if mu == 0:
                 continue
             epoly = eisenstein_modular_poly(2 * k)

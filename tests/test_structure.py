@@ -20,7 +20,7 @@ SHARED_HELPERS = ("_frac", "_RationalLike", "_gbinom", "_CommonDenominator", "_f
 RETIRED_FROM_LINALG = ("rref_dense", "rank_dense", "_as_fraction_matrix", "solve_dense")
 REFERENCE_ROUTES = ("OSpace", "a_dot_u", "u_star_a", "o_elem", "square_mode_action",
                     "square_virasoro_action", "_sum_scaled", "mode_action", "_mode",
-                    "AllGeneratorsRelationSpace", "all_generators_quotient_dims")
+                    "AllGeneratorsRelationSpace", "all_generators_quotient_dims", "string_mode_scalar")
 TEST_ONLY_NAMES = ("serre_derivative", "classical_eisenstein", "highest_weight_vector",
                    "exponent_report")
 TEST_ONLY_SERIES_METHODS = ("theta", "truncate", "shifted", "is_zero")
@@ -213,6 +213,22 @@ def test_the_relation_span_reads_no_binomial_scale():
     tree = ast.parse((PACKAGE / "mde.py").read_text(encoding="utf-8"))
     assert "_gbinom" not in _imported_names(tree)
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_gbinom"]
+
+
+def test_to_ode_reads_its_string_scalars_off_two_commutators():
+    # mu_k(i) is closed-form in c, h and i, so to_ode builds no Verma vector
+    # and reaches nothing in virasoro; the vector route is a test reference
+    assert "_string_mode_scalar" not in _definitions_by_module()["mde"]
+    tree = ast.parse((PACKAGE / "mde.py").read_text(encoding="utf-8"))
+    from_virasoro = {"virasoro"} | {alias.name for node in ast.walk(tree)
+                                    if isinstance(node, ast.ImportFrom) and node.module == "virasoro"
+                                    for alias in node.names}
+    for name in ("to_ode", "_string_scalars"):
+        (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+        called = _called_names(fn) & {"l_action", "verma_monomial", "verma_module"}
+        assert not called, (name, called)
+        used = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)} & from_virasoro
+        assert not used, (name, used)
 
 
 def test_the_weight_bound_is_the_only_order_cap():
