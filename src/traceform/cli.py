@@ -51,6 +51,11 @@ def _parse_tau(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"tau parts must be finite, got {text!r}")
     if tau.imag <= 0:
         raise argparse.ArgumentTypeError("tau must lie in the upper half plane")
+    inverse = -1 / tau   # the checks evaluate q-series at both points
+    if inverse.imag <= 0:
+        raise argparse.ArgumentTypeError(f"-1/tau underflows onto the real axis, got {text!r}")
+    if not (math.exp(-2 * math.pi * tau.imag) and math.exp(-2 * math.pi * inverse.imag)):
+        raise argparse.ArgumentTypeError(f"q = exp(2 pi i tau) underflows to 0 at tau or -1/tau, got {text!r}")
     return tau
 
 

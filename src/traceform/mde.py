@@ -45,22 +45,23 @@ modulo that span, the r_i holomorphic modular of weight 2(m-i). The span
 grows one weight level at a time from h + 2, up to a weight bound (default
 h + 8) that also caps the order (derive_recursion). Relations, and the
 vectors reduced against them, are plain {(level, index, a4, a6):
-Fraction} dicts as graded_vector returns them, held in a RowSpan. to_ode
-then turns the recursion into a monic order-m equation in iterated Serre
-derivatives with modular coefficients. ModularODE.theta_form expands that
-equation once in powers of theta = q d/dq with coefficients in
-Q[E2, E4, E6]; the indicial polynomial is its value at q = 0, and
-frobenius_solve reads its q-expansions, made once per theta form and
-number of terms, to produce exact solutions. The numeric helpers evaluate
-truncated series on the upper half plane to check modular transformation
-behaviour of the solutions.
+Fraction} dicts as graded_vector returns them, held in RelationSpace, a
+RowSpan. to_ode then turns the recursion into a monic order-m equation in
+iterated Serre derivatives with modular coefficients. The ModularODE
+constructor expands that equation once into theta_form, in powers of
+theta = q d/dq with coefficients in Q[E2, E4, E6]. Its q-expansions, made
+once per form and number of terms, are the theta columns: the indicial
+polynomial is their q^0 row, and frobenius_solve reads them to produce
+exact solutions. The numeric helpers evaluate truncated series on the
+upper half plane to check modular transformation behaviour of the solutions.
 
 derive_recursion is memoised on its normalised arguments and to_ode on the
 recursion, so the eta and modular checks of one trace case share one
-derivation and one equation. The Frobenius recurrence runs on integer
-numerators over a running common denominator, one dot product per theta
-column and step, and keeps no list of numerators besides the inputs of those
-dot products; its coefficients come out as Fraction like everything else.
+derivation, one equation and one theta form. The Frobenius recurrence runs
+on integer numerators over a running common denominator, one dot product
+per theta column and step, and keeps no list of numerators besides the
+inputs of those dot products; its coefficients come out as Fraction like
+everything else.
 The q-expansion of a theta form clears each Eisenstein series once, builds
 each monomial in them once for all the polynomials of the form, and
 multiplies over the integers.
@@ -71,10 +72,10 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd
 from operator import add, mul
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import virasoro
 from .linalg import RowSpan, _CommonDenominator, _RationalLike, _frac, rational_roots
@@ -191,9 +192,6 @@ class QuasiModularPoly:
     def serre(self, weight: _RationalLike) -> "QuasiModularPoly":
         return self.theta() + _frac(weight) * QuasiModularPoly.e2() * self
 
-    def constant_term(self) -> Fraction:
-        return self.to_series(1).coefficient(0)
-
     def to_series(self, terms: int) -> PuiseuxSeries:
         """q-expansion to the given number of terms, over the integers (_expand)."""
         return _expand((self,), terms)[0]
@@ -298,29 +296,28 @@ def _monomials_of_weight(w: int) -> list[tuple[int, int]]:
             for a6 in range(w // 6 + 1) if 4 * a4 + 6 * a6 == w]
 
 
-class RelationSpace:
+class RelationSpace(RowSpan):
     """Span of the trace-vanishing relations below a total weight bound.
 
     The span grows one weight level at a time: grow() adds the relations of
     v = omega on the next level, L(-1) u and the E-tail of L(-3) u (none at
     c = 0; the module docstring shows omega suffices), and the E4, E6 shifts
     of earlier generators that land exactly on it, which that argument
-    needs, to the same RowSpan. Its reduced row
-    echelon form does not depend on the order rows arrive in, so reduce()
-    gives the same canonical representative, modulo everything the bound
-    can see, however the span got there. RelationSpace(c, h, bound) grows
-    from level 0 to the largest level under the bound, which must be at
-    least 2: the first trace string [L[-2] u] sits at level 2.
+    needs. It is the RowSpan of those rows: its reduced row echelon form
+    does not depend on the order rows arrive in, so reduce() gives the same
+    canonical representative, modulo everything the bound can see, however
+    the span got there. RelationSpace(c, h, bound) grows from level 0 to the
+    largest level under the bound, which must be at least 2: the first trace
+    string [L[-2] u] sits at level 2.
     """
 
     def __init__(self, c: _RationalLike, h: _RationalLike, weight_bound: _RationalLike):
-        self.c = _frac(c)
-        self.h = _frac(h)
+        super().__init__()
+        self.c, self.h = _frac(c), _frac(h)
         level_bound = int(_frac(weight_bound) - self.h)
         if level_bound < 2:
             raise ValueError("weight bound leaves no room above the highest weight vector")
         self.level_bound = 0
-        self._span = RowSpan()
         self._gens: list[tuple[int, dict[GradedKey, Fraction]]] = []
         while self.level_bound < level_bound:
             self.grow()
@@ -337,7 +334,7 @@ class RelationSpace:
         umod = virasoro.verma_module(c, h, h == 0)
         for wg, g in self._gens:
             for a4, a6 in _monomials_of_weight(level - wg):
-                self._span.add({(lvl, idx, b4 + a4, b6 + a6): co
+                self.add({(lvl, idx, b4 + a4, b6 + a6): co
                                 for (lvl, idx, b4, b6), co in g.items()})
         # omega(0) u = L(-1) u one level up, the E-tail of omega(-2) u = L(-3) u three up
         gens = []
@@ -356,18 +353,8 @@ class RelationSpace:
         for g in gens:
             if g:
                 self._gens.append((level, g))
-                self._span.add(g)
+                self.add(g)
         self.level_bound = level
-
-    @property
-    def rank(self) -> int:
-        return self._span.rank
-
-    def reduce(self, gv: dict[GradedKey, Fraction]) -> dict[GradedKey, Fraction]:
-        return self._span.reduce(gv)
-
-    def contains(self, gv: dict[GradedKey, Fraction]) -> bool:
-        return self._span.contains(gv)
 
 
 def build_relation_space(c: _RationalLike, h: _RationalLike,
@@ -451,38 +438,48 @@ def _derive_recursion(c: Fraction, h: Fraction, weight_bound: Fraction) -> Trace
     raise ValueError(f"no recursion of order <= {top} under weight bound {weight_bound}")
 
 
-class ModularODE(NamedTuple):
+def _leibniz(op: list[QuasiModularPoly], weights: Iterable[_RationalLike]) -> list[QuasiModularPoly]:
+    """Leibniz rule: D sum_t a_t X^t = sum_t (a_t.serre(w_t) X^t + a_t X^(t+1)),
+    X^t being theta^t in _theta_form and d^(t) in to_ode's tables."""
+    zero = QuasiModularPoly()
+    return [a.serre(w) + b for a, w, b in zip(op + [zero], weights, [zero] + op)]
+
+
+def _theta_form(h: Fraction, serre_coeffs: tuple[QuasiModularPoly, ...]) -> tuple[QuasiModularPoly, ...]:
+    """P_t with sum_j H_j d^(j) = sum_t P_t theta^t, t = 0..order; d^(j+1) = D_(h+2j) d^(j)."""
+    form = [QuasiModularPoly()] * len(serre_coeffs)
+    op = [QuasiModularPoly.constant(1)]          # d^(j) in powers of theta
+    for j, hj in enumerate(serre_coeffs):
+        if j:
+            op = _leibniz(op, repeat(h + 2 * (j - 1)))
+        for t, a in enumerate(op):
+            form[t] = form[t] + hj * a
+    return tuple(form)
+
+
+class ModularODE:
     """Monic equation sum_j H_j d^(j) S = 0 in iterated Serre derivatives.
 
     d^(j) is the j-fold Serre derivative starting at weight h, and H_j is
-    holomorphic modular of weight 2(order-j) with H_order = 1.
+    holomorphic modular of weight 2(order-j) with H_order = 1. The
+    constructor, which to_ode and hand-built equations share, builds the
+    theta form once (_theta_form); equality compares the other fields.
     """
 
-    c: Fraction
-    h: Fraction
-    order: int
-    serre_coeffs: tuple[QuasiModularPoly, ...]
+    __slots__ = ("c", "h", "order", "serre_coeffs", "theta_form")
 
-    def theta_form(self) -> tuple[QuasiModularPoly, ...]:
-        """P_t with sum_j H_j d^(j) = sum_t P_t theta^t, t = 0..order.
+    def __init__(self, c: Fraction, h: Fraction, order: int, serre_coeffs: tuple[QuasiModularPoly, ...]):
+        self.c, self.h, self.order, self.serre_coeffs = c, h, order, serre_coeffs
+        self.theta_form = _theta_form(h, serre_coeffs)
 
-        d^(j+1) = D_w d^(j) with w = h + 2j, and D_w (a theta^t) =
-        a.serre(w) theta^t + a theta^(t+1) by the Leibniz rule.
-        """
-        zero = QuasiModularPoly()
-        form = [zero] * (self.order + 1)
-        op = [QuasiModularPoly.constant(1)]          # d^(j) in powers of theta
-        for j, hj in enumerate(self.serre_coeffs):
-            if j:
-                w = self.h + 2 * (j - 1)
-                op = [a.serre(w) + b for a, b in zip(op + [zero], [zero] + op)]
-            for t, a in enumerate(op):
-                form[t] = form[t] + hj * a
-        return tuple(form)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.c, self.h, self.order, self.serre_coeffs) == (other.c, other.h, other.order, other.serre_coeffs)
 
     def indicial_polynomial(self) -> tuple[Fraction, ...]:
-        """P(lam) = sum_t P_t(0) lam^t, ascending: the theta form at q^0."""
-        return tuple(p.constant_term() for p in self.theta_form())
+        """P(lam) = sum_t P_t(0) lam^t, ascending: the q^0 row of the theta columns."""
+        return tuple(a.coefficient(0) for a in self.theta_operator(1))
 
     def indicial_roots(self) -> tuple[list[tuple[Fraction, int]], int]:
         return rational_roots(self.indicial_polynomial())
@@ -493,7 +490,7 @@ class ModularODE(NamedTuple):
         The q-expansion is memoised on the theta form and terms, so the roots
         of one equation share it.
         """
-        return _theta_series(self.theta_form(), terms)
+        return _theta_series(self.theta_form, terms)
 
     def __str__(self) -> str:
         bits = [f"D^{self.order}"]
@@ -529,13 +526,10 @@ def to_ode(rec: TraceRecursion) -> ModularODE:
     """
     c, h, m = rec.c, rec.h, rec.order
     mu = _string_scalars(c, h, m)
-    zero = QuasiModularPoly()
     tables: list[list[QuasiModularPoly]] = [[QuasiModularPoly.constant(1)]]
     for i in range(m):
-        # T_i[j] has weight 2(i - j); the step is the Leibniz rule of
-        # ModularODE.theta_form with d^(j+1) in place of theta^(j+1)
-        cur = tables[i]
-        nxt = [a.serre(2 * (i - j)) + b for j, (a, b) in enumerate(zip(cur + [zero], [zero] + cur))]
+        # T_i[j] has weight 2(i - j), j = 0..i+1
+        nxt = _leibniz(tables[i], range(2 * i, -3, -2))
         for k in range(2, i + 2):
             for j, g in enumerate(tables[i - k + 1]):
                 nxt[j] = nxt[j] + mu[k][i] * (eisenstein_modular_poly(2 * k) * g)

@@ -14,8 +14,8 @@ Conventions:
   and verma_module raises ValueError for any other h.
 
 verma_module(c, h, vacuum) returns the one VermaModule of a module; it
-memoises the tables keyed on partitions and levels only. Every vector
-carries its module, so no table is looked up by (c, h).
+memoises the tables keyed on partitions and levels only. A VermaVector
+holds only its module, which holds c, h and vacuum, and its entries.
 
 The tables hold Python ints wherever a coefficient is an integer by
 construction, as the normal-ordering coefficients of L(-m) L(-mu) v are.
@@ -107,33 +107,30 @@ def minimal_model(m: int) -> MinimalModelData:
 class VermaVector:
     """Element of a highest-weight module, keyed by PBW partitions.
 
-    module is the VermaModule of (c, h, vacuum), shared with every vector
-    built from this one; equality compares c, h, entries and vacuum only.
+    module is the VermaModule of the vector, shared with every vector built
+    from it, and holds c, h and vacuum; equality compares its key and entries.
     """
 
-    __slots__ = ("c", "h", "entries", "vacuum", "module")
+    __slots__ = ("module", "entries")
     __hash__ = None
 
-    def __init__(self, c: _RationalLike, h: _RationalLike, entries: dict[Partition, _RationalLike],
-                 vacuum: bool = False, module: VermaModule | None = None):
-        if module is None:
-            module = verma_module(_frac(c), _frac(h), bool(vacuum))
-        self.c, self.h, self.vacuum, self.module = module.c, module.h, module.vacuum, module
+    def __init__(self, module: VermaModule, entries: dict[Partition, _RationalLike]):
+        self.module = module
         self.entries = {mu: _frac(co) for mu, co in entries.items() if co != 0}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.c, self.h, self.entries, self.vacuum) == (other.c, other.h, other.entries, other.vacuum)
+        return self.module.key == other.module.key and self.entries == other.entries
 
     def _like(self, entries: dict[Partition, Fraction]) -> "VermaVector":
         """A vector of the same module."""
-        return VermaVector(self.c, self.h, entries, self.vacuum, self.module)
+        return VermaVector(self.module, entries)
 
     def __add__(self, other):
         if not isinstance(other, VermaVector):
             return NotImplemented
-        if (self.c, self.h, self.vacuum) != (other.c, other.h, other.vacuum):
+        if self.module.key != other.module.key:
             raise ValueError("vectors live in different modules")
         out = dict(self.entries)
         for mu, co in other.entries.items():
@@ -160,8 +157,8 @@ class VermaVector:
 
     def __repr__(self):
         terms = ", ".join(f"{mu}: {co}" for mu, co in sorted(self.entries.items(), reverse=True))
-        tag = " vacuum" if self.vacuum else ""
-        return f"VermaVector(c={self.c}, h={self.h}{tag}, {{{terms}}})"
+        c, h, vacuum = self.module.key
+        return f"VermaVector(c={c}, h={h}{' vacuum' if vacuum else ''}, {{{terms}}})"
 
 
 def verma_monomial(c: _RationalLike, h: _RationalLike, mu: Partition, vacuum: bool = False) -> VermaVector:
@@ -224,6 +221,10 @@ class VermaModule:
         for name in ("_act", "_pairing", "_coordinates"):
             setattr(self, name, lru_cache(maxsize=None)(getattr(self, name)))
 
+    @property
+    def key(self) -> tuple[Fraction, Fraction, bool]:   # what tells two modules apart
+        return self.c, self.h, self.vacuum
+
     def monomial(self, mu: Partition) -> VermaVector:
         """L(-mu) v for a weakly decreasing partition mu of positive parts."""
         mu = tuple(mu)
@@ -231,7 +232,7 @@ class VermaModule:
             raise ValueError(f"{mu} is not a weakly decreasing positive partition")
         if self.vacuum and 1 in mu:
             raise ValueError("part 1 is zero in the vacuum module")
-        return VermaVector(self.c, self.h, {mu: Fraction(1)}, self.vacuum, self)
+        return VermaVector(self, {mu: Fraction(1)})
 
     def _act(self, n: int, mu: Partition) -> _Terms:
         """L(n) L(-mu) v_h in the Verma module, for n >= 0."""
@@ -308,7 +309,7 @@ def l_action(n: int, vec: VermaVector) -> VermaVector:
     for mu, co in vec.entries.items():
         for nu, co2 in (_lower(-n, mu) if n < 0 else act(n, mu)):
             _acc(out, nu, co * co2)
-    if vec.vacuum:
+    if vec.module.vacuum:
         out = _strip_ones(out)
     return vec._like(out)
 
@@ -342,10 +343,10 @@ def graded_dims(c: _RationalLike, h: _RationalLike, max_level: int, vacuum: bool
     return [level_coordinates(c, h, lvl, vacuum).dim for lvl in range(max_level + 1)]
 
 
-def _action_rows(c: Fraction, h: Fraction, level: int, vacuum: bool,
+def _action_rows(module: VermaModule, level: int,
                  basis: tuple[Partition, ...]) -> tuple[list[dict[int, _RationalLike]], int]:
     """Stacked matrices of L(1) and L(2) off one level, rows indexed by targets."""
-    act = verma_module(c, h, vacuum)._act
+    act, vacuum = module._act, module.vacuum
     rows: list[dict[int, _RationalLike]] = []
     for n in (1, 2):
         targets = {mu: i for i, mu in enumerate(_basis_at(level - n, vacuum))}
@@ -372,14 +373,13 @@ def singular_vectors(c: _RationalLike, h: _RationalLike, level: int,
     basis = _basis_at(level, module.vacuum)
     if level < 1 or not basis:
         return []
-    rows, ncols = _action_rows(module.c, module.h, level, module.vacuum, basis)
+    rows, ncols = _action_rows(module, level, basis)
     kernel = linalg.sparse_nullspace(rows, ncols)
     out: list[VermaVector] = []
     for ker in kernel:
         first = min(ker)  # reverse-lex order is the basis order
         inv = 1 / ker[first]
-        vec = VermaVector(module.c, module.h, {basis[j]: co * inv for j, co in ker.items()},
-                          module.vacuum, module)
+        vec = VermaVector(module, {basis[j]: co * inv for j, co in ker.items()})
         for n in (1, 2):
             if not l_action(n, vec).is_zero():
                 raise AssertionError("kernel vector not annihilated by a raising mode")

@@ -66,7 +66,7 @@ def class_polynomial(vec: VermaVector) -> list[Fraction]:
     PBW monomial of vec, over the integer numerators of vec's coefficients
     cleared to one denominator, which divides out at the end.
     """
-    if not vec.vacuum:
+    if not vec.module.vacuum:
         raise ValueError("class_polynomial needs a vector of the vacuum vertex algebra")
     cleared = _CommonDenominator(vec.entries.values())
     acc = [0]

@@ -129,9 +129,9 @@ def mode_action(a: VermaVector, n: int, u: VermaVector) -> VermaVector:
     Read on square-bracket PBW labels it is a[n] u, by Zhu's isomorphism as
     the traceform.mde docstring states it.
     """
-    if not a.vacuum:
+    if not a.module.vacuum:
         raise ValueError("modes are defined for vectors of the vacuum vertex algebra")
-    if a.c != u.c:
+    if a.module.c != u.module.c:
         raise ValueError("central charges differ")
     out: dict = {}
     for mu, ca in a.entries.items():
@@ -151,7 +151,7 @@ class AllGeneratorsRelationSpace(RelationSpace):
         ubasis = [virasoro.level_coordinates(c, h, lu, h == 0).basis for lu in range(level)]
         for wg, g in self._gens:
             for a4, a6 in _monomials_of_weight(level - wg):
-                self._span.add({(lvl, idx, b4 + a4, b6 + a6): co
+                self.add({(lvl, idx, b4 + a4, b6 + a6): co
                                 for (lvl, idx, b4, b6), co in g.items()})
         # v of level lv and u of level lu give v(0) u at level lv + lu - 1 and
         # the E-tail of v(-2) u at level lv + lu + 1
@@ -169,7 +169,7 @@ class AllGeneratorsRelationSpace(RelationSpace):
                                     _acc(g, (lvl, idx, a4, a6), (2 * k - 1) * co * val)
                         if g:
                             self._gens.append((level, g))
-                            self._span.add(g)
+                            self.add(g)
         self.level_bound = level
 
 
@@ -202,7 +202,7 @@ def all_generators_quotient_dims(c, h, max_level: int, zero_modes: bool) -> list
 # ---------------------------------------------------------------------------
 
 def _require_vacuum(a: VermaVector) -> None:
-    if not a.vacuum:
+    if not a.module.vacuum:
         raise ValueError("the left factor must live in the vacuum vertex algebra")
 
 
@@ -315,7 +315,7 @@ def square_mode_action(v: VermaVector, m: int, u: VermaVector) -> VermaVector:
     weight w uses the (w, m) coefficient row. The sum is finite because
     v(j)u vanishes once j exceeds level(u) + w - 1.
     """
-    if not v.vacuum:
+    if not v.module.vacuum:
         raise ValueError("square modes need a vacuum vertex algebra vector")
     lev_u = max(level_components(u), default=0)
     terms = []
@@ -341,7 +341,7 @@ def square_virasoro_action(n: int, u: VermaVector) -> VermaVector:
         row = bracket_coeffs(2, n + 1, top + 1)
         terms = [(a, virasoro.l_action(n + i, u)) for i, a in enumerate(row) if a != 0]
     if n == -2:
-        terms.append((-u.c / 24, u))
+        terms.append((-u.module.c / 24, u))
     return _sum_scaled(u, terms)
 
 

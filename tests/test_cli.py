@@ -191,6 +191,8 @@ def test_e2_inversion_checks_the_truncation_it_was_given(capsys):
     ("mde_derive_c4-5_h2-3_b38-3.json", ["mde", "derive", "--c", "4/5", "--h", "2/3", "--weight-bound", "38/3"]),
     ("mde_derive_c4-5_h7-5_b67-5.json", ["mde", "derive", "--c", "4/5", "--h", "7/5", "--weight-bound", "67/5"]),
     ("mde_solve_c1-2_h0_t40.json", ["mde", "solve", "--c", "1/2", "--h", "0", "--terms", "40"]),
+    ("mde_solve_c7-10_h0_b12_t20.json",
+     ["mde", "solve", "--c", "7/10", "--h", "0", "--weight-bound", "12", "--terms", "20"]),
 ])
 def test_stable_json_equals_the_golden_output(capsys, name, argv):
     # byte for byte; a change that means to alter one of these outputs
@@ -303,6 +305,9 @@ def test_bad_values_exit_two_with_one_line(capsys, argv, message):
     (["--text", "verify", "traces"], "unrecognized arguments: --text"),
     (["--cache-dir=D", "eta"], "unrecognized arguments: --cache-dir=D"),
     (["mde", "derive", "--m", "1", "--c", "7/10", "--h", "0"], "argument --c: not allowed with argument --m"),
+    (["modular-check", "--tau", "1e308,1", "--tau", "0,1"], "-1/tau underflows onto the real axis, got '1e308,1'"),
+    (["modular-check", "--tau", "0,1e300", "--tau", "0,1"], "q = exp(2 pi i tau) underflows to 0 at tau or -1/tau"),
+    (["modular-check", "--tau", "0,1e-300", "--tau", "0,1"], "q = exp(2 pi i tau) underflows to 0 at tau or -1/tau"),
 ])
 def test_parse_errors_exit_two_with_one_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -55,6 +55,7 @@ from traceform.virasoro import (
     irreducible_coordinates,
     level_coordinates,
     minimal_model,
+    verma_module,
     verma_monomial,
 )
 
@@ -242,7 +243,7 @@ def test_raising_mode_matrices_match_the_reference(m, h, levels):
     vacuum = h == 0
     for level in levels:
         basis = _basis_at(level, vacuum)
-        rows, ncols = _action_rows(c, h, level, vacuum, basis)
+        rows, ncols = _action_rows(verma_module(c, h, vacuum), level, basis)
         got = sparse_nullspace(rows, ncols)
         assert _same(got, _reference_sparse_nullspace(rows, ncols)), level
         assert _same(got, _exact_sparse_nullspace(rows, ncols)), level
@@ -264,7 +265,7 @@ def _passes(monkeypatch):
 
 def test_the_twentieth_level_vacuum_system_matches_the_exact_elimination(monkeypatch):
     c = minimal_model(3).c
-    rows, ncols = _action_rows(c, Fraction(0), 20, True, _basis_at(20, True))
+    rows, ncols = _action_rows(verma_module(c, Fraction(0), True), 20, _basis_at(20, True))
     assert (len(rows), ncols) == (193, 137)
     log = _passes(monkeypatch)
     got = sparse_nullspace(rows, ncols)
@@ -454,7 +455,8 @@ def _assert_search_matches_the_rescan(work):
 
 def _vacuum_system(m):
     level = (m + 1) * (m + 2)   # (p - 1)(q - 1), where zhu_poly solves
-    rows, ncols = _action_rows(minimal_model(m).c, Fraction(0), level, True, _basis_at(level, True))
+    rows, ncols = _action_rows(verma_module(minimal_model(m).c, Fraction(0), True), level,
+                                _basis_at(level, True))
     return _cleared(rows), ncols
 
 
@@ -594,7 +596,7 @@ def test_projected_coords_match_the_inverse_route(m):
             _, rows, inverse, _ = _reference_level_coordinates(model.c, h, level, vacuum)
             for _ in range(3):
                 entries = {mu: rng.randint(-9, 9) for mu in lc.full_basis}
-                vec = VermaVector(model.c, h, entries, vacuum)
+                vec = VermaVector(verma_module(model.c, h, vacuum), entries)
                 want = _reference_coords(lc, rows, inverse, vec)
                 assert irreducible_coordinates(vec) == {(level, t): co for t, co in enumerate(want) if co}, \
                     (h, level, entries)

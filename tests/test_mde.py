@@ -26,8 +26,9 @@ by dense Gauss-Jordan (reference_routes._reference_solve_dense) where the
 package reduces against tagged candidates in a RowSpan; both must find the
 same recursion.
 
-ModularODE.theta_form expands an equation once in Q[E2, E4, E6], and the
-indicial polynomial and the theta columns are read from it. The earlier
+The ModularODE constructor expands an equation once in Q[E2, E4, E6] into
+theta_form; the theta columns are its q-expansions and the indicial
+polynomial is their q^0 row. The earlier
 routes are kept below as references: the indicial product over the Serre
 constants, the theta columns assembled on Fraction series, and to_ode's
 dict tables.
@@ -117,7 +118,7 @@ def _reference_to_series(poly, terms):
 
 def test_to_series_expands_each_eisenstein_power_once(monkeypatch):
     ode = to_ode(derive_recursion(Fraction(7, 10), Fraction(3, 5)))
-    polys = list(ode.theta_form()) + [
+    polys = list(ode.theta_form) + [
         QuasiModularPoly(), QuasiModularPoly.constant(3),
         QuasiModularPoly({(2, 1, 3): Fraction(-5, 7), (0, 4, 0): 2, (1, 0, 0): 1})]
     for poly in polys:
@@ -125,11 +126,11 @@ def test_to_series_expands_each_eisenstein_power_once(monkeypatch):
             assert poly.to_series(terms) == _reference_to_series(poly, terms), (poly, terms)
     # the theta forms of the four trace cases, at the length the eta checks use
     for case in TRACE_CASES:
-        for poly in trace_case_ode(case).theta_form():
+        for poly in trace_case_ode(case).theta_form:
             assert poly.to_series(300) == _reference_to_series(poly, 300), (case.m, poly)
     # E_k(0) is read from qseries.eisenstein, whose normalisation gives these
-    assert [p.constant_term() for p in (QuasiModularPoly.e2(), QuasiModularPoly.e4(),
-                                        QuasiModularPoly.e6())] == [
+    assert [p.to_series(1).coefficient(0) for p in (QuasiModularPoly.e2(), QuasiModularPoly.e4(),
+                                                    QuasiModularPoly.e6())] == [
         Fraction(-1, 12), Fraction(1, 720), Fraction(-1, 30240)]
     # E2 and E4 occur in two monomials each, to several powers: still one
     # expansion per weight
@@ -143,7 +144,7 @@ def test_the_theta_forms_of_one_equation_share_their_monomials(monkeypatch):
     # the order-6 (7/10, 0) equation: seven polynomials in E2, E4, E6 with
     # 14 distinct monomials of degree 2 or more, each built by one product
     # from a monomial of the form with one factor less
-    form = to_ode(derive_recursion(Fraction(7, 10), Fraction(0), 12)).theta_form()
+    form = to_ode(derive_recursion(Fraction(7, 10), Fraction(0), 12)).theta_form
     assert len(form) == 7
     products = {key for poly in form for key in poly.entries if sum(key) > 1}
     assert len(products) == 14
@@ -182,7 +183,7 @@ def test_the_relations_from_omega_span_the_relations_of_every_vacuum_vector(c, h
     c, h = Fraction(c), Fraction(h)
     ours, every = RelationSpace(c, h, h + 2), AllGeneratorsRelationSpace(c, h, h + 2)
     while True:
-        assert ours._span._pivots == every._span._pivots, ours.level_bound
+        assert ours._pivots == every._pivots, ours.level_bound
         if ours.level_bound == top:
             break
         ours.grow()
@@ -257,7 +258,7 @@ class _SquareRelationSpace(RelationSpace):
         ubasis = [virasoro.level_coordinates(c, h, lu, h == 0).basis for lu in range(level)]
         for wg, g in self._gens:
             for a4, a6 in mde._monomials_of_weight(level - wg):
-                self._span.add({(lvl, idx, b4 + a4, b6 + a6): co
+                self.add({(lvl, idx, b4 + a4, b6 + a6): co
                                 for (lvl, idx, b4, b6), co in g.items()})
         for lv in range(2, level + 2):
             for vmu in virasoro.level_coordinates(c, Fraction(0), lv, vacuum=True).basis:
@@ -273,7 +274,7 @@ class _SquareRelationSpace(RelationSpace):
                                     virasoro._acc(g, (lvl, idx, a4, a6), (2 * k - 1) * co * val)
                         if g:
                             self._gens.append((level, g))
-                            self._span.add(g)
+                            self.add(g)
         self.level_bound = level
 
 
@@ -504,7 +505,7 @@ def _reference_indicial_polynomial(ode):
     poly = [Fraction(0)]
     factor = [Fraction(1)]
     for j in range(ode.order + 1):
-        cj = ode.serre_coeffs[j].constant_term()
+        cj = ode.serre_coeffs[j].to_series(1).coefficient(0)
         width = max(len(poly), len(factor))
         poly = [(poly[t] if t < len(poly) else Fraction(0))
                 + cj * (factor[t] if t < len(factor) else Fraction(0))
@@ -586,7 +587,7 @@ def test_theta_form_matches_the_reference_routes():
         assert ode.indicial_polynomial() == _reference_indicial_polynomial(ode), (ode.c, ode.h)
         for terms in (1, 40, 300):
             assert ode.theta_operator(terms) == _reference_theta_operator(ode, terms), (ode.c, ode.h, terms)
-        form = ode.theta_form()
+        form = ode.theta_form
         assert len(form) == ode.order + 1
         assert form[-1] == QuasiModularPoly.constant(1)
 
@@ -601,7 +602,7 @@ def test_a_multi_root_solve_expands_the_theta_operator_once(monkeypatch, capsys)
     original = mde._expand
 
     def counting(polys, terms):
-        if terms > 1:                       # constant_term reads to_series(1)
+        if terms > 1:                       # the indicial polynomial reads theta_operator(1)
             expanded.append((len(polys), terms))
         return original(polys, terms)
 
@@ -610,6 +611,24 @@ def test_a_multi_root_solve_expands_the_theta_operator_once(monkeypatch, capsys)
     assert len(json.loads(capsys.readouterr().out)["solutions"]) == 3
     assert expanded == [(ode.order + 1, 12)]
     assert ode.theta_operator(12) is ode.theta_operator(12)
+
+
+@pytest.mark.parametrize("argvs,builds", [
+    ([["mde", "solve", "--c", "1/2", "--h", "0", "--terms", "40"]], 1),
+    ([["--json", "verify", "traces"], ["--json", "modular-check"]], 4),
+    ([["mde", "solve", "--c", "7/10", "--h", "0", "--weight-bound", "12", "--terms", "40"]], 1),
+])
+def test_each_equation_builds_its_theta_form_once(monkeypatch, capsys, argvs, builds):
+    # the ModularODE constructor builds the form, and the indicial roots and
+    # every Frobenius solve read it from there: one build per equation
+    mde._derive_recursion.cache_clear()
+    to_ode.cache_clear()
+    original, forms = mde._theta_form, []
+    monkeypatch.setattr(mde, "_theta_form", lambda h, coeffs: forms.append(h) or original(h, coeffs))
+    for argv in argvs:
+        assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert len(forms) == builds
 
 
 def _reference_frobenius_solve(ode, exponent, terms):

@@ -166,15 +166,52 @@ def _called_names(node: ast.AST) -> set[str]:
             for call in ast.walk(node) if isinstance(call, ast.Call)}
 
 
+def _attributes(node: ast.AST) -> set[str]:
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def test_modular_ode_reads_indicial_data_and_theta_columns_from_one_theta_form():
-    # the equation is expanded once in Q[E2, E4, E6]; no second expansion
-    # works on Eisenstein q-series
+    # the constructor expands the equation once in Q[E2, E4, E6] and keeps
+    # it; the theta columns are its q-expansions and the indicial polynomial
+    # their q^0 row, so no second expansion works on Eisenstein q-series
     (ode,) = [node for _, node in _functions("mde")
               if isinstance(node, ast.ClassDef) and node.name == "ModularODE"]
     methods = {fn.name: fn for fn in ode.body if isinstance(fn, ast.FunctionDef)}
-    for name in ("indicial_polynomial", "theta_operator"):
-        assert "theta_form" in _called_names(methods[name]), name
+    assert "theta_form" not in methods
+    assert "_theta_form" in _called_names(methods["__init__"])
+    assert "theta_form" in _attributes(methods["theta_operator"])
+    assert "theta_operator" in _called_names(methods["indicial_polynomial"])
     assert "eisenstein" not in _called_names(ode)
+
+
+def test_each_object_has_one_holder():
+    # a Verma vector reads c, h and vacuum through its module, the relation
+    # span is the RowSpan itself, and a polynomial's constant term is read
+    # only as the q^0 row of the theta columns
+    classes = {node.name: node for stem in ("virasoro", "mde") for _, node in _functions(stem)
+               if isinstance(node, ast.ClassDef)}
+    (slots,) = [ast.literal_eval(node.value) for node in classes["VermaVector"].body
+                if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__slots__"]]
+    assert not {"c", "h", "vacuum"} & set(slots), slots
+    span = classes["RelationSpace"]
+    assert [ast.unparse(base) for base in span.bases] == ["RowSpan"]
+    defined = {node.name for node in span.body if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"rank", "reduce", "contains"}, defined
+    assert "_span" not in _attributes(span)
+    assert "constant_term" not in {node.name for node in classes["QuasiModularPoly"].body
+                                   if isinstance(node, ast.FunctionDef)}
+
+
+def test_mde_has_one_leibniz_loop():
+    # theta forms and to_ode's tables both take D by the Leibniz rule, and
+    # both through _leibniz, the only place outside QuasiModularPoly that
+    # takes a Serre derivative
+    tree = ast.parse((PACKAGE / "mde.py").read_text(encoding="utf-8"))
+    functions = [fn for node in tree.body
+                 if not (isinstance(node, ast.ClassDef) and node.name == "QuasiModularPoly")
+                 for fn in ast.walk(node) if isinstance(fn, ast.FunctionDef)]
+    assert [fn.name for fn in functions if "serre" in _called_names(fn)] == ["_leibniz"]
+    assert {fn.name for fn in functions if "_leibniz" in _called_names(fn)} == {"_theta_form", "to_ode"}
 
 
 def _imported_names(tree: ast.AST) -> list[str]:

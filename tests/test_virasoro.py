@@ -29,6 +29,7 @@ from traceform.virasoro import (
     minimal_model,
     partitions_of,
     singular_vectors,
+    verma_module,
     verma_monomial,
 )
 
@@ -222,7 +223,7 @@ def test_every_result_leaves_the_module_as_fractions(c, h, vacuum):
     assert gram_matrix(c, h, 0, vacuum).entries == ((1,),)
     omega = verma_monomial(c, 0, (2,), vacuum=True)
     u = verma_monomial(c, h, (3, 2) if vacuum else (2, 1), vacuum)
-    w = VermaVector(c, h, {(2,): 3, (): 1}, vacuum)
+    w = VermaVector(verma_module(c, h, vacuum), {(2,): 3, (): 1})
     vectors = [u, w, u + w, u - w, w * 2, 2 * w, -w, verma_monomial(c, h, (), vacuum)]
     vectors += [l_action(n, u) for n in range(-2, 4)] + [mode_action(omega, n, u) for n in range(-2, 4)]
     vectors += [piece for v in vectors for piece in level_components(v).values()]

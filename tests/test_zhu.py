@@ -34,6 +34,7 @@ from traceform.virasoro import (
     l_action,
     minimal_model,
     singular_vectors,
+    verma_module,
     verma_monomial,
 )
 from traceform.zhu import ZhuPoly, _monic, class_polynomial, rational_roots, zhu_poly
@@ -246,7 +247,7 @@ def _random_vacuum_vector(rng, level):
     basis = [mu for mu in partitions_of(level) if min(mu) >= 2]
     entries = {mu: Fraction(rng.randint(-40, 40), rng.randint(1, 36))
                for mu in rng.sample(basis, max(1, len(basis) * 2 // 3))}
-    return VermaVector(C, 0, entries, True)
+    return VermaVector(verma_module(C, 0, True), entries)
 
 
 def _check_integer_kernels(vec, level):
